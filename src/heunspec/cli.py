@@ -21,23 +21,25 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .exceptions import HeunspecError, NoRootError
+from .exceptions import ArgumentError, DomainError, HeunspecError
 from .heun_core import (
     ExpansionFamily,
     FamilyGroup,
     PotentialKind,
     PotentialSpec,
-    transformed_params,
+    default_window,
+    family_prefactor,
 )
 from .series_engine import (
     SeriesSolution,
     build_infinite,
     evaluate_grid,
-    recurrence,
+    forward_recurrence,
     truncation_order,
 )
-from .spectrum import default_window, finite_spectrum, infinite_energy
-from .verify import equivalence_suite, ode_residual, shooting_match_table
+from .shooting import shooting_match_table
+from .spectrum import cf_roots, finite_spectrum
+from .verify import equivalence_suite, ode_residual
 from .special_functions import complete_K
 
 EXIT_OK = 0
@@ -111,29 +113,8 @@ def _family_energies(spec: PotentialSpec, fam: ExpansionFamily,
     if N is not None:
         res = finite_spectrum(spec, fam)
         return res.energies, N, res.arscott_ok, res.degenerate_pairs
-    energies = _cf_roots(spec, fam, max_energies)
+    energies = cf_roots(spec, fam, max_energies)
     return energies, None, None, []
-
-
-def _cf_roots(spec: PotentialSpec, fam: ExpansionFamily,
-              count: int) -> list[float]:
-    """Lowest continued-fraction roots in the default window, ascending."""
-    lo, hi = default_window(spec)
-    grid = np.linspace(lo, hi, 400)
-    roots: list[float] = []
-    from .spectrum import _cf_value
-
-    vals = [_cf_value(spec, fam, float(E), 2000) for E in grid]
-    for i in range(len(grid) - 1):
-        if len(roots) >= count:
-            break
-        if vals[i] * vals[i + 1] < 0.0:
-            try:
-                roots.append(infinite_energy(spec, fam,
-                                             (float(grid[i]), float(grid[i + 1]))))
-            except NoRootError:
-                continue
-    return roots
 
 
 def _write_output(text: str, path: Optional[str]) -> None:
@@ -195,23 +176,20 @@ def _plot_grid(spec: PotentialSpec) -> np.ndarray:
 def cmd_eigenfunction(args) -> int:
     spec = _spec_from_args(args)
     fam = ExpansionFamily.from_selector(args.family)
-    N = truncation_order(spec, fam)
-    if N is not None:
-        res = finite_spectrum(spec, fam)
-        if not (0 <= args.index < len(res.energies)):
-            sys.stderr.write(
-                f"index {args.index} out of range: family {fam.selector} has "
-                f"{len(res.energies)} real level(s) here\n")
-            return EXIT_RANGE
-        sol = res.solutions[args.index]
+    finite = truncation_order(spec, fam) is not None
+    if finite:
+        levels = finite_spectrum(spec, fam).solutions
+        found = f"family {fam.selector} has {len(levels)} real level(s) here"
     else:
-        roots = _cf_roots(spec, fam, args.index + 1)
-        if args.index >= len(roots):
-            sys.stderr.write(
-                f"index {args.index} out of range: found {len(roots)} "
-                "continued-fraction level(s) in the default window\n")
-            return EXIT_RANGE
-        sol = build_infinite(spec, fam, roots[args.index])
+        levels = cf_roots(spec, fam, args.index + 1)
+        found = (f"found {len(levels)} continued-fraction level(s) in the "
+                 "default window")
+    if not 0 <= args.index < len(levels):
+        sys.stderr.write(f"index {args.index} out of range: {found}\n")
+        return EXIT_RANGE
+    sol = levels[args.index]
+    if not finite:
+        sol = build_infinite(spec, fam, sol)
     us = _plot_grid(spec)
     vals = evaluate_grid(sol, us)
     if args.format == "json":
@@ -238,29 +216,8 @@ def cmd_eigenfunction(args) -> int:
     return EXIT_OK
 
 
-def _forced_finite(spec: PotentialSpec, fam: ExpansionFamily,
-                   E: float) -> SeriesSolution:
-    """Forward-recurrence solution at an arbitrary energy.
-
-    Skips the termination-row consistency test so that deliberately
-    detuned energies can be pushed through the residual check.
-    """
-    N = truncation_order(spec, fam)
-    tri = recurrence(spec, fam, E)
-    coeffs = np.zeros(N + 1)
-    coeffs[0] = 1.0
-    for n in range(N):
-        prev = coeffs[n - 1] if n >= 1 else 0.0
-        coeffs[n + 1] = -(tri.beta_n(n) * coeffs[n]
-                          + tri.gamma_n(n) * prev) / tri.alpha_n(n)
-    _, pre = transformed_params(spec, fam, E)
-    return SeriesSolution(spec=spec, family=fam, E=E, coeffs=coeffs,
-                          prefactor=pre, finite=True)
-
-
 def _parity_for(spec: PotentialSpec, fam: ExpansionFamily) -> str:
     """Symmetry class of the family's evaluation representation."""
-    from .heun_core import family_prefactor
     pre = family_prefactor(spec, fam)
     flag = pre.p_sn if spec.kind is PotentialKind.V1 else pre.p_cn
     return "odd" if round(flag) % 2 else "even"
@@ -285,7 +242,13 @@ def cmd_verify(args) -> int:
         if N is None:
             continue
         if args.energy_override is not None:
-            sols = [_forced_finite(spec, fam, args.energy_override)]
+            # the termination row is left unchecked, so that a detuned
+            # energy reaches the residual check
+            E = args.energy_override
+            coeffs, _ = forward_recurrence(spec, fam, E)
+            sols = [SeriesSolution(spec=spec, family=fam, E=E, coeffs=coeffs,
+                                   prefactor=family_prefactor(spec, fam),
+                                   finite=True)]
         else:
             sols = finite_spectrum(spec, fam).solutions
         for i, sol in enumerate(sols):
@@ -353,22 +316,22 @@ def cmd_verify(args) -> int:
 
 
 def _parse_k2_values(args) -> list[float]:
-    if args.k2_list:
-        vals = [float(t) for t in args.k2_list.split(",") if t.strip()]
-    elif args.k2_range:
+    try:
+        if args.k2_list:
+            return [float(t) for t in args.k2_list.split(",") if t.strip()]
+        if not args.k2_range:
+            return []
         parts = args.k2_range.split(":")
         if len(parts) != 3:
-            raise HeunspecError("k2 range must be lo:hi:count")
+            raise ArgumentError("k2 range must be lo:hi:count")
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-        if n <= 0:
-            vals = []
-        elif n == 1:
-            vals = [lo]
-        else:
-            vals = list(np.linspace(lo, hi, n))
-    else:
-        vals = []
-    return vals
+    except ValueError as exc:
+        raise ArgumentError(f"malformed k2 values: {exc}") from None
+    if n <= 0:
+        return []
+    if n == 1:
+        return [lo]
+    return list(np.linspace(lo, hi, n))
 
 
 def cmd_sweep(args) -> int:
@@ -453,6 +416,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.max_energies < 0:
+            raise DomainError(
+                f"--max-energies must be nonnegative, got {args.max_energies}")
         return args.func(args)
     except HeunspecError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -84,6 +84,12 @@ class PotentialSpec:
         return (self.l + 2.0) * (self.l + 3.0)
 
 
+def default_window(spec: PotentialSpec) -> tuple[float, float]:
+    """Default energy search window for scans."""
+    s = (abs(spec.l) + 6.0) ** 2
+    return (-s, s * (1.0 + 1.0 / spec.k.k2))
+
+
 @dataclass(frozen=True)
 class Prefactor:
     """Elementary factor sn^p_sn * cn^p_cn * dn^p_dn of a series solution."""

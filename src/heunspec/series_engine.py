@@ -23,13 +23,22 @@ gamma + delta - alpha - 1; n + gamma; z)) has
 Each family of either potential is the generic recurrence evaluated at
 an index-transformed parameter set; the u <-> 2K - u partner families
 additionally swap the singular points 0 and 1 first.
+
+recurrence() holds these coefficients as numpy polynomials in n,
+evaluated over arrays of indices and, for B_n, over an array of
+energies: the energy enters only the constant term of B_n, through the
+accessory parameter q(E).  This one recurrence serves every regime:
+the forward recurrence of a terminating series (forward_recurrence),
+the backward recursion for the minimal solution of an infinite series
+(solve_coeffs_infinite), the continuant, whose zeros are the levels of
+a terminating series, and, in spectrum, the continued fraction.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -57,69 +66,89 @@ _INT_TOL = 1.0e-9
 
 
 @dataclass(frozen=True)
-class RecurrenceTriple:
-    """Callables alpha_n, beta_n, gamma_n of one three-term recurrence.
+class Recurrence:
+    """The three-term recurrence of one family over an array of energies.
 
-    beta_slope is the constant d(beta_n)/dE; the energy enters every
-    beta_n through the accessory parameter alone, so the diagonal of the
-    characteristic matrix is affine in E with this slope.
+    alpha_n(n), beta_n(n) and gamma_n(n) evaluate the coefficients at an
+    index or an array of indices; a scalar index gives a scalar.  alpha_n
+    and gamma_n do not depend on E.  beta_n(n) = -(a + 1) n^2 - lin n -
+    const, where const holds the accessory parameter q(E) of each energy,
+    so beta_n(n) has the shape of n followed by the shape of the
+    energies.  beta_slope is the constant d(beta_n)/dE: the diagonal of
+    the characteristic matrix is affine in E with this slope.  params
+    are the transformed Heun parameters of the first energy; beta_n
+    takes q from const alone.
     """
 
-    alpha_n: Callable[[int], float]
-    beta_n: Callable[[int], float]
-    gamma_n: Callable[[int], float]
+    params: HeunParams
+    hyper: bool
+    lin: float
+    const: np.ndarray
     beta_slope: float
 
+    def alpha_n(self, n):
+        n = np.asarray(n, dtype=float)
+        p = self.params
+        if self.hyper:
+            return (p.a * (n + 1.0))[()]
+        return (p.a * (n + p.gamma) * (n + 1.0))[()]
 
-def _power_triple(p: HeunParams) -> tuple:
-    a, q = p.a, p.q
-    al, be, ga, de = p.alpha, p.beta, p.gamma, p.delta
-    lin = a * (ga + de - 1.0) + al + be - de
+    def beta_n(self, n):
+        n = np.asarray(n, dtype=float)
+        diag = -(self.params.a + 1.0) * n * n - self.lin * n
+        return np.subtract.outer(diag, self.const)[()]
 
-    def alpha_n(n: int) -> float:
-        return a * (n + ga) * (n + 1.0)
+    def gamma_n(self, n):
+        n = np.asarray(n, dtype=float)
+        p = self.params
+        al, be, ga, de = p.alpha, p.beta, p.gamma, p.delta
+        if self.hyper:
+            return ((n + al - 1.0) * (n + al - de)
+                    * (n + al + be - ga - de))[()]
+        return ((n + al - 1.0) * (n + be - 1.0))[()]
 
-    def beta_n(n: int) -> float:
-        return -(a + 1.0) * n * n - lin * n - q
+    def continuant(self, E, N: int):
+        """Determinant D_N of rows 0..N with the energy moved on by E.
 
-    def gamma_n(n: int) -> float:
-        return (n + al - 1.0) * (n + be - 1.0)
-
-    return alpha_n, beta_n, gamma_n
-
-
-def _hyper_triple(p: HeunParams) -> tuple:
-    a, q = p.a, p.q
-    al, be, ga, de = p.alpha, p.beta, p.gamma, p.delta
-    lin = a * (2.0 * al + 1.0 - ga - de) + al + be - de
-    const = q + a * al * (al + 1.0 - ga - de)
-
-    def alpha_n(n: int) -> float:
-        return a * (n + 1.0)
-
-    def beta_n(n: int) -> float:
-        return -(a + 1.0) * n * n - lin * n - const
-
-    def gamma_n(n: int) -> float:
-        return (n + al - 1.0) * (n + al - de) * (n + al + be - ga - de)
-
-    return alpha_n, beta_n, gamma_n
+        D_n = beta_n D_{n-1} - gamma_n alpha_{n-1} D_{n-2}, with each
+        beta_n continued along the slope to beta_n + beta_slope * E, so
+        the recurrence at E = 0 gives the characteristic determinant at
+        any real or complex E, a scalar or an array.
+        """
+        idx = np.arange(N + 1)
+        diag = np.add.outer(self.beta_n(idx), self.beta_slope * np.asarray(E))
+        off = self.gamma_n(idx[1:]) * self.alpha_n(idx[:-1])
+        d_prev2, d_prev = 1.0, diag[0]
+        for n in range(1, N + 1):
+            d_prev2, d_prev = d_prev, diag[n] * d_prev - off[n - 1] * d_prev2
+        return d_prev
 
 
-def recurrence(spec: PotentialSpec, fam: ExpansionFamily,
-               E: float) -> RecurrenceTriple:
-    """Three-term recurrence of one family at energy E."""
-    p2, _ = transformed_params(spec, fam, E)
-    if fam.group is FamilyGroup.POWER:
-        alpha_n, beta_n, gamma_n = _power_triple(p2)
+def recurrence(spec: PotentialSpec, fam: ExpansionFamily, E) -> Recurrence:
+    """Three-term recurrence of one family at a scalar or array energy E.
+
+    Each energy gets its own transformed_params call, so the constant
+    term of beta_n is the accessory parameter q(E) exactly as the Heun
+    parameter map computes it.
+    """
+    E = np.asarray(E, dtype=float)
+    params = [transformed_params(spec, fam, e)[0] for e in E.ravel().tolist()]
+    q = np.array([p.q for p in params]).reshape(E.shape)
+    p = params[0]
+    a, al, be, ga, de = p.a, p.alpha, p.beta, p.gamma, p.delta
+    hyper = fam.group is not FamilyGroup.POWER
+    if hyper:
+        lin = a * (2.0 * al + 1.0 - ga - de) + al + be - de
+        const = q + a * al * (al + 1.0 - ga - de)
     else:
-        alpha_n, beta_n, gamma_n = _hyper_triple(p2)
+        lin = a * (ga + de - 1.0) + al + be - de
+        const = q
     # q depends on E as -E/(4 k2); the x -> 1-x swap negates q once more.
     slope = 1.0 / (4.0 * spec.k.k2)
     if fam.group is FamilyGroup.HYPER_BOLD:
         slope = -slope
-    return RecurrenceTriple(alpha_n=alpha_n, beta_n=beta_n,
-                            gamma_n=gamma_n, beta_slope=slope)
+    return Recurrence(params=p, hyper=hyper, lin=lin, const=const,
+                      beta_slope=slope)
 
 
 def _gamma_roots(spec: PotentialSpec, fam: ExpansionFamily) -> list[float]:
@@ -152,27 +181,40 @@ def truncation_order(spec: PotentialSpec, fam: ExpansionFamily) -> Optional[int]
     return best - 1
 
 
-def solve_coeffs_finite(spec: PotentialSpec, fam: ExpansionFamily,
-                        E: float) -> np.ndarray:
-    """Coefficients b_0..b_N of a terminating series at energy E.
+def forward_recurrence(spec: PotentialSpec, fam: ExpansionFamily,
+                       E: float) -> tuple[np.ndarray, float]:
+    """Coefficients b_0..b_N of a terminating series at any energy E.
 
-    The forward recurrence determines b_1..b_N from b_0 = 1; the final
-    row beta_N b_N + gamma_N b_{N-1} must then vanish, which holds only
-    when E is an eigenvalue.  A residual above 1e-9 * max|b| raises
-    ConsistencyError.
+    The forward recurrence determines b_1..b_N from b_0 = 1.  Also
+    returns the residual |beta_N b_N + gamma_N b_{N-1}| of the final
+    row, which vanishes only when E is an eigenvalue.
     """
     N = truncation_order(spec, fam)
     if N is None:
         raise ArgumentError(
             f"family {fam.selector} does not terminate at l = {spec.l}")
     tri = recurrence(spec, fam, E)
+    idx = np.arange(N + 1)
+    alpha = tri.alpha_n(idx).tolist()
+    beta = tri.beta_n(idx).tolist()
+    gamma = tri.gamma_n(idx).tolist()
     b = np.zeros(N + 1)
     b[0] = 1.0
     for n in range(N):
         prev = b[n - 1] if n >= 1 else 0.0
-        b[n + 1] = -(tri.beta_n(n) * b[n] + tri.gamma_n(n) * prev) / tri.alpha_n(n)
+        b[n + 1] = -(beta[n] * b[n] + gamma[n] * prev) / alpha[n]
     tail = b[N - 1] if N >= 1 else 0.0
-    residual = abs(tri.beta_n(N) * b[N] + tri.gamma_n(N) * tail)
+    return b, abs(beta[N] * b[N] + gamma[N] * tail)
+
+
+def solve_coeffs_finite(spec: PotentialSpec, fam: ExpansionFamily,
+                        E: float) -> np.ndarray:
+    """Coefficients b_0..b_N of a terminating series at an eigenvalue E.
+
+    The final row of the forward recurrence must vanish there; a
+    residual above 1e-9 * max|b| raises ConsistencyError.
+    """
+    b, residual = forward_recurrence(spec, fam, E)
     if residual > 1.0e-9 * np.max(np.abs(b)):
         raise ConsistencyError(
             f"termination row residual {residual:.3e} at E = {E}; "
@@ -200,16 +242,20 @@ def solve_coeffs_infinite(spec: PotentialSpec, fam: ExpansionFamily, E: float,
     # recursion, is below 1e-12 at n_max.
     buffer = int(math.ceil(12.5 / max(0.02, -math.log10(k2)))) + 10
     top = n_max + buffer
+    idx = np.arange(top + 1)
+    alpha = tri.alpha_n(idx).tolist()
+    beta = tri.beta_n(idx).tolist()
+    gamma = tri.gamma_n(idx).tolist()
     b = np.zeros(top + 2)
     b[top + 1] = 0.0
     b[top] = 1.0
     for n in range(top, 0, -1):
-        g = tri.gamma_n(n)
+        g = gamma[n]
         if g == 0.0:
             raise ArgumentError(
                 f"gamma_{n} vanishes; family {fam.selector} admits no "
                 "infinite minimal series here")
-        b[n - 1] = -(tri.beta_n(n) * b[n] + tri.alpha_n(n) * b[n + 1]) / g
+        b[n - 1] = -(beta[n] * b[n] + alpha[n] * b[n + 1]) / g
         if abs(b[n - 1]) > 1.0e250:
             b[n - 1:] /= abs(b[n - 1])
     if b[0] == 0.0:

@@ -41,7 +41,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .exceptions import ArgumentError
-from .heun_core import PotentialKind, PotentialSpec
+from .heun_core import PotentialKind, PotentialSpec, default_window
 from .special_functions import complete_K, jacobi
 
 RTOL = 1.0e-11
@@ -174,8 +174,7 @@ def shooting_spectrum(spec: PotentialSpec, parity: str, max_count: int = 8,
     is bisected to 1e-9.  At most max_count roots are refined.
     """
     if window is None:
-        s = (abs(spec.l) + 6.0) ** 2
-        window = (-s, s * (1.0 + 1.0 / spec.k.k2))
+        window = default_window(spec)
     n = samples if samples is not None else DEFAULT_SAMPLES
     grid = np.linspace(window[0], window[1], n)
     vals = matching_values(spec, parity, grid)

@@ -1,16 +1,20 @@
 """Eigenvalue computation for terminating and infinite series.
 
+Every family quantizes through the same three-term recurrence
+(series_engine.Recurrence), whose diagonal carries the energy.
 Terminating families lead to an (N+1) x (N+1) tridiagonal
-characteristic matrix whose determinant must vanish; the energy enters
-only along the diagonal, affinely, so the eigenvalues come from one
-symmetric (or general) tridiagonal eigenproblem.  Non-terminating
-families quantize through the continued-fraction condition that the
-minimal solution of the recurrence also satisfies the n = 0 row.
+characteristic matrix whose determinant, the continuant of the
+recurrence, must vanish; the energy enters only along the diagonal,
+affinely, so the eigenvalues come from one symmetric (or general)
+tridiagonal eigenproblem.  Non-terminating families quantize through
+the continued-fraction condition that the minimal solution of the
+recurrence also satisfies the n = 0 row; the continued fraction is
+evaluated on whole arrays of energies, so a scan of the search window
+costs one pass down the recurrence.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -19,9 +23,9 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
 from .exceptions import ArgumentError, ConvergenceError, NoRootError
-from .heun_core import ExpansionFamily, FamilyGroup, PotentialSpec
+from .heun_core import ExpansionFamily, PotentialSpec, default_window
 from .series_engine import (
-    RecurrenceTriple,
+    Recurrence,
     SeriesSolution,
     build_finite,
     recurrence,
@@ -30,15 +34,10 @@ from .series_engine import (
 )
 
 DET_SCAN_SAMPLES = 400
+CF_SCAN_DEPTH = 2000
 CF_START_DEPTH = 64
 CF_MAX_DEPTH = 100_000
 CF_SHIFT_TOL = 1.0e-11
-
-
-def default_window(spec: PotentialSpec) -> tuple[float, float]:
-    """Default energy search window for scans."""
-    s = (abs(spec.l) + 6.0) ** 2
-    return (-s, s * (1.0 + 1.0 / spec.k.k2))
 
 
 @dataclass
@@ -55,52 +54,24 @@ class SpectrumResult:
     real_count: int
 
 
-def characteristic_det(spec: PotentialSpec, fam: ExpansionFamily,
-                       E: float, N: Optional[int] = None) -> float:
-    """Determinant of the truncated characteristic matrix at energy E.
-
-    Computed by the continuant recursion
-    D_n = beta_n D_{n-1} - gamma_n alpha_{n-1} D_{n-2}.
-    """
-    if N is None:
-        N = truncation_order(spec, fam)
-        if N is None:
-            raise ArgumentError(
-                f"family {fam.selector} does not terminate at l = {spec.l}")
-    tri = recurrence(spec, fam, E)
-    return _continuant(tri, N)
-
-
-def _continuant(tri: RecurrenceTriple, N: int) -> float:
-    d_prev2 = 1.0
-    d_prev = tri.beta_n(0)
-    for n in range(1, N + 1):
-        d = tri.beta_n(n) * d_prev - tri.gamma_n(n) * tri.alpha_n(n - 1) * d_prev2
-        d_prev2, d_prev = d_prev, d
-    return d_prev
-
-
-def _continuant_complex(tri: RecurrenceTriple, N: int, E: complex) -> complex:
-    """Continuant with complex energy, using the affine diagonal shift."""
-    shift = tri.beta_slope * E
-    d_prev2 = 1.0 + 0.0j
-    d_prev = tri.beta_n(0) + shift
-    for n in range(1, N + 1):
-        d = ((tri.beta_n(n) + shift) * d_prev
-             - tri.gamma_n(n) * tri.alpha_n(n - 1) * d_prev2)
-        d_prev2, d_prev = d_prev, d
-    return d_prev
-
-
-def characteristic_det_complex(spec: PotentialSpec, fam: ExpansionFamily,
-                               E: complex) -> complex:
-    """Characteristic determinant continued to complex energy."""
+def _finite_order(spec: PotentialSpec, fam: ExpansionFamily) -> int:
     N = truncation_order(spec, fam)
     if N is None:
         raise ArgumentError(
             f"family {fam.selector} does not terminate at l = {spec.l}")
-    tri = recurrence(spec, fam, 0.0)
-    return _continuant_complex(tri, N, complex(E))
+    return N
+
+
+def characteristic_det(spec: PotentialSpec, fam: ExpansionFamily,
+                       E, N: Optional[int] = None):
+    """Determinant of the truncated characteristic matrix at energy E.
+
+    E may be real or complex, a scalar or an array; see
+    Recurrence.continuant.
+    """
+    if N is None:
+        N = _finite_order(spec, fam)
+    return recurrence(spec, fam, 0.0).continuant(E, N)
 
 
 def arscott_check(spec: PotentialSpec,
@@ -110,13 +81,10 @@ def arscott_check(spec: PotentialSpec,
     Checks alpha_{n-1} gamma_n > 0 for 1 <= n <= N; returns the flag and
     the list of violating indices n.
     """
-    N = truncation_order(spec, fam)
-    if N is None:
-        raise ArgumentError(
-            f"family {fam.selector} does not terminate at l = {spec.l}")
+    N = _finite_order(spec, fam)
     tri = recurrence(spec, fam, 0.0)
-    bad = [n for n in range(1, N + 1)
-           if not tri.alpha_n(n - 1) * tri.gamma_n(n) > 0.0]
+    idx = np.arange(1, N + 1)
+    bad = idx[~(tri.alpha_n(idx - 1) * tri.gamma_n(idx) > 0.0)].tolist()
     return (len(bad) == 0, bad)
 
 
@@ -130,22 +98,14 @@ def finite_spectrum(spec: PotentialSpec, fam: ExpansionFamily) -> SpectrumResult
     matrix and polished against the determinant; complex pairs then
     show up as a deficit between expected_count and real_count.
     """
-    N = truncation_order(spec, fam)
-    if N is None:
-        raise ArgumentError(
-            f"family {fam.selector} does not terminate at l = {spec.l}")
+    N = _finite_order(spec, fam)
     ok, _bad = arscott_check(spec, fam)
     tri = recurrence(spec, fam, 0.0)
-    slope = tri.beta_slope
-    diag = np.array([tri.beta_n(n) for n in range(N + 1)])
     if ok:
-        if N == 0:
-            lams = np.array([diag[0]])
-        else:
-            off = np.array([math.sqrt(tri.alpha_n(n) * tri.gamma_n(n + 1))
-                            for n in range(N)])
-            lams = eigh_tridiagonal(diag, off, eigvals_only=True)
-        energies = sorted(float(-lam / slope) for lam in lams)
+        idx = np.arange(N + 1)
+        off = np.sqrt(tri.alpha_n(idx[:-1]) * tri.gamma_n(idx[1:]))
+        lams = eigh_tridiagonal(tri.beta_n(idx), off, eigvals_only=True)
+        energies = sorted(float(-lam / tri.beta_slope) for lam in lams)
     else:
         energies = _companion_real_roots(tri, N)
     degenerate = [(i, j) for i in range(len(energies))
@@ -158,7 +118,7 @@ def finite_spectrum(spec: PotentialSpec, fam: ExpansionFamily) -> SpectrumResult
                           expected_count=N + 1, real_count=len(energies))
 
 
-def _companion_real_roots(tri, N: int) -> list[float]:
+def _companion_real_roots(tri: Recurrence, N: int) -> list[float]:
     """Real roots of the characteristic determinant, ascending.
 
     The determinant is a degree N+1 polynomial in E, so its roots are
@@ -168,37 +128,57 @@ def _companion_real_roots(tri, N: int) -> list[float]:
     which restores full precision when the dense eigensolver loses a
     few digits on a non-symmetric matrix.
     """
-    slope = tri.beta_slope
-    M = np.zeros((N + 1, N + 1))
-    for n in range(N + 1):
-        M[n, n] = tri.beta_n(n)
-        if n < N:
-            M[n, n + 1] = tri.alpha_n(n)
-        if n > 0:
-            M[n, n - 1] = tri.gamma_n(n)
+    idx = np.arange(N + 1)
+    M = np.diag(tri.beta_n(idx))
+    M[idx[:-1], idx[1:]] = tri.alpha_n(idx[:-1])
+    M[idx[1:], idx[:-1]] = tri.gamma_n(idx[1:])
     lams = np.linalg.eigvals(M)
-
-    def det(E: float) -> float:
-        d_prev2 = 1.0
-        d_prev = tri.beta_n(0) + slope * E
-        for n in range(1, N + 1):
-            d = ((tri.beta_n(n) + slope * E) * d_prev
-                 - tri.gamma_n(n) * tri.alpha_n(n - 1) * d_prev2)
-            d_prev2, d_prev = d_prev, d
-        return d_prev
-
     roots = []
     for lam in lams:
         if abs(lam.imag) > 1.0e-8 * (1.0 + abs(lam)):
             continue
-        E = float(-lam.real / slope)
+        E = float(-lam.real / tri.beta_slope)
         width = 1.0e-6 * (1.0 + abs(E))
-        lo_v, hi_v = det(E - width), det(E + width)
-        if lo_v * hi_v < 0.0:
-            E = float(brentq(det, E - width, E + width,
+        lo, hi = E - width, E + width
+        if tri.continuant(lo, N) * tri.continuant(hi, N) < 0.0:
+            E = float(brentq(tri.continuant, lo, hi, args=(N,),
                              xtol=1.0e-12, rtol=8.9e-16))
         roots.append(E)
     return sorted(roots)
+
+
+def _require_infinite(spec: PotentialSpec, fam: ExpansionFamily) -> None:
+    if truncation_order(spec, fam) is not None:
+        raise ArgumentError(
+            f"family {fam.selector} terminates at l = {spec.l}; "
+            "use finite_spectrum")
+
+
+def cf_roots(spec: PotentialSpec, fam: ExpansionFamily,
+             count: int) -> list[float]:
+    """The lowest count continued-fraction roots in the default window.
+
+    The quantization function is sampled on DET_SCAN_SAMPLES energies
+    at depth CF_SCAN_DEPTH, and the sign changes are refined in
+    ascending order by infinite_energy; those it rejects as poles are
+    skipped.
+    """
+    _require_infinite(spec, fam)
+    roots: list[float] = []
+    if count <= 0:
+        return roots
+    lo, hi = default_window(spec)
+    grid = np.linspace(lo, hi, DET_SCAN_SAMPLES)
+    vals = _cf_value(spec, fam, grid, CF_SCAN_DEPTH)
+    for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
+        try:
+            roots.append(infinite_energy(spec, fam,
+                                         (float(grid[i]), float(grid[i + 1]))))
+        except NoRootError:
+            continue
+        if len(roots) == count:
+            break
+    return roots
 
 
 def infinite_energy(spec: PotentialSpec, fam: ExpansionFamily,
@@ -212,37 +192,37 @@ def infinite_energy(spec: PotentialSpec, fam: ExpansionFamily,
     evaluated at increasing depth until the refined root moves by less
     than 1e-11.  The continued fraction also changes sign at its poles,
     so a candidate is accepted only if the minimal-solution coefficients
-    satisfy the n = 0 row there.  With bracket None the default window
-    is scanned and the lowest accepted root is returned.
+    satisfy the n = 0 row there.  With bracket None the lowest root
+    cf_roots finds in the default window is returned.
     """
-    if truncation_order(spec, fam) is not None:
-        raise ArgumentError(
-            f"family {fam.selector} terminates at l = {spec.l}; "
-            "use finite_spectrum")
-    if bracket is not None:
-        return _cf_root(spec, fam, bracket[0], bracket[1])
-    lo, hi = default_window(spec)
-    grid = np.linspace(lo, hi, DET_SCAN_SAMPLES)
-    vals = [_cf_value(spec, fam, E, 2000) for E in grid]
-    for i in range(len(grid) - 1):
-        if vals[i] * vals[i + 1] < 0.0:
-            try:
-                return _cf_root(spec, fam, float(grid[i]), float(grid[i + 1]))
-            except NoRootError:
-                continue
-    raise NoRootError(
-        f"no continued-fraction root of family {fam.selector} in the "
-        f"default window [{lo:.4g}, {hi:.4g}]")
+    if bracket is None:
+        roots = cf_roots(spec, fam, 1)
+        if not roots:
+            lo, hi = default_window(spec)
+            raise NoRootError(
+                f"no continued-fraction root of family {fam.selector} in "
+                f"the default window [{lo:.4g}, {hi:.4g}]")
+        return roots[0]
+    _require_infinite(spec, fam)
+    return _cf_root(spec, fam, bracket[0], bracket[1])
 
 
-def _cf_value(spec: PotentialSpec, fam: ExpansionFamily, E: float,
-              depth: int) -> float:
+def _cf_value(spec: PotentialSpec, fam: ExpansionFamily, E, depth: int):
+    """The quantization function f(E) cut off at depth.
+
+    E may be a scalar or an array.  An array is evaluated in one pass
+    down the recurrence and gives, bit for bit, the values of one call
+    per energy.
+    """
     tri = recurrence(spec, fam, E)
-    f = tri.beta_n(depth)
+    idx = np.arange(depth + 1)
+    beta = tri.beta_n(idx)
+    ag = (tri.alpha_n(idx[:-1]) * tri.gamma_n(idx[1:])).tolist()
+    f = beta[depth]
     for n in range(depth - 1, -1, -1):
-        if f == 0.0:
-            f = 1.0e-300
-        f = tri.beta_n(n) - tri.alpha_n(n) * tri.gamma_n(n + 1) / f
+        if not f.all():
+            f = np.where(f == 0.0, 1.0e-300, f)
+        f = beta[n] - ag[n] / f
     return f
 
 

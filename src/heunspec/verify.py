@@ -5,8 +5,7 @@ with a five-point stencil and normalizes by the solution and potential
 scales, so a correct eigenfunction lands many orders below the
 tolerance while a detuned energy fails immediately.  The equivalence
 suite exercises the l -> -l - 5 partner identities between series
-families.  The shooting oracle lives in its own module and is
-re-exported here for convenience.
+families.  The shooting oracle lives in its own module, shooting.
 """
 
 from __future__ import annotations
@@ -32,12 +31,6 @@ from .series_engine import (
     truncation_order,
 )
 from .spectrum import finite_spectrum, infinite_energy, symmetry_partner
-from .shooting import (  # noqa: F401  (re-exported oracle entry points)
-    ShootingResult,
-    shooting_match,
-    shooting_match_table,
-    shooting_spectrum,
-)
 from .special_functions import complete_K
 
 DEFAULT_GRID = 128

@@ -34,7 +34,7 @@ from heunspec.series_engine import build_infinite, evaluate_grid, truncation_ord
 from heunspec.shooting import monodromy_match_table, shooting_match_table
 from heunspec.special_functions import complete_K, gamma_fn, jacobi
 from heunspec.spectrum import (
-    characteristic_det_complex,
+    characteristic_det,
     finite_spectrum,
     infinite_energy,
     _cf_value,
@@ -126,10 +126,10 @@ def test_criterion_1_closed_form_energies():
         for sel in ("bar5", "bar7"):
             res = finite_spectrum(spec, fam(sel))
             complex_ok &= (res.real_count == 0 and res.expected_count == 2)
-            scale = max(abs(characteristic_det_complex(spec, fam(sel),
-                                                       E + 1.0)), 1.0)
+            scale = max(abs(characteristic_det(spec, fam(sel),
+                                               E + 1.0)), 1.0)
             for z in (E, E.conjugate()):
-                val = abs(characteristic_det_complex(spec, fam(sel), z))
+                val = abs(characteristic_det(spec, fam(sel), z))
                 complex_ok &= val < TOL_CLOSED * scale
     ok = worst < TOL_CLOSED and complex_ok
     report(1, ok, f"max closed-form deviation {worst:.3e} over k2 in "

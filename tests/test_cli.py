@@ -1,5 +1,6 @@
 """Command line interface: payloads, formats, determinism, exit codes."""
 
+import ast
 import importlib.resources
 import json
 import subprocess
@@ -8,6 +9,7 @@ import sys
 import jsonschema
 import pytest
 
+import heunspec.cli
 from heunspec.cli import main
 
 RING5_V1_L2_E = [-9.316624790355399849115, -2.683375209644600150885]
@@ -124,6 +126,16 @@ def test_eigenfunction_index_out_of_range(capsys):
     assert "out of range" in err
 
 
+def test_eigenfunction_negative_index_out_of_range(capsys):
+    # the continued-fraction branch shares the finite branch's range check
+    code, out, err = run_cli(capsys, "eigenfunction", "--potential", "v1",
+                             "--l", "-3", "--k2", "0.5", "--family", "ring5",
+                             "--index", "-1")
+    assert code == 3
+    assert out == ""
+    assert "out of range" in err
+
+
 def test_verify_passes_and_validates(capsys):
     code, out, _ = run_cli(capsys, "verify", "--potential", "v1",
                            "--l", "-1.5", "--k2", "0.5", "--family", "bold5")
@@ -208,12 +220,33 @@ def test_byte_determinism(tmp_path):
      "--family", "blob9"],
     ["spectrum", "--potential", "v2", "--l", "2", "--k2", "0.5",
      "--family", "bold5"],
+    ["sweep", "--potential", "v1", "--l", "-3", "--family", "ring5",
+     "--k2-list", "abc"],
+    ["sweep", "--potential", "v1", "--l", "-3", "--family", "ring5",
+     "--k2-range", "0.2:0.5:x"],
+    ["spectrum", "--potential", "v1", "--l", "-3", "--k2", "0.5",
+     "--family", "ring5", "--max-energies", "-1"],
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_cli_imports_no_private_names():
+    # the command line uses only the public API of the other modules
+    tree = ast.parse(open(heunspec.cli.__file__).read())
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 0 and not (node.module or "").startswith("heunspec"):
+            continue
+        for alias in node.names:
+            name = alias.name
+            dunder = name.startswith("__") and name.endswith("__")
+            assert dunder or not name.startswith("_"), \
+                f"cli imports {name} from {node.module}"
 
 
 def test_module_entry_point():

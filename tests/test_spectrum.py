@@ -16,11 +16,11 @@ from heunspec.series_engine import recurrence, truncation_order
 from heunspec.spectrum import (
     arscott_check,
     characteristic_det,
-    characteristic_det_complex,
     default_window,
     finite_spectrum,
     infinite_energy,
     symmetry_partner,
+    _cf_value,
 )
 
 RING5_V1_L2_E = [-9.316624790355399849115, -2.683375209644600150885]
@@ -103,11 +103,9 @@ def test_complex_two_term_pair_second_well():
             assert res.arscott_ok is False
             # the determinant vanishes at the analytic complex pair
             E = complex(-2.5 + 3.25 * k2, math.sqrt(-disc))
-            for val in (characteristic_det_complex(spec, fam(sel), E),
-                        characteristic_det_complex(spec, fam(sel),
-                                                   E.conjugate())):
-                scale = abs(characteristic_det_complex(spec, fam(sel),
-                                                       E + 1.0))
+            for val in (characteristic_det(spec, fam(sel), E),
+                        characteristic_det(spec, fam(sel), E.conjugate())):
+                scale = abs(characteristic_det(spec, fam(sel), E + 1.0))
                 assert abs(val) < 1e-10 * max(scale, 1.0)
 
 
@@ -199,6 +197,17 @@ def test_continued_fraction_rejects_pole():
     with pytest.raises(NoRootError):
         infinite_energy(vspec(-3.0), fam("ring5"),
                         (CF_L3_POLE - 0.05, CF_L3_POLE + 0.05))
+
+
+def test_continued_fraction_array_matches_scalar_calls():
+    # one pass over an array of energies gives bit for bit the values of
+    # one call per energy
+    for spec in (vspec(-3.0), wspec(-1.3, 0.3)):
+        grid = np.linspace(*default_window(spec), 400)[::16]
+        vals = _cf_value(spec, fam("ring5"), grid, 2000)
+        one_by_one = [_cf_value(spec, fam("ring5"), float(E), 2000)
+                      for E in grid]
+        assert np.array_equal(vals, one_by_one)
 
 
 def test_continued_fraction_no_sign_change():
