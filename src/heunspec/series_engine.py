@@ -59,7 +59,7 @@ from .heun_core import (
     require_supported,
     transformed_params,
 )
-from .special_functions import gamma_fn, jacobi, tilde_F
+from .special_functions import SERIES_MAX_TERMS, gamma_fn, jacobi, tilde_F
 
 DEFAULT_N_MAX = 500
 _INT_TOL = 1.0e-9
@@ -330,9 +330,12 @@ def hyper_eval_args(spec: PotentialSpec,
 def evaluate_grid(sol: SeriesSolution, us) -> np.ndarray:
     """Values of a series solution on a grid of positions.
 
-    Matches evaluate() pointwise; the hypergeometric kernels are summed
-    with vectorized term recurrences, falling back to the scalar path
-    for the few points close to the argument boundary.
+    Matches evaluate() pointwise up to rounding.  A power series is
+    summed by the same _power_sum as evaluate(), over the whole grid at
+    once.  The hypergeometric kernels of all nonzero coefficients are
+    summed together by _tilde_f_rows, one row per coefficient, with the
+    scalar tilde_F at points whose kernel argument z exceeds 0.97; the
+    terms b_n z^n 2F1-tilde(n) are then added in ascending n.
     """
     us = np.asarray(us, dtype=float)
     spec = sol.spec
@@ -346,19 +349,17 @@ def evaluate_grid(sol: SeriesSolution, us) -> np.ndarray:
            * _real_pow_vec(cn, sol.prefactor.p_cn)
            * _real_pow_vec(dn, sol.prefactor.p_dn))
     if fam.group is FamilyGroup.POWER:
-        x = sn * sn
-        if sol.finite:
-            total = np.polynomial.polynomial.polyval(x, sol.coeffs)
-        else:
-            total = np.array([_power_sum(sol, float(xi), k2) for xi in x])
+        total = _power_sum(sol, sn * sn, k2)
     else:
         z = sn * sn if fam.group is FamilyGroup.HYPER_BAR else cn * cn
         A0, B, C0 = hyper_eval_args(spec, fam)
+        ns = np.flatnonzero(sol.coeffs)
+        kernels = iter(_tilde_f_rows(ns + A0, B, ns + C0, z))
         total = np.zeros_like(z)
         zp = np.ones_like(z)
-        for n, bn in enumerate(sol.coeffs):
+        for bn in sol.coeffs:
             if bn != 0.0:
-                total += bn * zp * _tilde_f_vec(n + A0, B, n + C0, z)
+                total += bn * zp * next(kernels)
             zp *= z
     return pre * total
 
@@ -378,29 +379,53 @@ def _real_pow_vec(base: np.ndarray, p: float) -> np.ndarray:
 _VEC_Z_CAP = 0.97
 
 
-def _tilde_f_vec(A: float, B: float, C: float, z: np.ndarray) -> np.ndarray:
-    """Regularized 2F1 on an array of arguments in [0, 1]."""
-    out = np.empty_like(z)
+def _tilde_f_rows(A: np.ndarray, B: float, C: np.ndarray,
+                  z: np.ndarray) -> np.ndarray:
+    """Regularized 2F1(A[r], B; C[r]; z) for every row r on z in [0, 1].
+
+    Points with z > 0.97 go to the scalar tilde_F.  The rest are summed
+    as one term recurrence over all rows at once, with the operations
+    of a one-row sum in the same order, so each row is the same to the
+    bit as when summed alone.  A row leaves the active set at the first
+    term with max|term| <= 1e-16 max|total| over its points, so it gets
+    no terms past the one where a one-row sum stops.
+    """
+    out = np.empty((A.size, z.size))
     near = z > _VEC_Z_CAP
     if np.any(near):
-        out[near] = [tilde_F(A, B, C, float(zi)) for zi in z[near]]
+        z_near = z[near].tolist()
+        for r, (a, c) in enumerate(zip(A.tolist(), C.tolist())):
+            out[r, near] = [tilde_F(a, B, c, zi) for zi in z_near]
     body = ~near
-    if np.any(body):
-        zb = z[body]
-        total = np.ones_like(zb)
-        term = np.ones_like(zb)
-        for n in range(SERIES_MAX_TERMS_VEC):
-            term = term * ((A + n) * (B + n) / ((C + n) * (n + 1.0))) * zb
-            total += term
-            if np.max(np.abs(term)) <= 1.0e-16 * np.max(np.abs(total)):
+    if A.size == 0 or not np.any(body):
+        return out
+    zb = z[body]
+    sums = np.empty((A.size, zb.size))
+    live = np.arange(A.size)
+    a, c = A, C
+    total = np.ones((A.size, zb.size))
+    term = np.ones_like(total)
+    for n in range(SERIES_MAX_TERMS):
+        coef = (a + n) * (B + n) / ((c + n) * (n + 1.0))
+        term = term * coef[:, None] * zb
+        total += term
+        done = (np.abs(term).max(axis=1)
+                <= 1.0e-16 * np.abs(total).max(axis=1))
+        if done.any():
+            sums[live[done]] = total[done]
+            if done.all():
                 break
-        else:
-            raise ConvergenceError("vectorized 2F1 series did not converge")
-        out[body] = total / gamma_fn(C)
+            keep = ~done
+            live, a, c = live[keep], a[keep], c[keep]
+            term, total = term[keep], total[keep]
+    else:
+        raise ConvergenceError(
+            f"2F1 series did not converge within {SERIES_MAX_TERMS} terms "
+            f"(A={float(a[0])}, B={B}, C={float(c[0])}, "
+            f"z up to {float(zb.max())})")
+    gammas = np.array([gamma_fn(g) for g in C.tolist()])
+    out[:, body] = sums / gammas[:, None]
     return out
-
-
-SERIES_MAX_TERMS_VEC = 10_000
 
 
 def evaluate(sol: SeriesSolution, u: float) -> float:
@@ -425,25 +450,37 @@ def evaluate(sol: SeriesSolution, u: float) -> float:
     return pre * total
 
 
-def _power_sum(sol: SeriesSolution, x: float, k2: float) -> float:
+def _power_sum(sol: SeriesSolution, x, k2: float):
+    """Power series sum_n b_n x^n at a point or an array of points x.
+
+    A finite series is a polynomial.  An infinite one is summed over
+    its coefficients, all points at once, and each point's truncation
+    is checked with a geometric tail estimate: successive terms shrink
+    like k2 * x.  The first failing point raises ConvergenceError.
+    """
     coeffs = sol.coeffs
     if sol.finite:
-        return float(np.polynomial.polynomial.polyval(x, coeffs))
-    total = 0.0
-    term_mag = 0.0
-    xp = 1.0
+        return np.polynomial.polynomial.polyval(x, coeffs)
+    x = np.asarray(x, dtype=float)
+    total = np.zeros_like(x)
+    xp = np.ones_like(x)
     for bn in coeffs:
         t = bn * xp
         total += t
-        term_mag = abs(t)
         xp *= x
-    # Geometric tail estimate: successive terms shrink like k2 * x.
-    qhat = k2 * abs(x)
-    if qhat >= 1.0:
-        raise ConvergenceError(f"series argument x = {x} outside convergence")
-    tail = term_mag * qhat / (1.0 - qhat)
-    if tail > 1.0e-12 * max(abs(total), 1.0e-300):
+    qhat = k2 * np.abs(x)
+    outside = qhat >= 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tail = np.abs(t) * qhat / (1.0 - qhat)
+    bad = outside | (tail > 1.0e-12 * np.maximum(np.abs(total), 1.0e-300))
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        xi = float(x.flat[i])
+        if outside.flat[i]:
+            raise ConvergenceError(
+                f"series argument x = {xi} outside convergence")
         raise ConvergenceError(
-            f"truncated tail estimate {tail:.3e} exceeds the error budget "
-            f"relative to partial sum {total:.6g}")
-    return total
+            f"truncated tail estimate {float(tail.flat[i]):.3e} exceeds "
+            f"the error budget at x = {xi} relative to partial sum "
+            f"{float(total.flat[i]):.6g}")
+    return total[()]

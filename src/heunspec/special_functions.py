@@ -54,9 +54,14 @@ class EllipticModulus:
 
 
 class _Ladder(NamedTuple):
-    """AGM scale pairs (a_n, c_n) for n = 0..N plus K and sqrt(1-k2)."""
+    """Descending Landen ladder of one k2 from the AGM.
 
-    pairs: tuple
+    ratios holds c_n / a_n for n = N, N-1, ..., 1 (top level first, the
+    order in which the descent uses them) and a_top the last mean a_N.
+    """
+
+    ratios: tuple
+    a_top: float
     K: float
     kprime: float
 
@@ -65,16 +70,17 @@ class _Ladder(NamedTuple):
 def _landen_ladder(k2: float) -> _Ladder:
     kp = math.sqrt(1.0 - k2)
     a, b = 1.0, kp
-    pairs = [(a, math.sqrt(k2))]
+    ratios = []
     for _ in range(AGM_MAX_ITER):
         c = 0.5 * (a - b)
         if abs(c) <= _EPS * a:
             break
         a, b = 0.5 * (a + b), math.sqrt(a * b)
-        pairs.append((a, c))
+        ratios.append(c / a)
     else:
         raise ConvergenceError("AGM did not converge within iteration cap")
-    return _Ladder(pairs=tuple(pairs), K=math.pi / (2.0 * a), kprime=kp)
+    return _Ladder(ratios=tuple(reversed(ratios)), a_top=a,
+                   K=math.pi / (2.0 * a), kprime=kp)
 
 
 def complete_K(k2: float) -> float:
@@ -98,19 +104,20 @@ def _jacobi_core(v: float, k2: float, ladder: _Ladder) -> JacobiTriple:
         cn = 1.0 - v2 / 2.0 + (1.0 + 4.0 * k2) * v2 * v2 / 24.0
         dn = 1.0 - k2 * v2 / 2.0 + k2 * (4.0 + k2) * v2 * v2 / 24.0
         return JacobiTriple(sn, cn, dn)
-    pairs = ladder.pairs
-    n_top = len(pairs) - 1
-    phi = math.ldexp(pairs[n_top][0] * v, n_top)
+    ratios = ladder.ratios
+    phi = math.ldexp(ladder.a_top * v, len(ratios))
     phi_prev = phi
-    for n in range(n_top, 0, -1):
-        a_n, c_n = pairs[n]
-        s = (c_n / a_n) * math.sin(phi)
-        s = min(1.0, max(-1.0, s))
+    for ratio in ratios:
+        s = ratio * math.sin(phi)
+        if s > 1.0:
+            s = 1.0
+        elif s < -1.0:
+            s = -1.0
         phi_prev = phi
         phi = 0.5 * (phi + math.asin(s))
     sn = math.sin(phi)
     cn = math.cos(phi)
-    if n_top == 0:
+    if not ratios:
         dn = math.sqrt(1.0 - k2 * sn * sn)
     else:
         dn = cn / math.cos(phi_prev - phi)

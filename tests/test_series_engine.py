@@ -8,6 +8,7 @@ import pytest
 from heunspec.exceptions import (
     ArgumentError,
     ConsistencyError,
+    ConvergenceError,
     MinimalSolutionError,
 )
 from heunspec.heun_core import (
@@ -17,6 +18,8 @@ from heunspec.heun_core import (
     PotentialSpec,
 )
 from heunspec.series_engine import (
+    _power_sum,
+    _tilde_f_rows,
     build_finite,
     build_infinite,
     evaluate,
@@ -274,9 +277,16 @@ def truncation_energy_single(spec, sel):
 
 
 def test_grid_evaluation_matches_scalar(rng):
+    from heunspec.spectrum import finite_spectrum
     cases = [(vspec(2.0), "ring5", RING5_V1_L2_E[0]),
              (vspec(-1.5), "bold5", -0.5 - 1.75 * 0.5),
              (wspec(-1.5), "bar5", -0.5 + 2.25 * 0.5)]
+    # multi-term kernel sums: every real level of the families at
+    # l = 5/2 (five coefficients) and l = 7/2 (six)
+    for spec, sel in ((vspec(2.5), "bold5"), (wspec(2.5), "bar5"),
+                      (vspec(3.5), "bold6"), (wspec(3.5), "bar7")):
+        cases += [(spec, sel, E)
+                  for E in finite_spectrum(spec, fam(sel)).energies]
     for spec, sel, E in cases:
         sol = build_finite(spec, fam(sel), E)
         K = complete_K(spec.k.k2)
@@ -296,6 +306,44 @@ def test_infinite_grid_evaluation_matches_scalar(rng):
     grid_vals = evaluate_grid(sol, us)
     for u, gv in zip(us, grid_vals):
         assert gv == pytest.approx(evaluate(sol, float(u)), rel=1e-12)
+
+
+def test_infinite_power_sum_array_matches_scalar_calls():
+    spec = vspec(-3.0)
+    sol = build_infinite(spec, fam("ring5"), CF_L3_E0)
+    x = np.linspace(0.0, 1.0, 41)
+    scalar = [_power_sum(sol, float(xi), 0.5) for xi in x]
+    assert np.array_equal(_power_sum(sol, x, 0.5), scalar)
+
+
+def test_infinite_power_sum_names_first_failing_point():
+    # ten coefficients leave a tail above budget from x = 0.3 on; the
+    # first failing point is reported even when a later one lies
+    # outside the disc of convergence
+    spec = vspec(-3.0)
+    short = build_infinite(spec, fam("ring5"), CF_L3_E0, n_max=10)
+    with pytest.raises(ConvergenceError,
+                       match=r"at x = 0\.9 relative to partial sum 1\.856"):
+        _power_sum(short, np.array([0.1, 0.9, 2.5]), 0.5)
+    with pytest.raises(ConvergenceError, match=r"at x = 0\.3 "):
+        _power_sum(short, 0.3, 0.5)
+    sol = build_infinite(spec, fam("ring5"), CF_L3_E0)
+    with pytest.raises(ConvergenceError, match=r"x = 2\.5 outside"):
+        _power_sum(sol, np.array([0.5, 2.5]), 0.5)
+
+
+def test_stacked_kernel_rows_match_one_row_sums():
+    # each row of the stacked 2F1 sum is the row summed alone, to the
+    # bit, on a grid on both sides of the scalar cut at z = 0.97; a row
+    # that kept taking terms after it converged would differ
+    z = np.linspace(0.0, 1.0, 101)
+    for spec, sel in ((vspec(4.5), "bold5"), (wspec(5.5), "bar7")):
+        A0, B, C0 = hyper_eval_args(spec, fam(sel))
+        ns = np.arange(truncation_order(spec, fam(sel)) + 1)
+        stacked = _tilde_f_rows(ns + A0, B, ns + C0, z)
+        for n in ns:
+            one = _tilde_f_rows(ns[n:n + 1] + A0, B, ns[n:n + 1] + C0, z)
+            assert np.array_equal(stacked[n], one[0]), (sel, n)
 
 
 def test_bold_value_at_center_is_finite():

@@ -1,7 +1,8 @@
 """Elliptic integral, Jacobi function, gamma, and 2F1 checks.
 
 Reference values were computed with mpmath at 25 significant digits and
-are pasted here as literals, so these tests do not import mpmath.
+are pasted here as literals.  Only test_jacobi_matches_mpmath imports
+mpmath, and it is skipped where mpmath is not installed.
 """
 
 import math
@@ -103,6 +104,23 @@ def test_jacobi_reference_triples():
         assert t.sn == pytest.approx(sn, rel=5e-14, abs=1e-15)
         assert t.cn == pytest.approx(cn, rel=5e-14, abs=1e-15)
         assert t.dn == pytest.approx(dn, rel=5e-14, abs=1e-15)
+
+
+def test_jacobi_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    for k2 in (0.25, 0.5, 0.75, 0.99):
+        K = complete_K(k2)
+        # both signs, every quarter of the period and beyond 2K
+        us = [f * K for f in (0.03, 0.3, 0.5, 0.8, 0.97, 1.0, 1.4, 1.9,
+                              2.35, 3.1, 3.9, 5.6)]
+        us += [-u for u in us] + [1.0e-5, -2.5e-5]
+        with mpmath.workdps(30):
+            for u in us:
+                t = jacobi(u, k2)
+                for name, got in zip(("sn", "cn", "dn"), t):
+                    ref = float(mpmath.ellipfun(name, u, m=k2))
+                    assert got == pytest.approx(ref, abs=1e-13), (
+                        name, u, k2)
 
 
 def test_jacobi_special_points():
