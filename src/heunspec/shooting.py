@@ -28,7 +28,10 @@ energies by one of three conditions:
   general not eigenvalues of either parity class above.
 
 Many trial energies integrate together as one stacked first-order
-system, which keeps the scan and root-refinement passes cheap.
+system, which keeps the scan and root-refinement passes cheap.  Every
+root, of either matching function or of the monodromy projection, is
+refined from a sign-change bracket by one Illinois regula falsi
+(_illinois_batch) to ROOT_XTOL * max(1, |E|).
 """
 
 from __future__ import annotations
@@ -40,14 +43,13 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .exceptions import ArgumentError
+from .exceptions import ArgumentError, ConvergenceError
 from .heun_core import PotentialKind, PotentialSpec, default_window
 from .special_functions import complete_K, jacobi
 
 RTOL = 1.0e-11
 ATOL = 1.0e-14
 WALL_OFFSET = 1.0e-3
-BISECT_TOL = 1.0e-9
 DEFAULT_SAMPLES = 400
 MONODROMY_TOL = 1.0e-8
 ROOT_XTOL = 1.0e-10
@@ -150,52 +152,35 @@ def matching_values(spec: PotentialSpec, parity: str,
     return dk if parity == "even" else pk
 
 
-def _bisect_batch(spec: PotentialSpec, parity: str, lo: np.ndarray,
-                  flo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    lo = lo.copy()
-    hi = hi.copy()
-    sign_lo = np.sign(flo)
-    while np.max(hi - lo) > BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        fm = matching_values(spec, parity, mid)
-        left = np.sign(fm) == sign_lo
-        lo = np.where(left, mid, lo)
-        hi = np.where(left, hi, mid)
-    return 0.5 * (lo + hi)
-
-
 def shooting_spectrum(spec: PotentialSpec, parity: str, max_count: int = 8,
                       window: Optional[tuple[float, float]] = None,
                       samples: Optional[int] = None) -> ShootingResult:
-    """Eigenvalues of one symmetry class found by scan plus bisection.
+    """Eigenvalues of one symmetry class found by scan plus refinement.
 
     The window defaults to the standard search window; the matching
     function is sampled, sign changes are bracketed, and each bracket
-    is bisected to 1e-9.  At most max_count roots are refined.
+    is refined by _illinois_batch to ROOT_XTOL * max(1, |E|).  A sample
+    where the function is exactly zero is a root as it stands.  At most
+    max_count roots are refined.
     """
     if window is None:
         window = default_window(spec)
     n = samples if samples is not None else DEFAULT_SAMPLES
     grid = np.linspace(window[0], window[1], n)
     vals = matching_values(spec, parity, grid)
-    lo_list, flo_list, hi_list = [], [], []
+    brackets = []
     for i in range(n - 1):
         if vals[i] == 0.0:
-            lo_list.append(grid[i] - 1e-12)
-            flo_list.append(matching_values(spec, parity, [grid[i] - 1e-12])[0])
-            hi_list.append(grid[i] + 1e-12)
+            # a zero-width bracket: the refiner returns grid[i] untouched
+            brackets.append((grid[i], 0.0, grid[i], 0.0))
         elif vals[i] * vals[i + 1] < 0.0:
-            lo_list.append(grid[i])
-            flo_list.append(vals[i])
-            hi_list.append(grid[i + 1])
-    complete = len(lo_list) <= max_count
-    lo_list = lo_list[:max_count]
-    flo_list = flo_list[:max_count]
-    hi_list = hi_list[:max_count]
-    if not lo_list:
+            brackets.append((grid[i], vals[i], grid[i + 1], vals[i + 1]))
+    complete = len(brackets) <= max_count
+    brackets = brackets[:max_count]
+    if not brackets:
         return ShootingResult(energies=[], complete=complete)
-    roots = _bisect_batch(spec, parity, np.array(lo_list),
-                          np.array(flo_list), np.array(hi_list))
+    roots = _illinois_batch(lambda E: matching_values(spec, parity, E),
+                            *zip(*brackets))
     return ShootingResult(energies=sorted(float(r) for r in roots),
                           complete=complete)
 
@@ -206,9 +191,9 @@ def shooting_match(spec: PotentialSpec, parity: str, target: float,
     """The shooting eigenvalue nearest to target, or None.
 
     Scans a widening bracket around the target for a sign change of the
-    matching function and bisects it.  Returns None when no sign change
-    exists within max_radius, meaning the oracle has no eigenvalue of
-    this symmetry class near the target.
+    matching function and refines its root with _illinois_batch.
+    Returns None when no sign change exists within max_radius, meaning
+    the oracle has no eigenvalue of this symmetry class near the target.
     """
     res = shooting_match_table(spec, parity, [target], radius=radius,
                                max_radius=max_radius)
@@ -243,15 +228,17 @@ def shooting_match_table(spec: PotentialSpec, parity: str,
     out: list[Optional[float]] = [None] * len(targets)
     pending = list(range(len(targets)))
     r = radius
+
+    def values(E):
+        return matching_values(spec, parity, E)
+
     while pending and r <= max_radius:
         brackets = {}
-        for j, lo, flo, hi, _ in _probe_brackets(
-                lambda E: matching_values(spec, parity, E),
-                targets, pending, r):
-            brackets.setdefault(j, (lo, flo, hi))
+        for j, lo, flo, hi, fhi in _probe_brackets(values, targets,
+                                                    pending, r):
+            brackets.setdefault(j, (lo, flo, hi, fhi))
         if brackets:
-            lo, flo, hi = (np.array(c) for c in zip(*brackets.values()))
-            roots = _bisect_batch(spec, parity, lo, flo, hi)
+            roots = _illinois_batch(values, *zip(*brackets.values()))
             for root, j in zip(roots, brackets):
                 out[j] = float(root)
         pending = [j for j in pending if j not in brackets]
@@ -325,19 +312,26 @@ def _illinois_batch(fun, lo: np.ndarray, flo: np.ndarray, hi: np.ndarray,
                     fhi: np.ndarray) -> np.ndarray:
     """Roots of fun in the sign-change brackets [lo, hi], all at once.
 
-    Regula falsi with the Illinois halving of a retained end value, run
-    until every bracket is narrower than ROOT_XTOL * max(1, |E|) or
-    ILLINOIS_MAX_ITER rounds have passed.  Each round costs a full loop
-    integration, so the monodromy oracle refines with this rather than
-    with _bisect_batch, which needs some 24 halvings per bracket.
+    Regula falsi with the Illinois halving of a retained end value
+    (Dowell & Jarratt, BIT 11, 1971), run until every bracket is
+    narrower than ROOT_XTOL * max(1, |E|).  Each round calls fun once on
+    the still-open brackets, which costs one stacked integration; a few
+    rounds suffice where bisection would need some 24 halvings.  A
+    bracket of zero width returns its end as it stands.  Raises
+    ConvergenceError if brackets are still open after ILLINOIS_MAX_ITER
+    rounds.
     """
     lo, flo, hi, fhi = (np.array(v, dtype=float) for v in (lo, flo, hi, fhi))
     x = 0.5 * (lo + hi)
     kept = np.zeros(lo.size, dtype=int)  # +1: hi retained last round, -1: lo
+
+    def still_open():
+        return np.abs(hi - lo) > ROOT_XTOL * np.maximum(1.0, np.abs(x))
+
     for _ in range(ILLINOIS_MAX_ITER):
-        act = np.abs(hi - lo) > ROOT_XTOL * np.maximum(1.0, np.abs(x))
+        act = still_open()
         if not act.any():
-            break
+            return x
         c = hi[act] - fhi[act] * (hi[act] - lo[act]) / (fhi[act] - flo[act])
         fc = np.asarray(fun(c))
         x[act] = c
@@ -356,6 +350,13 @@ def _illinois_batch(fun, lo: np.ndarray, flo: np.ndarray, hi: np.ndarray,
                 if kept[i] > 0:
                     fhi[i] *= 0.5
                 kept[i] = 1
+    width = np.where(still_open(), np.abs(hi - lo), 0.0)
+    if width.any():
+        i = int(np.argmax(width))
+        raise ConvergenceError(
+            f"Illinois refinement left {np.count_nonzero(width)} bracket(s) "
+            f"open after {ILLINOIS_MAX_ITER} rounds; widest "
+            f"[{float(lo[i])!r}, {float(hi[i])!r}], width {width[i]:.3g}")
     return x
 
 

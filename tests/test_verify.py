@@ -8,17 +8,19 @@ import numpy as np
 import pytest
 
 import heunspec.shooting
-from heunspec.exceptions import ArgumentError
+from heunspec.exceptions import ArgumentError, ConvergenceError
 from heunspec.heun_core import ExpansionFamily, PotentialKind
 from heunspec.spectrum import finite_spectrum
 from heunspec.shooting import (
     MONODROMY_TOL,
+    _illinois_batch,
     _log_coefficient,
     _wall_start,
     matching_values,
     monodromy_defect,
     monodromy_match_table,
     shooting_match,
+    shooting_match_table,
     shooting_spectrum,
 )
 from heunspec.verify import (
@@ -113,6 +115,49 @@ def test_shooting_agrees_with_continued_fraction():
     odd = shooting_spectrum(spec, "odd", window=(0.0, 12.0))
     assert odd.complete
     assert odd.energies == pytest.approx([6.008387618943264], abs=5e-9)
+
+
+def test_shooting_root_does_not_depend_on_target(monkeypatch):
+    # the refined root is the level itself, not the probe point, and a
+    # few refinement rounds suffice where bisection takes 25 or more
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return matching_values(*args)
+
+    monkeypatch.setattr(heunspec.shooting, "matching_values", counted)
+    spec = make_spec("v1", 2.0, 0.5)
+    for shift in (0.0, 1e-4, -3e-3, 0.3):
+        calls.clear()
+        got = shooting_match_table(spec, "even",
+                                   [E + shift for E in RING5_V1_L2_E])
+        assert got == pytest.approx(RING5_V1_L2_E, abs=1e-9)
+        assert len(calls) <= 12
+
+
+def test_shooting_spectrum_keeps_exact_zero_sample(monkeypatch):
+    # F is exactly zero at the sample 1.0 and changes sign on (2, 3)
+    def synthetic(spec, parity, energies):
+        E = np.asarray(energies, dtype=float)
+        return (E - 1.0) * (E - 2.5)
+
+    monkeypatch.setattr(heunspec.shooting, "matching_values", synthetic)
+    res = shooting_spectrum(make_spec("v1", 2.0, 0.5), "even",
+                            window=(-1.0, 3.0), samples=5)
+    assert res.complete
+    assert res.energies == pytest.approx([1.0, 2.5], abs=1e-10)
+
+
+def test_illinois_refiner_fails_loudly(monkeypatch):
+    def cubic(x):
+        return np.asarray(x) ** 3 - 2.0
+
+    root = _illinois_batch(cubic, [0.0], [-2.0], [2.0], [6.0])
+    assert root[0] == pytest.approx(2.0 ** (1.0 / 3.0), abs=1e-10)
+    monkeypatch.setattr(heunspec.shooting, "ILLINOIS_MAX_ITER", 1)
+    with pytest.raises(ConvergenceError, match=r"\[0\.5, 2\.0\], width 1\.5"):
+        _illinois_batch(cubic, [0.0], [-2.0], [2.0], [6.0])
 
 
 def test_shooting_interleaves_parities():
