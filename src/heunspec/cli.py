@@ -38,7 +38,7 @@ from .series_engine import (
     truncation_order,
 )
 from .shooting import shooting_match_table
-from .spectrum import cf_roots, finite_spectrum
+from .spectrum import finite_spectrum, infinite_levels
 from .verify import equivalence_suite, ode_residual
 from .special_functions import complete_K
 
@@ -113,8 +113,7 @@ def _family_energies(spec: PotentialSpec, fam: ExpansionFamily,
     if N is not None:
         res = finite_spectrum(spec, fam)
         return res.energies, N, res.arscott_ok, res.degenerate_pairs
-    energies = cf_roots(spec, fam, max_energies)
-    return energies, None, None, []
+    return infinite_levels(spec, fam, max_energies), None, None, []
 
 
 def _write_output(text: str, path: Optional[str]) -> None:
@@ -176,19 +175,17 @@ def _plot_grid(spec: PotentialSpec) -> np.ndarray:
 def cmd_eigenfunction(args) -> int:
     spec = _spec_from_args(args)
     fam = ExpansionFamily.from_selector(args.family)
-    finite = truncation_order(spec, fam) is not None
-    if finite:
-        levels = finite_spectrum(spec, fam).solutions
-        found = f"family {fam.selector} has {len(levels)} real level(s) here"
-    else:
-        levels = cf_roots(spec, fam, args.index + 1)
-        found = (f"found {len(levels)} continued-fraction level(s) in the "
-                 "default window")
+    N = truncation_order(spec, fam)
+    levels = (finite_spectrum(spec, fam).solutions if N is not None
+              else infinite_levels(spec, fam, args.index + 1))
     if not 0 <= args.index < len(levels):
-        sys.stderr.write(f"index {args.index} out of range: {found}\n")
+        where = "here" if N is not None else "in the default window"
+        sys.stderr.write(f"index {args.index} out of range: family "
+                         f"{fam.selector} has {len(levels)} real "
+                         f"level(s) {where}\n")
         return EXIT_RANGE
     sol = levels[args.index]
-    if not finite:
+    if N is None:
         sol = build_infinite(spec, fam, sol)
     us = _plot_grid(spec)
     vals = evaluate_grid(sol, us)
@@ -371,8 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", default=None,
                         help="write output to this file instead of stdout")
     common.add_argument("--max-energies", type=int, default=4,
-                        help="continued-fraction levels to report for "
-                             "non-terminating families")
+                        help="lowest levels in the default window to "
+                             "report for non-terminating families")
 
     p = sub.add_parser("spectrum", parents=[common],
                        help="eigenvalues of one series family as JSON")

@@ -30,8 +30,8 @@ energies: the energy enters only the constant term of B_n, through the
 accessory parameter q(E).  This one recurrence serves every regime:
 the forward recurrence of a terminating series (forward_recurrence),
 the backward recursion for the minimal solution of an infinite series
-(solve_coeffs_infinite), the continuant, whose zeros are the levels of
-a terminating series, and, in spectrum, the continued fraction.
+(solve_coeffs_infinite), and the continuant, whose zeros are the levels
+of a finite section.
 """
 
 from __future__ import annotations
@@ -63,6 +63,7 @@ from .special_functions import SERIES_MAX_TERMS, gamma_fn, jacobi, tilde_F
 
 DEFAULT_N_MAX = 500
 _INT_TOL = 1.0e-9
+_CONTINUANT_CAP = 2.0 ** 400
 
 
 @dataclass(frozen=True)
@@ -113,14 +114,23 @@ class Recurrence:
         D_n = beta_n D_{n-1} - gamma_n alpha_{n-1} D_{n-2}, with each
         beta_n continued along the slope to beta_n + beta_slope * E, so
         the recurrence at E = 0 gives the characteristic determinant at
-        any real or complex E, a scalar or an array.
+        any real or complex E, a scalar or an array.  Past 2^400, D_n and
+        D_{n-1} shrink by 2^-400 (exactly), so D_N keeps its sign at any N;
+        a scalar E runs on Python floats (same arithmetic, cheaper steps).
         """
+        E = np.asarray(E)
         idx = np.arange(N + 1)
-        diag = np.add.outer(self.beta_n(idx), self.beta_slope * np.asarray(E))
+        diag = np.add.outer(self.beta_n(idx), self.beta_slope * E)
         off = self.gamma_n(idx[1:]) * self.alpha_n(idx[:-1])
+        if not E.ndim:
+            diag, off = diag.tolist(), off.tolist()
         d_prev2, d_prev = 1.0, diag[0]
         for n in range(1, N + 1):
             d_prev2, d_prev = d_prev, diag[n] * d_prev - off[n - 1] * d_prev2
+            big = abs(d_prev) > _CONTINUANT_CAP
+            if big.any() if E.ndim else big:
+                shrink = np.where(big, 1.0 / _CONTINUANT_CAP, 1.0)
+                d_prev2, d_prev = d_prev2 * shrink, d_prev * shrink
         return d_prev
 
 
@@ -240,7 +250,7 @@ def solve_coeffs_infinite(spec: PotentialSpec, fam: ExpansionFamily, E: float,
     # The start index sits far enough above n_max that dominant-solution
     # contamination, which decays like k2 per step of the downward
     # recursion, is below 1e-12 at n_max.
-    buffer = int(math.ceil(12.5 / max(0.02, -math.log10(k2)))) + 10
+    buffer = int(math.ceil(12.5 / -math.log10(k2))) + 10
     top = n_max + buffer
     idx = np.arange(top + 1)
     alpha = tri.alpha_n(idx).tolist()

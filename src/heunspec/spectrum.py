@@ -1,20 +1,19 @@
 """Eigenvalue computation for terminating and infinite series.
 
-Every family quantizes through the same three-term recurrence
-(series_engine.Recurrence), whose diagonal carries the energy.
-Terminating families lead to an (N+1) x (N+1) tridiagonal
-characteristic matrix whose determinant, the continuant of the
-recurrence, must vanish; the energy enters only along the diagonal,
-affinely, so the eigenvalues come from one symmetric (or general)
-tridiagonal eigenproblem.  Non-terminating families quantize through
-the continued-fraction condition that the minimal solution of the
-recurrence also satisfies the n = 0 row; the continued fraction is
-evaluated on whole arrays of energies, so a scan of the search window
-costs one pass down the recurrence.
+Every level is an eigenvalue of a finite section (rows 0..N) of one
+three-term recurrence, series_engine.Recurrence, whose energy enters
+only the diagonal, affinely: one tridiagonal eigenproblem, symmetrized
+when alpha_{n-1} gamma_n > 0 for every n, else solved densely and
+polished on the continuant.  For a terminating family N is the
+truncation order.  A non-terminating power family's section levels
+converge to its levels (Ikebe, Asai, Miyazaki & Cai, Linear Algebra
+Appl. 241-243, 1996), so N doubles until they stop moving.  A
+non-terminating two-sided family has no minimal solution: rejected.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -22,22 +21,15 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
-from .exceptions import ArgumentError, ConvergenceError, NoRootError
-from .heun_core import ExpansionFamily, PotentialSpec, default_window
-from .series_engine import (
-    Recurrence,
-    SeriesSolution,
-    build_finite,
-    recurrence,
-    solve_coeffs_infinite,
-    truncation_order,
-)
+from .exceptions import ArgumentError, ConvergenceError, DomainError, NoRootError
+from .heun_core import ExpansionFamily, FamilyGroup, PotentialSpec, default_window
+from .series_engine import (Recurrence, SeriesSolution, build_finite,
+                            recurrence, solve_coeffs_infinite, truncation_order)
 
-DET_SCAN_SAMPLES = 400
-CF_SCAN_DEPTH = 2000
-CF_START_DEPTH = 64
-CF_MAX_DEPTH = 100_000
-CF_SHIFT_TOL = 1.0e-11
+SECTION_SHIFT_TOL = 1.0e-11
+SECTION_MAX_ORDER = 1 << 20
+DENSE_MAX_ORDER = 2000  # a dense solve costs O(N^3) time
+_BISECT_TOL = 2.0 * np.finfo(float).tiny  # the default eps*|T| drifts with N
 
 
 @dataclass
@@ -74,6 +66,12 @@ def characteristic_det(spec: PotentialSpec, fam: ExpansionFamily,
     return recurrence(spec, fam, 0.0).continuant(E, N)
 
 
+def _sign_violations(tri: Recurrence, N: int) -> list[int]:
+    """Indices 1 <= n <= N with alpha_{n-1} gamma_n <= 0."""
+    idx = np.arange(1, N + 1)
+    return idx[~(tri.alpha_n(idx - 1) * tri.gamma_n(idx) > 0.0)].tolist()
+
+
 def arscott_check(spec: PotentialSpec,
                   fam: ExpansionFamily) -> tuple[bool, list[int]]:
     """Sign condition guaranteeing N+1 real simple eigenvalues.
@@ -81,33 +79,21 @@ def arscott_check(spec: PotentialSpec,
     Checks alpha_{n-1} gamma_n > 0 for 1 <= n <= N; returns the flag and
     the list of violating indices n.
     """
-    N = _finite_order(spec, fam)
-    tri = recurrence(spec, fam, 0.0)
-    idx = np.arange(1, N + 1)
-    bad = idx[~(tri.alpha_n(idx - 1) * tri.gamma_n(idx) > 0.0)].tolist()
+    bad = _sign_violations(recurrence(spec, fam, 0.0), _finite_order(spec, fam))
     return (len(bad) == 0, bad)
 
 
 def finite_spectrum(spec: PotentialSpec, fam: ExpansionFamily) -> SpectrumResult:
     """All real eigenvalues of a terminating family, ascending.
 
-    When the sign condition holds the characteristic matrix is
-    symmetrized exactly and solved with a tridiagonal eigensolver,
-    guaranteeing N+1 simple real eigenvalues.  Otherwise the real roots
-    of the characteristic polynomial are taken from its companion
-    matrix and polished against the determinant; complex pairs then
-    show up as a deficit between expected_count and real_count.
+    The section of order N = truncation order is the whole problem.
+    When the sign condition holds it has N+1 simple real eigenvalues;
+    otherwise complex pairs show up as a deficit between expected_count
+    and real_count.
     """
     N = _finite_order(spec, fam)
     ok, _bad = arscott_check(spec, fam)
-    tri = recurrence(spec, fam, 0.0)
-    if ok:
-        idx = np.arange(N + 1)
-        off = np.sqrt(tri.alpha_n(idx[:-1]) * tri.gamma_n(idx[1:]))
-        lams = eigh_tridiagonal(tri.beta_n(idx), off, eigvals_only=True)
-        energies = sorted(float(-lam / tri.beta_slope) for lam in lams)
-    else:
-        energies = _companion_real_roots(tri, N)
+    energies = _section_levels(recurrence(spec, fam, 0.0), N)
     degenerate = [(i, j) for i in range(len(energies))
                   for j in range(i + 1, len(energies))
                   if abs(energies[i] - energies[j]) <= 1.0e-9 * (1.0 + abs(energies[i]))]
@@ -118,101 +104,130 @@ def finite_spectrum(spec: PotentialSpec, fam: ExpansionFamily) -> SpectrumResult
                           expected_count=N + 1, real_count=len(energies))
 
 
-def _companion_real_roots(tri: Recurrence, N: int) -> list[float]:
+def _section_levels(tri: Recurrence, N: int,
+                    window: Optional[tuple[float, float]] = None,
+                    count: Optional[int] = None) -> list[float]:
+    """Real levels of the section of rows 0..N, ascending: the lowest
+    count (all, if None), and of those only the ones inside a window.
+
+    Under the sign condition the matrix is symmetrized exactly and
+    solved by a tridiagonal eigensolver (bisection to full precision for
+    a count or a window), else by _companion_real_roots.
+    """
+    idx = np.arange(N + 1)
+    ag = tri.alpha_n(idx[:-1]) * tri.gamma_n(idx[1:])
+    if not np.all(ag > 0.0):
+        return _companion_real_roots(tri, N, window, count)
+    select = {}
+    if count is not None:  # the lowest energies, largest lambda if slope > 0
+        m = min(count, N + 1)
+        select = dict(select="i", tol=_BISECT_TOL, select_range=(
+            (N + 1 - m, N) if tri.beta_slope > 0.0 else (0, m - 1)))
+    elif window is not None:
+        select = dict(select="v", tol=_BISECT_TOL, select_range=sorted(
+            -tri.beta_slope * E for E in window))
+    lams = eigh_tridiagonal(tri.beta_n(idx), np.sqrt(ag), eigvals_only=True,
+                            **select)
+    lo, hi = window or (-math.inf, math.inf)
+    return [E for E in sorted(float(-lam / tri.beta_slope) for lam in lams)
+            if lo <= E <= hi][:count]
+
+
+def _companion_real_roots(tri: Recurrence, N: int,
+                          window: Optional[tuple[float, float]] = None,
+                          count: Optional[int] = None) -> list[float]:
     """Real roots of the characteristic determinant, ascending.
 
-    The determinant is a degree N+1 polynomial in E, so its roots are
-    the eigenvalues of the tridiagonal matrix built from the recurrence
-    rows at E = 0 (mapped back through the diagonal slope).  Retained
-    real candidates are polished with a narrow determinant bracket,
-    which restores full precision when the dense eigensolver loses a
-    few digits on a non-symmetric matrix.
+    The roots are the eigenvalues of the section, mapped back through
+    the diagonal slope.  The real ones (the lowest count in the window,
+    if given) are polished with a narrow determinant bracket, which
+    restores the digits a dense solve of a non-symmetric matrix loses.
     """
     idx = np.arange(N + 1)
     M = np.diag(tri.beta_n(idx))
     M[idx[:-1], idx[1:]] = tri.alpha_n(idx[:-1])
     M[idx[1:], idx[:-1]] = tri.gamma_n(idx[1:])
-    lams = np.linalg.eigvals(M)
+    lo, hi = window or (-math.inf, math.inf)
+    cands = sorted(E for E in (float(-lam.real / tri.beta_slope)
+                               for lam in np.linalg.eigvals(M)
+                               if abs(lam.imag) <= 1.0e-8 * (1.0 + abs(lam)))
+                   if lo <= E <= hi)
     roots = []
-    for lam in lams:
-        if abs(lam.imag) > 1.0e-8 * (1.0 + abs(lam)):
-            continue
-        E = float(-lam.real / tri.beta_slope)
+    for E in cands[:count]:
         width = 1.0e-6 * (1.0 + abs(E))
-        lo, hi = E - width, E + width
-        if tri.continuant(lo, N) * tri.continuant(hi, N) < 0.0:
-            E = float(brentq(tri.continuant, lo, hi, args=(N,),
+        a, b = E - width, E + width
+        if tri.continuant(a, N) * tri.continuant(b, N) < 0.0:
+            E = float(brentq(tri.continuant, a, b, args=(N,),
                              xtol=1.0e-12, rtol=8.9e-16))
         roots.append(E)
     return sorted(roots)
 
 
-def _require_infinite(spec: PotentialSpec, fam: ExpansionFamily) -> None:
+def infinite_levels(spec: PotentialSpec, fam: ExpansionFamily,
+                    count: Optional[int],
+                    window: Optional[tuple[float, float]] = None) -> list[float]:
+    """Levels of a non-terminating family inside the window: of the
+    lowest count (all, if None).  The default window, default_window(spec),
+    starts below the potential's minimum, so no level lies below it.
+
+    N starts at ceil(30 / -log10 k2), where the minimal solution has
+    decayed by 1e-30, and doubles until the levels move by less than
+    SECTION_SHIFT_TOL * max(1, |E|); each must then pass _reject_pole.
+    An order past the cap (DENSE_MAX_ORDER for a section without the
+    sign condition) raises ConvergenceError.  Two-sided families raise
+    DomainError before any recursion.
+    """
     if truncation_order(spec, fam) is not None:
         raise ArgumentError(
             f"family {fam.selector} terminates at l = {spec.l}; "
             "use finite_spectrum")
-
-
-def cf_roots(spec: PotentialSpec, fam: ExpansionFamily,
-             count: int) -> list[float]:
-    """The lowest count continued-fraction roots in the default window.
-
-    The quantization function is sampled on DET_SCAN_SAMPLES energies
-    at depth CF_SCAN_DEPTH, and the sign changes are refined in
-    ascending order by infinite_energy; those it rejects as poles are
-    skipped.
-    """
-    _require_infinite(spec, fam)
-    roots: list[float] = []
-    if count <= 0:
-        return roots
-    lo, hi = default_window(spec)
-    grid = np.linspace(lo, hi, DET_SCAN_SAMPLES)
-    vals = _cf_value(spec, fam, grid, CF_SCAN_DEPTH)
-    for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
-        try:
-            roots.append(infinite_energy(spec, fam,
-                                         (float(grid[i]), float(grid[i + 1]))))
-        except NoRootError:
-            continue
-        if len(roots) == count:
-            break
-    return roots
+    if fam.group is not FamilyGroup.POWER:
+        raise DomainError(
+            f"family {fam.selector} does not terminate at l = {spec.l}; a "
+            "non-terminating two-sided series has no minimal solution")
+    if count is not None and count <= 0:
+        return []
+    window = window or default_window(spec)
+    tri = recurrence(spec, fam, 0.0)
+    N = math.ceil(30.0 / -math.log10(spec.k.k2))
+    levels, shift = None, math.inf
+    while shift >= SECTION_SHIFT_TOL:
+        cap = (DENSE_MAX_ORDER if _sign_violations(tri, 2 * N)
+               else SECTION_MAX_ORDER)
+        if 2 * N > cap:
+            raise ConvergenceError(
+                f"levels of family {fam.selector} not settled at order N = "
+                f"{N} (last relative shift {shift:.3g}); 2N passes cap {cap}")
+        old = _section_levels(tri, N, window, count) if levels is None else levels
+        N *= 2
+        levels = _section_levels(tri, N, window, count)
+        shift = math.inf if len(levels) != len(old) else max(
+            [abs(a - b) / max(1.0, abs(a)) for a, b in zip(levels, old)],
+            default=0.0)
+    for E in levels:
+        _reject_pole(spec, fam, E, max(200, N))
+    return levels
 
 
 def infinite_energy(spec: PotentialSpec, fam: ExpansionFamily,
                     bracket: Optional[tuple[float, float]] = None) -> float:
-    """One eigenvalue of a non-terminating family via continued fraction.
-
-    The quantization function is
-
-        f(E) = beta_0 - alpha_0 gamma_1 / (beta_1 - alpha_1 gamma_2 / (...))
-
-    evaluated at increasing depth until the refined root moves by less
-    than 1e-11.  The continued fraction also changes sign at its poles,
-    so a candidate is accepted only if the minimal-solution coefficients
-    satisfy the n = 0 row there.  With bracket None the lowest root
-    cf_roots finds in the default window is returned.
-    """
-    if bracket is None:
-        roots = cf_roots(spec, fam, 1)
-        if not roots:
-            lo, hi = default_window(spec)
-            raise NoRootError(
-                f"no continued-fraction root of family {fam.selector} in "
-                f"the default window [{lo:.4g}, {hi:.4g}]")
-        return roots[0]
-    _require_infinite(spec, fam)
-    return _cf_root(spec, fam, bracket[0], bracket[1])
+    """The lowest level of a non-terminating family in bracket (the
+    default window if None); NoRootError if it holds none."""
+    levels = infinite_levels(spec, fam, None if bracket else 1, bracket)
+    if not levels:
+        lo, hi = bracket or default_window(spec)
+        raise NoRootError(
+            f"no level of family {fam.selector} in [{lo:.6g}, {hi:.6g}]")
+    return levels[0]
 
 
 def _cf_value(spec: PotentialSpec, fam: ExpansionFamily, E, depth: int):
-    """The quantization function f(E) cut off at depth.
+    """The continued fraction f(E) = beta_0 - alpha_0 gamma_1 / (beta_1 -
+    ...) cut off at depth; its roots are the levels of an infinite series.
 
-    E may be a scalar or an array.  An array is evaluated in one pass
-    down the recurrence and gives, bit for bit, the values of one call
-    per energy.
+    Reference only: no solver calls it, and tests check the section
+    levels against it.  An array E is evaluated in one pass and gives,
+    bit for bit, the values of one call per energy.
     """
     tri = recurrence(spec, fam, E)
     idx = np.arange(depth + 1)
@@ -226,41 +241,17 @@ def _cf_value(spec: PotentialSpec, fam: ExpansionFamily, E, depth: int):
     return f
 
 
-def _cf_root(spec: PotentialSpec, fam: ExpansionFamily,
-             lo: float, hi: float) -> float:
-    depth = CF_START_DEPTH
-    root_prev = None
-    while depth <= CF_MAX_DEPTH:
-        flo = _cf_value(spec, fam, lo, depth)
-        fhi = _cf_value(spec, fam, hi, depth)
-        if flo * fhi > 0.0:
-            raise NoRootError(
-                f"continued fraction has no sign change on [{lo}, {hi}]")
-        root = brentq(lambda E: _cf_value(spec, fam, E, depth), lo, hi,
-                      xtol=1.0e-12, rtol=8.9e-16)
-        if root_prev is not None and abs(root - root_prev) < CF_SHIFT_TOL:
-            _reject_pole(spec, fam, float(root))
-            return float(root)
-        root_prev = root
-        depth *= 2
-    raise ConvergenceError(
-        f"continued-fraction depth exceeded {CF_MAX_DEPTH} without "
-        "stabilizing the root")
-
-
-def _reject_pole(spec: PotentialSpec, fam: ExpansionFamily, E: float) -> None:
-    """Distinguish a quantization root from a continued-fraction pole.
-
-    At a true eigenvalue the minimal solution satisfies the first
-    recurrence row; at a pole it does not.
-    """
-    coeffs, _ = solve_coeffs_infinite(spec, fam, E, n_max=200)
+def _reject_pole(spec: PotentialSpec, fam: ExpansionFamily, E: float,
+                 n_max: int) -> None:
+    """Accept a level only where the minimal solution from the backward
+    recursion to n_max satisfies the first recurrence row."""
+    coeffs, _ = solve_coeffs_infinite(spec, fam, E, n_max=n_max)
     tri = recurrence(spec, fam, E)
     row0 = tri.beta_n(0) * coeffs[0] + tri.alpha_n(0) * coeffs[1]
     scale = max(abs(tri.beta_n(0)), abs(tri.alpha_n(0)), 1.0)
     if abs(row0) > 1.0e-6 * scale:
         raise NoRootError(
-            f"sign change at E = {E:.12g} is a continued-fraction pole "
+            f"E = {E:.12g} fails the minimal-solution row test "
             f"(row residual {abs(row0):.3e})")
 
 

@@ -151,7 +151,7 @@ def equivalence_suite(spec: PotentialSpec) -> list[EquivalenceRecord]:
 
     For terminating families the spectra and normalized eigenfunctions
     of (family, l) and (partner family, -l-5) are compared; when no
-    family terminates, the lowest continued-fraction energy of the
+    family terminates, the lowest infinite-series level of the
     index-5 expansion is located and the index-1 expansion is compared
     pointwise at the same energy.
     """

@@ -293,11 +293,13 @@ def test_criterion_6_infinite_family_equivalence():
             g = lambda x: _cf_value(spec, fam5, x, depth)
             assert g(lo) * g(hi) < 0.0
             roots.append(brentq(g, lo, hi, xtol=1e-13, rtol=8.9e-16))
-        worst_depth = max(worst_depth, abs(roots[0] - roots[1]))
+        worst_depth = max(worst_depth, abs(roots[0] - roots[1]),
+                          abs(E - roots[1]))
     ok = worst < TOL_EQUIV and worst_depth < TOL_DEPTH
     report(6, ok, f"one-sided vs two-endpoint expansions deviate "
                   f"{worst:.3e} pointwise at matched E over 4 cases; "
-                  f"depth self-consistency {worst_depth:.3e}")
+                  f"depth self-consistency and finite-section level vs "
+                  f"depth-2400 continued fraction {worst_depth:.3e}")
     assert worst < TOL_EQUIV
     assert worst_depth < TOL_DEPTH
 

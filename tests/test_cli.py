@@ -83,6 +83,25 @@ def test_spectrum_continued_fraction_path(capsys):
                                                 rel=1e-10)
 
 
+def test_eigenfunction_infinite_ground_level(capsys):
+    # the lowest level, not the next one at 3.9139; the shooting
+    # oracle's lowest even level is -4.3603317640
+    code, out, _ = run_cli(capsys, "eigenfunction", "--potential", "v2",
+                           "--l", "-5.5", "--k2", "0.8", "--family", "ring5",
+                           "--index", "0", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["energy"] == pytest.approx(-4.3603317640,
+                                                      abs=1e-8)
+
+
+def test_spectrum_two_sided_non_terminating_is_domain_error(capsys):
+    code, out, err = run_cli(capsys, "spectrum", "--potential", "v1",
+                             "--l", "-0.3", "--k2", "0.5", "--family", "bold5")
+    assert code == 2
+    assert out == ""
+    assert "two-sided" in err
+
+
 def test_eigenfunction_text_format(capsys):
     code, out, _ = run_cli(capsys, "eigenfunction", "--potential", "v1",
                            "--l", "2", "--k2", "0.5", "--family", "ring5",
@@ -127,7 +146,7 @@ def test_eigenfunction_index_out_of_range(capsys):
 
 
 def test_eigenfunction_negative_index_out_of_range(capsys):
-    # the continued-fraction branch shares the finite branch's range check
+    # the non-terminating branch shares the finite branch's range check
     code, out, err = run_cli(capsys, "eigenfunction", "--potential", "v1",
                              "--l", "-3", "--k2", "0.5", "--family", "ring5",
                              "--index", "-1")

@@ -1,11 +1,12 @@
-"""Finite spectra, continued-fraction roots, and reality structure."""
+"""Finite spectra, finite-section levels of infinite series, and reality
+structure."""
 
 import math
 
 import numpy as np
 import pytest
 
-from heunspec.exceptions import NoRootError
+from heunspec.exceptions import ConvergenceError, DomainError, NoRootError
 from heunspec.heun_core import (
     ExpansionFamily,
     FamilyGroup,
@@ -13,14 +14,17 @@ from heunspec.heun_core import (
     PotentialSpec,
 )
 from heunspec.series_engine import recurrence, truncation_order
+from heunspec.shooting import shooting_spectrum
 from heunspec.spectrum import (
     arscott_check,
     characteristic_det,
     default_window,
     finite_spectrum,
     infinite_energy,
+    infinite_levels,
     symmetry_partner,
     _cf_value,
+    _section_levels,
 )
 
 RING5_V1_L2_E = [-9.316624790355399849115, -2.683375209644600150885]
@@ -158,6 +162,16 @@ def test_characteristic_det_signs():
         assert lo * hi < 0.0
 
 
+def test_characteristic_det_keeps_sign_at_large_order():
+    # unscaled, D_N overflows near N = 90; scaled by powers of two it
+    # stays finite and changes sign across each level
+    spec, f = vspec(-3.0), fam("ring5")
+    E = np.array([[e - 1e-4, e + 1e-4] for e in infinite_levels(spec, f, 3)])
+    vals = characteristic_det(spec, f, E, N=400)
+    assert np.all(np.isfinite(vals))
+    assert np.all(vals[:, 0] * vals[:, 1] < 0.0)
+
+
 def test_arscott_flags():
     assert arscott_check(vspec(-0.5), fam("bold5"))[0] is True
     ok, viol = arscott_check(vspec(0.5), fam("bold5"))
@@ -186,14 +200,14 @@ def test_continued_fraction_reference_roots():
 
 
 def test_continued_fraction_auto_window():
-    # with no bracket the scan returns the lowest accepted root
+    # with no bracket the lowest level in the default window
     e = infinite_energy(vspec(-3.0), fam("ring5"))
     assert e == pytest.approx(CF_L3_E0, rel=1e-10)
 
 
 def test_continued_fraction_rejects_pole():
-    # the quantization function flips sign at a pole near 10.1728; the
-    # minimal-solution row test must refuse it
+    # the continued fraction flips sign at a pole near 10.1728, which
+    # is no level: the bracket around it holds none
     with pytest.raises(NoRootError):
         infinite_energy(vspec(-3.0), fam("ring5"),
                         (CF_L3_POLE - 0.05, CF_L3_POLE + 0.05))
@@ -218,6 +232,58 @@ def test_continued_fraction_no_sign_change():
 def test_continued_fraction_rejects_terminating_family():
     with pytest.raises(Exception):
         infinite_energy(vspec(2.0), fam("ring5"), (-10.0, -9.0))
+
+
+def _oracle_even(spec):
+    # the shooting oracle integrates the ODE and never calls series code
+    return shooting_spectrum(spec, "even").energies
+
+
+@pytest.mark.parametrize("spec, count", [
+    (vspec(-3.0), 8),          # eight levels up to 183.29
+    (vspec(0.5), 6),           # dense section: the sign condition fails
+    (wspec(-3.0, 0.95), 8),    # k2 near 1: N0 = 1347
+])
+def test_infinite_levels_match_shooting_oracle(spec, count):
+    levels = infinite_levels(spec, fam("ring5"), 8)
+    oracle = _oracle_even(spec)
+    assert len(levels) == count
+    assert levels == pytest.approx(oracle[:count], abs=1e-8)
+
+
+def test_infinite_levels_near_k2_one():
+    # N0 = 69,046: the bisection solve of a very large section; the
+    # oracle gives 0.164016 and 1.323637
+    spec = vspec(-3.0, 0.999)
+    levels = infinite_levels(spec, fam("ring5"), 2)
+    oracle = shooting_spectrum(spec, "even", window=(0.0, 2.0)).energies
+    assert len(oracle) == 2
+    assert levels == pytest.approx(oracle, abs=1e-8)
+
+
+@pytest.mark.parametrize("spec", [vspec(-1.0, 0.75), vspec(0.5)])
+def test_section_levels_settle_from_start_order(spec):
+    # symmetric (bisection to full precision) and dense (polished) paths
+    tri = recurrence(spec, fam("ring5"), 0.0)
+    N0 = math.ceil(30.0 / -math.log10(spec.k.k2))
+    window = default_window(spec)
+    a = _section_levels(tri, N0, window, 4)
+    b = _section_levels(tri, 4 * N0, window, 4)
+    assert len(a) == len(b) == 4
+    for x, y in zip(a, b):
+        assert abs(x - y) <= 1e-12 * max(1.0, abs(y))
+
+
+def test_infinite_levels_past_cap_raise():
+    # a dense section needs N = 2 * 1347 at k2 = 0.95, past the cap
+    with pytest.raises(ConvergenceError, match="N = 1347"):
+        infinite_levels(vspec(0.5, 0.95), fam("ring5"), 4)
+
+
+def test_two_sided_non_terminating_rejected():
+    for spec, sel in ((vspec(-0.3), "bold5"), (wspec(0.7, 0.3), "bar5")):
+        with pytest.raises(DomainError, match="two-sided"):
+            infinite_levels(spec, fam(sel), 4)
 
 
 def test_default_window_contains_reference_levels():
