@@ -19,7 +19,9 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .exceptions import ArgumentError, SingularPointError
+import numpy as np
+
+from .exceptions import ArgumentError, DomainError, SingularPointError
 from .special_functions import EllipticModulus, jacobi
 
 _EPS_TOL = 1.0e-12
@@ -76,6 +78,8 @@ class PotentialSpec:
 
     @classmethod
     def from_k2(cls, kind: PotentialKind, l: float, k2: float) -> "PotentialSpec":
+        if not math.isfinite(l):
+            raise DomainError(f"l must be finite, got {l}")
         return cls(kind=kind, l=float(l), k=EllipticModulus.from_k2(k2))
 
     @property
@@ -102,24 +106,30 @@ class Prefactor:
         return Prefactor(self.p_sn + d_sn, self.p_cn + d_cn, self.p_dn + d_dn)
 
     def value(self, u: float, k2: float) -> float:
-        sn, cn, dn = jacobi(u, k2)
+        return self.at(*jacobi(u, k2))
+
+    def at(self, sn, cn, dn):
+        """The factor at given sn, cn and dn, floats or arrays."""
         return (_real_pow(sn, self.p_sn)
                 * _real_pow(cn, self.p_cn)
                 * _real_pow(dn, self.p_dn))
 
 
-def _real_pow(base: float, p: float) -> float:
-    """base**p for real base, honoring integer exponents on negatives."""
-    if p == 0.0:
-        return 1.0
-    if base >= 0.0:
-        return base ** p
+def _real_pow(base, p: float):
+    """base**p for a real base or an array of bases.
+
+    An exponent within 1e-9 of an integer m is applied as base**m, which
+    keeps the sign of a negative base; a fractional one raises
+    SingularPointError on a negative base.  float_power calls the C pow
+    per element, as float ** float does; np.power's SIMD pow can differ.
+    """
     m = round(p)
     if abs(p - m) < 1.0e-9:
-        mag = (-base) ** p
-        return -mag if m % 2 else mag
-    raise SingularPointError(
-        f"fractional power {p} of negative base {base}")
+        return base ** int(m)
+    if np.any(np.less(base, 0.0)):
+        raise SingularPointError(
+            f"fractional power {p} of negative base {np.min(base)}")
+    return np.float_power(base, p)
 
 
 def potential_value(spec: PotentialSpec, u: float) -> float:

@@ -52,14 +52,11 @@ from .heun_core import (
     ExpansionFamily,
     FamilyGroup,
     HeunParams,
-    PotentialKind,
     PotentialSpec,
     Prefactor,
-    _real_pow,
-    require_supported,
     transformed_params,
 )
-from .special_functions import SERIES_MAX_TERMS, gamma_fn, jacobi, tilde_F
+from .special_functions import _tilde_f_rows, jacobi, tilde_F
 
 DEFAULT_N_MAX = 500
 _INT_TOL = 1.0e-9
@@ -340,24 +337,18 @@ def hyper_eval_args(spec: PotentialSpec,
 def evaluate_grid(sol: SeriesSolution, us) -> np.ndarray:
     """Values of a series solution on a grid of positions.
 
-    Matches evaluate() pointwise up to rounding.  A power series is
-    summed by the same _power_sum as evaluate(), over the whole grid at
-    once.  The hypergeometric kernels of all nonzero coefficients are
-    summed together by _tilde_f_rows, one row per coefficient, with the
-    scalar tilde_F at points whose kernel argument z exceeds 0.97; the
-    terms b_n z^n 2F1-tilde(n) are then added in ascending n.
+    Matches evaluate() pointwise up to rounding.  The prefactor and a
+    power series (by the same _power_sum as evaluate()) are evaluated
+    over the whole grid at once.  The hypergeometric kernels of all
+    nonzero coefficients, at every z up to and including 1, are summed
+    together by _tilde_f_rows, one row per coefficient; the terms
+    b_n z^n 2F1-tilde(n) are then added in ascending n.
     """
     us = np.asarray(us, dtype=float)
     spec = sol.spec
     fam = sol.family
     k2 = spec.k.k2
-    trip = [jacobi(u, k2) for u in us]
-    sn = np.array([t.sn for t in trip])
-    cn = np.array([t.cn for t in trip])
-    dn = np.array([t.dn for t in trip])
-    pre = (_real_pow_vec(sn, sol.prefactor.p_sn)
-           * _real_pow_vec(cn, sol.prefactor.p_cn)
-           * _real_pow_vec(dn, sol.prefactor.p_dn))
+    sn, cn, dn = np.array([jacobi(u, k2) for u in us]).reshape(-1, 3).T
     if fam.group is FamilyGroup.POWER:
         total = _power_sum(sol, sn * sn, k2)
     else:
@@ -371,71 +362,7 @@ def evaluate_grid(sol: SeriesSolution, us) -> np.ndarray:
             if bn != 0.0:
                 total += bn * zp * next(kernels)
             zp *= z
-    return pre * total
-
-
-def _real_pow_vec(base: np.ndarray, p: float) -> np.ndarray:
-    if p == 0.0:
-        return np.ones_like(base)
-    m = round(p)
-    if abs(p - m) < 1.0e-9:
-        return base ** int(m)
-    out = np.empty_like(base)
-    for i, b in enumerate(base):
-        out[i] = _real_pow(float(b), p)
-    return out
-
-
-_VEC_Z_CAP = 0.97
-
-
-def _tilde_f_rows(A: np.ndarray, B: float, C: np.ndarray,
-                  z: np.ndarray) -> np.ndarray:
-    """Regularized 2F1(A[r], B; C[r]; z) for every row r on z in [0, 1].
-
-    Points with z > 0.97 go to the scalar tilde_F.  The rest are summed
-    as one term recurrence over all rows at once, with the operations
-    of a one-row sum in the same order, so each row is the same to the
-    bit as when summed alone.  A row leaves the active set at the first
-    term with max|term| <= 1e-16 max|total| over its points, so it gets
-    no terms past the one where a one-row sum stops.
-    """
-    out = np.empty((A.size, z.size))
-    near = z > _VEC_Z_CAP
-    if np.any(near):
-        z_near = z[near].tolist()
-        for r, (a, c) in enumerate(zip(A.tolist(), C.tolist())):
-            out[r, near] = [tilde_F(a, B, c, zi) for zi in z_near]
-    body = ~near
-    if A.size == 0 or not np.any(body):
-        return out
-    zb = z[body]
-    sums = np.empty((A.size, zb.size))
-    live = np.arange(A.size)
-    a, c = A, C
-    total = np.ones((A.size, zb.size))
-    term = np.ones_like(total)
-    for n in range(SERIES_MAX_TERMS):
-        coef = (a + n) * (B + n) / ((c + n) * (n + 1.0))
-        term = term * coef[:, None] * zb
-        total += term
-        done = (np.abs(term).max(axis=1)
-                <= 1.0e-16 * np.abs(total).max(axis=1))
-        if done.any():
-            sums[live[done]] = total[done]
-            if done.all():
-                break
-            keep = ~done
-            live, a, c = live[keep], a[keep], c[keep]
-            term, total = term[keep], total[keep]
-    else:
-        raise ConvergenceError(
-            f"2F1 series did not converge within {SERIES_MAX_TERMS} terms "
-            f"(A={float(a[0])}, B={B}, C={float(c[0])}, "
-            f"z up to {float(zb.max())})")
-    gammas = np.array([gamma_fn(g) for g in C.tolist()])
-    out[:, body] = sums / gammas[:, None]
-    return out
+    return sol.prefactor.at(sn, cn, dn) * total
 
 
 def evaluate(sol: SeriesSolution, u: float) -> float:

@@ -2,9 +2,10 @@
 
 Contains the complete elliptic integral K, the Jacobi functions sn, cn,
 dn via the arithmetic-geometric mean and a descending Landen ladder, a
-Lanczos gamma function, and the Gauss hypergeometric series 2F1 together
-with its regularized variant.  All routines are plain-float and
-deterministic; no module state other than a cache of Landen ladders.
+Lanczos gamma function, and the Gauss hypergeometric series 2F1 with its
+regularized variant, at one point in plain floats (tilde_F) or as numpy
+rows on a grid (_tilde_f_rows).  All are deterministic; no module state
+other than a cache of Landen ladders.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
+
+import numpy as np
 
 from .exceptions import (
     ConvergenceError,
@@ -24,6 +27,7 @@ from .exceptions import (
 AGM_MAX_ITER = 64
 SERIES_MAX_TERMS = 10_000
 TAYLOR_CUTOFF = 1.0e-4
+Z_CONNECT = 0.97  # above it, 2F1 is summed from the 1 - z connection
 
 _EPS = 2.220446049250313e-16
 
@@ -193,11 +197,8 @@ def _sinpi(x: float) -> float:
     return -s if n % 2 else s
 
 
-def _is_nonpositive_int(x: float, tol: float = 0.0) -> bool:
-    if tol == 0.0:
-        return x <= 0.0 and x == math.floor(x)
-    m = round(x)
-    return m <= 0 and abs(x - m) <= tol
+def _is_nonpositive_int(x: float) -> bool:
+    return x <= 0.0 and x == math.floor(x)
 
 
 def gamma_fn(x: float) -> float:
@@ -304,7 +305,7 @@ def gauss_2F1(A: float, B: float, C: float, z: float) -> float:
         raise ConvergenceError(
             f"2F1 diverges at z = 1 when C - A - B = {s} <= 0")
 
-    if z > 0.97 and not s_int:
+    if z > Z_CONNECT and not s_int:
         w = 1.0 - z
         p_coef = gamma_fn(C) * gamma_fn(s) * _rgamma(C - A) * _rgamma(C - B)
         q_coef = gamma_fn(C) * gamma_fn(-s) * _rgamma(A) * _rgamma(B)
@@ -330,3 +331,65 @@ def tilde_F(A: float, B: float, C: float, z: float) -> float:
         raise UndefinedError(
             f"regularized 2F1 not supported at non-positive integer C = {C}")
     return gauss_2F1(A, B, C, z) / gamma_fn(C)
+
+
+def _series_rows(A, B, C, z: np.ndarray) -> np.ndarray:
+    """Plain 2F1(A[r], B[r]; C[r]; z) for every row r, summed at once.
+
+    The operations of a one-row sum run in the same order, so each row
+    is the same to the bit as when summed alone.  A row leaves at the
+    first term with max|term| <= 1e-16 max|total| over its points.
+    """
+    total = np.ones((A.size, z.size))
+    if not total.size:
+        return total
+    sums = np.empty_like(total)
+    live = np.arange(A.size)
+    term = np.ones_like(total)
+    for n in range(SERIES_MAX_TERMS):
+        coef = (A + n) * (B + n) / ((C + n) * (n + 1.0))
+        term = term * coef[:, None] * z
+        total += term
+        done = (np.abs(term).max(axis=1)
+                <= 1.0e-16 * np.abs(total).max(axis=1))
+        if done.any():
+            sums[live[done]] = total[done]
+            if done.all():
+                return sums
+            keep = ~done
+            live, A, B, C = live[keep], A[keep], B[keep], C[keep]
+            term, total = term[keep], total[keep]
+    raise ConvergenceError(
+        f"2F1 series did not converge within {SERIES_MAX_TERMS} terms "
+        f"(A={float(A[0])}, B={float(B[0])}, C={float(C[0])}, "
+        f"z up to {float(z.max())})")
+
+
+def _tilde_f_rows(A, B, C, z: np.ndarray) -> np.ndarray:
+    """Regularized 2F1(A[r], B[r]; C[r]; z) for every row r on z in [0, 1].
+
+    A and C are arrays, B an array or one float for all rows.  Points
+    with z <= Z_CONNECT are summed directly.  Above it, with w = 1 - z
+    and s = C - A - B, the 1 - z connection (DLMF 15.8.4) gives
+    p_r F(A, B; 1 - s; w) + w^s q_r F(C - A, C - B; 1 + s; w), where
+    p_r = gamma(s) / (gamma(C - A) gamma(C - B)) and q_r = gamma(-s) /
+    (gamma(A) gamma(B)) are computed once per row; gamma(C) cancels the
+    regularization.  At z = 1 only Gauss's sum p_r is left.  An integer
+    s raises PoleError.
+    """
+    B = np.broadcast_to(B, A.shape)
+    out = np.empty((A.size, z.size))
+    near = z > Z_CONNECT
+    if not near.all():
+        gammas = np.array([gamma_fn(c) for c in C.tolist()])
+        out[:, ~near] = _series_rows(A, B, C, z[~near]) / gammas[:, None]
+    if near.any():
+        w, s = 1.0 - z[near], C - A - B
+        rows = zip(A.tolist(), B.tolist(), C.tolist(), s.tolist())
+        p, q = np.array([(gamma_fn(t) * _rgamma(c - a) * _rgamma(c - b),
+                          gamma_fn(-t) * _rgamma(a) * _rgamma(b))
+                         for a, b, c, t in rows]).reshape(-1, 2).T
+        out[:, near] = (p[:, None] * _series_rows(A, B, 1.0 - s, w)
+                        + w ** s[:, None] * q[:, None]
+                        * _series_rows(C - A, C - B, 1.0 + s, w))
+    return out

@@ -192,8 +192,8 @@ def infinite_levels(spec: PotentialSpec, fam: ExpansionFamily,
     N = math.ceil(30.0 / -math.log10(spec.k.k2))
     levels, shift = None, math.inf
     while shift >= SECTION_SHIFT_TOL:
-        cap = (DENSE_MAX_ORDER if _sign_violations(tri, 2 * N)
-               else SECTION_MAX_ORDER)
+        dense = 2 * N <= SECTION_MAX_ORDER and _sign_violations(tri, 2 * N)
+        cap = DENSE_MAX_ORDER if dense else SECTION_MAX_ORDER
         if 2 * N > cap:
             raise ConvergenceError(
                 f"levels of family {fam.selector} not settled at order N = "

@@ -25,7 +25,6 @@ from .heun_core import (
 )
 from .series_engine import (
     SeriesSolution,
-    build_finite,
     build_infinite,
     evaluate_grid,
     truncation_order,

@@ -5,6 +5,7 @@ import importlib.resources
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import jsonschema
 import pytest
@@ -245,12 +246,32 @@ def test_byte_determinism(tmp_path):
      "--k2-range", "0.2:0.5:x"],
     ["spectrum", "--potential", "v1", "--l", "-3", "--k2", "0.5",
      "--family", "ring5", "--max-energies", "-1"],
+    ["spectrum", "--potential", "v1", "--l", "nan", "--k2", "0.5",
+     "--family", "ring5"],
+    ["spectrum", "--potential", "v1", "--l", "inf", "--k2", "0.5",
+     "--family", "ring5"],
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_section_order_past_cap_exits_2_without_allocating(capsys):
+    # the start order here is N = 6.9e10: the cap must be checked before
+    # any array of that length is built
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "spectrum", "--potential", "v1",
+                                 "--l", "-3", "--k2", "0.999999999",
+                                 "--family", "ring5", "--max-energies", "1")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert "passes cap 1048576" in err
+    assert peak < 10_000_000
 
 
 def test_cli_imports_no_private_names():

@@ -346,6 +346,31 @@ def test_stacked_kernel_rows_match_one_row_sums():
             assert np.array_equal(stacked[n], one[0]), (sel, n)
 
 
+def test_grid_evaluation_needs_no_scalar_2f1(monkeypatch):
+    # every kernel value of evaluate_grid comes from the stacked rows,
+    # also at z = 1 (v1, u = 0) and around the bar kernels' z = 1 (v2,
+    # u = K); the scalar evaluate() is the reference
+    from heunspec import series_engine, special_functions
+    from heunspec.spectrum import finite_spectrum
+    K = complete_K(0.5)
+    cases = []
+    grids = (np.linspace(0.0, 0.95 * K, 39),                # from u = 0
+             np.append(K * np.linspace(0.05, 1.95, 38), K))  # and u = K
+    for spec, sel, us in ((vspec(4.5), "bold5", grids[0]),
+                          (wspec(5.5), "bar7", grids[1])):
+        for sol in finite_spectrum(spec, fam(sel)).solutions:
+            cases.append((sol, us, [evaluate(sol, float(u)) for u in us]))
+
+    def scalar_2f1(*args):
+        raise AssertionError("scalar 2F1 reached")
+    for module, name in ((special_functions, "tilde_F"),
+                         (special_functions, "gauss_2F1"),
+                         (series_engine, "tilde_F")):
+        monkeypatch.setattr(module, name, scalar_2f1)
+    for sol, us, ref in cases:
+        assert evaluate_grid(sol, us) == pytest.approx(ref, rel=1e-13)
+
+
 def test_bold_value_at_center_is_finite():
     # at u = 0 the kernel argument reaches 1 and the closed Gauss value
     # takes over

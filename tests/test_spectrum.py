@@ -278,6 +278,10 @@ def test_infinite_levels_past_cap_raise():
     # a dense section needs N = 2 * 1347 at k2 = 0.95, past the cap
     with pytest.raises(ConvergenceError, match="N = 1347"):
         infinite_levels(vspec(0.5, 0.95), fam("ring5"), 4)
+    # the start order N = 6.9e10 at k2 = 1 - 1e-9 is past the section
+    # cap itself, which is checked before an array of length 2N is built
+    with pytest.raises(ConvergenceError, match="passes cap 1048576"):
+        infinite_levels(vspec(-3.0, 0.999999999), fam("ring5"), 1)
 
 
 def test_two_sided_non_terminating_rejected():
