@@ -33,8 +33,9 @@ from .heun_core import (
 from .series_engine import (
     SeriesSolution,
     build_infinite,
+    coefficients,
     evaluate_grid,
-    forward_recurrence,
+    finite_order,
     truncation_order,
 )
 from .shooting import shooting_match_table
@@ -222,8 +223,9 @@ def _parity_for(spec: PotentialSpec, fam: ExpansionFamily) -> str:
 
 def cmd_verify(args) -> int:
     spec = _spec_from_args(args)
-    if args.family:
+    if args.family:  # verify checks terminating families
         families = [ExpansionFamily.from_selector(args.family)]
+        finite_order(spec, families[0])
     else:
         if spec.kind is PotentialKind.V1:
             families = [ExpansionFamily(FamilyGroup.POWER, i) for i in (5, 6)]
@@ -233,16 +235,14 @@ def cmd_verify(args) -> int:
             families = [ExpansionFamily(FamilyGroup.POWER, i) for i in (5, 7)]
             families += [ExpansionFamily(FamilyGroup.HYPER_BAR, i)
                          for i in (5, 7)]
+        families = [f for f in families if truncation_order(spec, f) is not None]
     checks = []
     for fam in families:
-        N = truncation_order(spec, fam)
-        if N is None:
-            continue
         if args.energy_override is not None:
-            # the termination row is left unchecked, so that a detuned
+            # the join residual is left unchecked, so that a detuned
             # energy reaches the residual check
             E = args.energy_override
-            coeffs, _ = forward_recurrence(spec, fam, E)
+            coeffs, _ = coefficients(spec, fam, E)
             sols = [SeriesSolution(spec=spec, family=fam, E=E, coeffs=coeffs,
                                    prefactor=family_prefactor(spec, fam),
                                    finite=True)]
@@ -392,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="residual, oracle, and symmetry checks as JSON")
     p.add_argument("--k2", required=True, type=float)
     p.add_argument("--family", default=None,
-                   help="restrict checks to one family")
+                   help="restrict checks to one terminating family")
     p.add_argument("--energy-override", type=float, default=None,
                    help="run the residual check at this energy instead of "
                         "the computed eigenvalues")

@@ -27,10 +27,10 @@ additionally swap the singular points 0 and 1 first.
 recurrence() holds these coefficients as numpy polynomials in n,
 evaluated over arrays of indices and, for B_n, over an array of
 energies: the energy enters only the constant term of B_n, through the
-accessory parameter q(E).  This one recurrence serves every regime:
-the forward recurrence of a terminating series (forward_recurrence),
-the backward recursion for the minimal solution of an infinite series
-(solve_coeffs_infinite), and the continuant, whose zeros are the levels
+accessory parameter q(E).  This one recurrence serves every regime: one
+two-sided recursion (coefficients) gives the coefficients of a
+terminating series and, as Miller's backward recursion, the minimal
+solution of an infinite one, and the continuant's zeros are the levels
 of a finite section.
 """
 
@@ -59,6 +59,7 @@ from .heun_core import (
 from .special_functions import _tilde_f_rows, jacobi, tilde_F
 
 DEFAULT_N_MAX = 500
+FINITE_TOL = 1.0e-9  # join residual of a terminating series
 _INT_TOL = 1.0e-9
 _CONTINUANT_CAP = 2.0 ** 400
 
@@ -112,15 +113,17 @@ class Recurrence:
         beta_n continued along the slope to beta_n + beta_slope * E, so
         the recurrence at E = 0 gives the characteristic determinant at
         any real or complex E, a scalar or an array.  Past 2^400, D_n and
-        D_{n-1} shrink by 2^-400 (exactly), so D_N keeps its sign at any N;
-        a scalar E runs on Python floats (same arithmetic, cheaper steps).
+        D_{n-1} shrink by 2^-400 (exactly), so D_N keeps its sign at any N.
+        It runs in numpy longdouble: float64 moves the roots of a strongly
+        non-normal section by up to 4e-10 (v2 bar7, l = 13.5, k2 = 0.95).
         """
         E = np.asarray(E)
+        ext = np.result_type(E, np.longdouble)
         idx = np.arange(N + 1)
-        diag = np.add.outer(self.beta_n(idx), self.beta_slope * E)
-        off = self.gamma_n(idx[1:]) * self.alpha_n(idx[:-1])
-        if not E.ndim:
-            diag, off = diag.tolist(), off.tolist()
+        diag = np.add.outer(self.beta_n(idx), self.beta_slope * E.astype(ext))
+        off = self.gamma_n(idx[1:]) * self.alpha_n(idx[:-1]).astype(ext)
+        if not E.ndim:  # steps on numpy scalars are cheaper than on arrays
+            diag, off = list(diag), list(off)
         d_prev2, d_prev = 1.0, diag[0]
         for n in range(1, N + 1):
             d_prev2, d_prev = d_prev, diag[n] * d_prev - off[n - 1] * d_prev2
@@ -128,7 +131,7 @@ class Recurrence:
             if big.any() if E.ndim else big:
                 shrink = np.where(big, 1.0 / _CONTINUANT_CAP, 1.0)
                 d_prev2, d_prev = d_prev2 * shrink, d_prev * shrink
-        return d_prev
+        return np.asarray(d_prev).astype(np.result_type(E, 1.0))[()]
 
 
 def recurrence(spec: PotentialSpec, fam: ExpansionFamily, E) -> Recurrence:
@@ -188,95 +191,100 @@ def truncation_order(spec: PotentialSpec, fam: ExpansionFamily) -> Optional[int]
     return best - 1
 
 
-def forward_recurrence(spec: PotentialSpec, fam: ExpansionFamily,
-                       E: float) -> tuple[np.ndarray, float]:
-    """Coefficients b_0..b_N of a terminating series at any energy E.
-
-    The forward recurrence determines b_1..b_N from b_0 = 1.  Also
-    returns the residual |beta_N b_N + gamma_N b_{N-1}| of the final
-    row, which vanishes only when E is an eigenvalue.
-    """
+def finite_order(spec: PotentialSpec, fam: ExpansionFamily) -> int:
+    """truncation_order of a family that terminates, else ArgumentError."""
     N = truncation_order(spec, fam)
     if N is None:
         raise ArgumentError(
             f"family {fam.selector} does not terminate at l = {spec.l}")
+    return N
+
+
+def coefficients(spec: PotentialSpec, fam: ExpansionFamily, E: float,
+                 n_max: int = DEFAULT_N_MAX, finite: Optional[bool] = None
+                 ) -> tuple[np.ndarray, float]:
+    """Coefficients b_0.. (b_0 = 1) of a family's series at energy E by
+    two-sided recursion (Oliver, Numer. Math. 11, 1968), and the join
+    row's energy backward error |alpha_m b_{m+1} + beta_m b_m +
+    gamma_m b_{m-1}| / (|beta_slope| |b_m| max(1, |E|)).
+
+    The backward pass runs down from b_{top+1} = 0, b_top = 1 (top = N of
+    a terminating family, else n_max plus a buffer), the forward pass up
+    from b_0 = 1; only the join row m is left open.  A terminating family
+    runs both passes over every row and joins where the residual is
+    smallest.  An infinite one joins at m = 0 (Miller's algorithm), keeps
+    b_0..b_{n_max}, and raises MinimalSolutionError if its tail ratio
+    lies nearer the dominant limit 1 than the minimal one.
+    finite = True (False) demands a terminating (infinite) family.
+    """
+    N = top = truncation_order(spec, fam)
+    if finite is not None and finite != (N is not None):
+        raise ArgumentError(f"family {fam.selector} at l = {spec.l} "
+                            + ("does not terminate" if finite else "terminates"))
     tri = recurrence(spec, fam, E)
-    idx = np.arange(N + 1)
-    alpha = tri.alpha_n(idx).tolist()
-    beta = tri.beta_n(idx).tolist()
-    gamma = tri.gamma_n(idx).tolist()
-    b = np.zeros(N + 1)
-    b[0] = 1.0
-    for n in range(N):
-        prev = b[n - 1] if n >= 1 else 0.0
-        b[n + 1] = -(beta[n] * b[n] + gamma[n] * prev) / alpha[n]
-    tail = b[N - 1] if N >= 1 else 0.0
-    return b, abs(beta[N] * b[N] + gamma[N] * tail)
+    if N is None:
+        # The start index sits far enough above n_max that dominant-
+        # solution contamination, which decays like k2 per step of the
+        # downward recursion, is below 1e-12 at n_max.
+        top = n_max + int(math.ceil(12.5 / -math.log10(spec.k.k2))) + 10
+    idx = np.arange(top + 1)
+    alpha, beta, gamma = tri.alpha_n(idx), tri.beta_n(idx), tri.gamma_n(idx)
+    al, be, ga = alpha.tolist(), beta.tolist(), gamma.tolist()
+    back = np.zeros(top + 2)
+    back[top] = 1.0
+    for n in range(top, 0, -1):
+        if ga[n] == 0.0:
+            raise ArgumentError(
+                f"gamma_{n} vanishes; family {fam.selector} admits no "
+                "infinite minimal series here")
+        back[n - 1] = -(be[n] * back[n] + al[n] * back[n + 1]) / ga[n]
+        if abs(back[n - 1]) > 1.0e250:
+            back[n - 1:] /= abs(back[n - 1])
+    last = 0 if N is None else N
+    fwd = np.zeros(last + 2)  # fwd[n + 1] = b_n, fwd[0] = b_{-1} = 0
+    fwd[1] = 1.0
+    for n in range(last):
+        fwd[n + 2] = -(be[n] * fwd[n + 1] + ga[n] * fwd[n]) / al[n]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rows = np.abs(alpha[:last + 1] * back[1:last + 2] / back[:last + 1]
+                      + beta[:last + 1] + gamma[:last + 1] * fwd[:-1] / fwd[1:])
+    m = int(np.argmin(np.where(np.isnan(rows), np.inf, rows)))
+    if back[m] == 0.0:
+        raise MinimalSolutionError("normalization coefficient b_0 vanished")
+    b = back[:top + 1] / back[m] * fwd[m + 1]
+    b[:m] = fwd[1:m + 1]
+    residual = float(rows[m]) / (abs(tri.beta_slope) * max(1.0, abs(E)))
+    if N is not None:
+        return b, residual
+    b = b[:n_max + 1]
+    ratio = b[n_max] / b[n_max - 1] if b[n_max - 1] != 0.0 else math.inf
+    minimal_limit = spec.k.k2 * (1.0 + (tri_eps(spec, fam) - 2.0) / n_max)
+    if abs(ratio - 1.0) < abs(ratio - minimal_limit):
+        raise MinimalSolutionError(
+            f"tail ratio {ratio:.6g} tracks the dominant solution "
+            f"(minimal limit {minimal_limit:.6g})")
+    return b, residual
 
 
 def solve_coeffs_finite(spec: PotentialSpec, fam: ExpansionFamily,
                         E: float) -> np.ndarray:
-    """Coefficients b_0..b_N of a terminating series at an eigenvalue E.
-
-    The final row of the forward recurrence must vanish there; a
-    residual above 1e-9 * max|b| raises ConsistencyError.
-    """
-    b, residual = forward_recurrence(spec, fam, E)
-    if residual > 1.0e-9 * np.max(np.abs(b)):
+    """Coefficients b_0..b_N of a terminating series at an eigenvalue E;
+    a join residual (coefficients()) above FINITE_TOL raises ConsistencyError."""
+    b, residual = coefficients(spec, fam, E, finite=True)
+    if residual > FINITE_TOL:
         raise ConsistencyError(
-            f"termination row residual {residual:.3e} at E = {E}; "
+            f"join residual {residual:.3e} at E = {E}; "
             "not an eigenvalue of this family")
     return b
 
 
 def solve_coeffs_infinite(spec: PotentialSpec, fam: ExpansionFamily, E: float,
                           n_max: int = DEFAULT_N_MAX) -> tuple[np.ndarray, float]:
-    """Minimal-solution coefficients b_0..b_{n_max} by backward recursion.
-
-    Returns the normalized coefficients (b_0 = 1) and the tail ratio
-    b_{n_max} / b_{n_max - 1}, which must approach k2 = 1/a for the
-    minimal solution.  A ratio closer to the dominant limit 1 raises
-    MinimalSolutionError.
-    """
-    if truncation_order(spec, fam) is not None:
-        raise ArgumentError(
-            f"family {fam.selector} terminates at l = {spec.l}; "
-            "use the finite solver")
-    tri = recurrence(spec, fam, E)
-    k2 = spec.k.k2
-    # The start index sits far enough above n_max that dominant-solution
-    # contamination, which decays like k2 per step of the downward
-    # recursion, is below 1e-12 at n_max.
-    buffer = int(math.ceil(12.5 / -math.log10(k2))) + 10
-    top = n_max + buffer
-    idx = np.arange(top + 1)
-    alpha = tri.alpha_n(idx).tolist()
-    beta = tri.beta_n(idx).tolist()
-    gamma = tri.gamma_n(idx).tolist()
-    b = np.zeros(top + 2)
-    b[top + 1] = 0.0
-    b[top] = 1.0
-    for n in range(top, 0, -1):
-        g = gamma[n]
-        if g == 0.0:
-            raise ArgumentError(
-                f"gamma_{n} vanishes; family {fam.selector} admits no "
-                "infinite minimal series here")
-        b[n - 1] = -(beta[n] * b[n] + alpha[n] * b[n + 1]) / g
-        if abs(b[n - 1]) > 1.0e250:
-            b[n - 1:] /= abs(b[n - 1])
-    if b[0] == 0.0:
-        raise MinimalSolutionError("normalization coefficient b_0 vanished")
-    b = b[:n_max + 1] / b[0]
-    ratio = b[n_max] / b[n_max - 1] if b[n_max - 1] != 0.0 else math.inf
-    n = float(n_max)
-    minimal_limit = k2 * (1.0 + (tri_eps(spec, fam) - 2.0) / n)
-    dominant_limit = 1.0
-    if abs(ratio - dominant_limit) < abs(ratio - minimal_limit):
-        raise MinimalSolutionError(
-            f"tail ratio {ratio:.6g} tracks the dominant solution "
-            f"(minimal limit {minimal_limit:.6g})")
-    return b, float(ratio)
+    """Minimal-solution coefficients b_0..b_{n_max} (b_0 = 1) by backward
+    recursion, and the tail ratio b_{n_max} / b_{n_max - 1}, which must
+    approach k2 = 1/a (else MinimalSolutionError; see coefficients())."""
+    b, _ = coefficients(spec, fam, E, n_max, finite=False)
+    return b, float(b[n_max] / b[n_max - 1])
 
 
 def tri_eps(spec: PotentialSpec, fam: ExpansionFamily) -> float:

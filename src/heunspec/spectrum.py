@@ -24,7 +24,8 @@ from scipy.optimize import brentq
 from .exceptions import ArgumentError, ConvergenceError, DomainError, NoRootError
 from .heun_core import ExpansionFamily, FamilyGroup, PotentialSpec, default_window
 from .series_engine import (Recurrence, SeriesSolution, build_finite,
-                            recurrence, solve_coeffs_infinite, truncation_order)
+                            coefficients, finite_order, recurrence,
+                            truncation_order)
 
 SECTION_SHIFT_TOL = 1.0e-11
 SECTION_MAX_ORDER = 1 << 20
@@ -46,14 +47,6 @@ class SpectrumResult:
     real_count: int
 
 
-def _finite_order(spec: PotentialSpec, fam: ExpansionFamily) -> int:
-    N = truncation_order(spec, fam)
-    if N is None:
-        raise ArgumentError(
-            f"family {fam.selector} does not terminate at l = {spec.l}")
-    return N
-
-
 def characteristic_det(spec: PotentialSpec, fam: ExpansionFamily,
                        E, N: Optional[int] = None):
     """Determinant of the truncated characteristic matrix at energy E.
@@ -62,7 +55,7 @@ def characteristic_det(spec: PotentialSpec, fam: ExpansionFamily,
     Recurrence.continuant.
     """
     if N is None:
-        N = _finite_order(spec, fam)
+        N = finite_order(spec, fam)
     return recurrence(spec, fam, 0.0).continuant(E, N)
 
 
@@ -79,7 +72,7 @@ def arscott_check(spec: PotentialSpec,
     Checks alpha_{n-1} gamma_n > 0 for 1 <= n <= N; returns the flag and
     the list of violating indices n.
     """
-    bad = _sign_violations(recurrence(spec, fam, 0.0), _finite_order(spec, fam))
+    bad = _sign_violations(recurrence(spec, fam, 0.0), finite_order(spec, fam))
     return (len(bad) == 0, bad)
 
 
@@ -91,7 +84,7 @@ def finite_spectrum(spec: PotentialSpec, fam: ExpansionFamily) -> SpectrumResult
     otherwise complex pairs show up as a deficit between expected_count
     and real_count.
     """
-    N = _finite_order(spec, fam)
+    N = finite_order(spec, fam)
     ok, _bad = arscott_check(spec, fam)
     energies = _section_levels(recurrence(spec, fam, 0.0), N)
     degenerate = [(i, j) for i in range(len(energies))
@@ -140,8 +133,9 @@ def _companion_real_roots(tri: Recurrence, N: int,
 
     The roots are the eigenvalues of the section, mapped back through
     the diagonal slope.  The real ones (the lowest count in the window,
-    if given) are polished with a narrow determinant bracket, which
-    restores the digits a dense solve of a non-symmetric matrix loses.
+    if given) are polished in a determinant bracket that doubles from
+    1e-6 (1 + |E|), up to 8 times, until it holds a sign change: a dense
+    solve of a non-symmetric matrix loses digits (1.7e-5, v2 bar5 l = 13.5).
     """
     idx = np.arange(N + 1)
     M = np.diag(tri.beta_n(idx))
@@ -155,10 +149,13 @@ def _companion_real_roots(tri: Recurrence, N: int,
     roots = []
     for E in cands[:count]:
         width = 1.0e-6 * (1.0 + abs(E))
-        a, b = E - width, E + width
-        if tri.continuant(a, N) * tri.continuant(b, N) < 0.0:
-            E = float(brentq(tri.continuant, a, b, args=(N,),
-                             xtol=1.0e-12, rtol=8.9e-16))
+        for _ in range(8):
+            a, b = E - width, E + width
+            if tri.continuant(a, N) * tri.continuant(b, N) < 0.0:
+                E = float(brentq(tri.continuant, a, b, args=(N,),
+                                 xtol=1.0e-12, rtol=8.9e-16))
+                break
+            width *= 2.0
         roots.append(E)
     return sorted(roots)
 
@@ -205,7 +202,7 @@ def infinite_levels(spec: PotentialSpec, fam: ExpansionFamily,
             [abs(a - b) / max(1.0, abs(a)) for a, b in zip(levels, old)],
             default=0.0)
     for E in levels:
-        _reject_pole(spec, fam, E, max(200, N))
+        _reject_pole(tri, spec, fam, E, max(200, N))
     return levels
 
 
@@ -241,18 +238,19 @@ def _cf_value(spec: PotentialSpec, fam: ExpansionFamily, E, depth: int):
     return f
 
 
-def _reject_pole(spec: PotentialSpec, fam: ExpansionFamily, E: float,
-                 n_max: int) -> None:
+def _reject_pole(tri: Recurrence, spec: PotentialSpec, fam: ExpansionFamily,
+                 E: float, n_max: int) -> None:
     """Accept a level only where the minimal solution from the backward
-    recursion to n_max satisfies the first recurrence row."""
-    coeffs, _ = solve_coeffs_infinite(spec, fam, E, n_max=n_max)
-    tri = recurrence(spec, fam, E)
-    row0 = tri.beta_n(0) * coeffs[0] + tri.alpha_n(0) * coeffs[1]
-    scale = max(abs(tri.beta_n(0)), abs(tri.alpha_n(0)), 1.0)
-    if abs(row0) > 1.0e-6 * scale:
+    recursion to n_max meets row 0 to 1e-6 max(|beta_0|, |alpha_0|, 1): the
+    join residual of coefficients() times |beta_slope| max(1, |E|)."""
+    _, residual = coefficients(spec, fam, E, n_max)
+    row0 = residual * abs(tri.beta_slope) * max(1.0, abs(E))
+    scale = max(abs(tri.beta_n(0) + tri.beta_slope * E), abs(tri.alpha_n(0)),
+                1.0)
+    if row0 > 1.0e-6 * scale:
         raise NoRootError(
             f"E = {E:.12g} fails the minimal-solution row test "
-            f"(row residual {abs(row0):.3e})")
+            f"(row residual {row0:.3e})")
 
 
 def symmetry_partner(spec: PotentialSpec) -> PotentialSpec:

@@ -26,6 +26,7 @@ from .heun_core import (
 from .series_engine import (
     SeriesSolution,
     build_infinite,
+    coefficients,
     evaluate_grid,
     truncation_order,
 )
@@ -215,8 +216,8 @@ def partner_coefficient_record(spec: PotentialSpec,
              else _HYPER_PARTNER)
     fam_b = ExpansionFamily(fam.group, table[spec.kind][fam.index])
     partner = symmetry_partner(spec)
-    ca, _ = _coeffs_any(spec, fam, E, n_terms)
-    cb, _ = _coeffs_any(partner, fam_b, E, n_terms)
+    ca, _ = coefficients(spec, fam, E, n_terms)
+    cb, _ = coefficients(partner, fam_b, E, n_terms)
     n = min(len(ca), len(cb))
     scale = np.maximum(np.abs(ca[:n]), 1.0e-300)
     dev = float(np.max(np.abs(ca[:n] - cb[:n]) / scale))
@@ -225,10 +226,3 @@ def partner_coefficient_record(spec: PotentialSpec,
              f"{fam_b.selector}(l={partner.l:g})",
         max_dev=dev)
 
-
-def _coeffs_any(spec, fam, E, n_terms):
-    from .series_engine import solve_coeffs_finite, solve_coeffs_infinite
-    if truncation_order(spec, fam) is not None:
-        return solve_coeffs_finite(spec, fam, E), True
-    c, _ = solve_coeffs_infinite(spec, fam, E, n_max=n_terms)
-    return c, False

@@ -95,6 +95,25 @@ def test_eigenfunction_infinite_ground_level(capsys):
                                                       abs=1e-8)
 
 
+def test_spectrum_large_half_odd_l(capsys):
+    # a recurrence run forward from b_0 misses the termination row here
+    code, out, err = run_cli(capsys, "spectrum", "--potential", "v1",
+                             "--l", "10.5", "--k2", "0.5", "--family", "bold5")
+    assert code == 0 and err == ""
+    assert len(json.loads(out)["energies"]) == 13
+
+
+def test_spectrum_infinite_top_level_passes_row_test(capsys):
+    # the minimal solution's row 0 at the top level E = 49.244 is 1.0e-6
+    # in energy units, inside the row test's bound relative to beta_0
+    code, out, err = run_cli(capsys, "spectrum", "--potential", "v1",
+                             "--l", "1.2", "--k2", "0.05", "--family", "ring5")
+    assert code == 0 and err == ""
+    assert json.loads(out)["energies"] == pytest.approx(
+        [-9.030080726218822, 2.490148463490359, 21.959540179312114,
+         49.24408103847374], rel=1e-10)
+
+
 def test_spectrum_two_sided_non_terminating_is_domain_error(capsys):
     code, out, err = run_cli(capsys, "spectrum", "--potential", "v1",
                              "--l", "-0.3", "--k2", "0.5", "--family", "bold5")
@@ -249,6 +268,10 @@ def test_byte_determinism(tmp_path):
     ["spectrum", "--potential", "v1", "--l", "nan", "--k2", "0.5",
      "--family", "ring5"],
     ["spectrum", "--potential", "v1", "--l", "inf", "--k2", "0.5",
+     "--family", "ring5"],
+    ["verify", "--potential", "v1", "--l", "-3", "--k2", "0.5",
+     "--family", "bold5"],
+    ["verify", "--potential", "v1", "--l", "-3", "--k2", "0.5",
      "--family", "ring5"],
 ])
 def test_usage_errors_exit_2(capsys, argv):

@@ -17,11 +17,14 @@ from heunspec.heun_core import (
     PotentialKind,
     PotentialSpec,
 )
+from heunspec.cli import EQUIV_TOL
 from heunspec.series_engine import (
+    FINITE_TOL,
     _power_sum,
     _tilde_f_rows,
     build_finite,
     build_infinite,
+    coefficients,
     evaluate,
     evaluate_grid,
     hyper_eval_args,
@@ -32,6 +35,10 @@ from heunspec.series_engine import (
     tri_eps,
 )
 from heunspec.special_functions import complete_K, jacobi
+from heunspec.spectrum import finite_spectrum, symmetry_partner
+from heunspec.verify import _HYPER_PARTNER
+
+from conftest import make_spec, relative_rows
 
 RING5_V1_L2_E = [-9.316624790355399849115, -2.683375209644600150885]
 RING7_V2_L3_E = [-17.28232998312526813906, -3.717670016874731860935]
@@ -201,6 +208,32 @@ def test_finite_coefficients_at_eigenvalue():
 def test_finite_coefficients_reject_detuned_energy():
     with pytest.raises(ConsistencyError):
         solve_coeffs_finite(vspec(2.0), fam("ring5"), RING5_V1_L2_E[0] + 0.01)
+
+
+@pytest.mark.parametrize("kind,sel,l,k2", [
+    ("v1", "bold5", 10.5, 0.5), ("v1", "bold6", 10.5, 0.5),
+    ("v2", "bar5", 12.5, 0.5), ("v2", "bar7", 12.5, 0.5),
+    ("v2", "bar5", 13.5, 0.5), ("v2", "bar7", 13.5, 0.5),
+    ("v1", "bold5", 6.5, 0.8), ("v1", "bold5", 7.5, 0.75),
+    ("v1", "bold6", 7.5, 0.7), ("v1", "bold5", 20.0, 0.5),
+])
+def test_two_sided_coefficients_at_large_l(kind, sel, l, k2):
+    # a recurrence run forward from b_0 misses the termination row here,
+    # and one run backward from b_N leaves row 0 open
+    spec = make_spec(kind, l, k2)
+    res = finite_spectrum(spec, fam(sel))
+    assert res.energies
+    for sol in res.solutions:
+        b, residual = coefficients(spec, fam(sel), sol.E)
+        assert np.array_equal(b, sol.coeffs)
+        assert residual <= FINITE_TOL
+        assert np.max(relative_rows(spec, fam(sel), sol.E, b)) <= 1e-12
+    partner_fam = ExpansionFamily(fam(sel).group,
+                                  _HYPER_PARTNER[spec.kind][fam(sel).index])
+    partner = finite_spectrum(symmetry_partner(spec), partner_fam)
+    assert len(partner.energies) == len(res.energies)
+    assert np.max(np.abs(np.subtract(partner.energies, res.energies))) \
+        <= EQUIV_TOL
 
 
 def test_backward_recursion_reference_coefficients():

@@ -24,6 +24,7 @@ from heunspec.spectrum import (
     infinite_levels,
     symmetry_partner,
     _cf_value,
+    _reject_pole,
     _section_levels,
 )
 
@@ -211,6 +212,17 @@ def test_continued_fraction_rejects_pole():
     with pytest.raises(NoRootError):
         infinite_energy(vspec(-3.0), fam("ring5"),
                         (CF_L3_POLE - 0.05, CF_L3_POLE + 0.05))
+
+
+def test_minimal_solution_row_test_rejects_detuned_level():
+    # the minimal solution closes row 0 at the level and not at the level
+    # detuned by 1e-6 relative
+    tri = recurrence(vspec(-3.0), fam("ring5"), 0.0)
+    _reject_pole(tri, vspec(-3.0), fam("ring5"), CF_L3_E0, 200)
+    for sign in (1.0, -1.0):
+        with pytest.raises(NoRootError, match="row residual"):
+            _reject_pole(tri, vspec(-3.0), fam("ring5"),
+                         CF_L3_E0 * (1.0 + sign * 1e-6), 200)
 
 
 def test_continued_fraction_array_matches_scalar_calls():
