@@ -32,7 +32,6 @@ from .heun_core import (
 )
 from .series_engine import (
     SeriesSolution,
-    build_infinite,
     coefficients,
     evaluate_grid,
     finite_order,
@@ -114,7 +113,8 @@ def _family_energies(spec: PotentialSpec, fam: ExpansionFamily,
     if N is not None:
         res = finite_spectrum(spec, fam)
         return res.energies, N, res.arscott_ok, res.degenerate_pairs
-    return infinite_levels(spec, fam, max_energies), None, None, []
+    return ([sol.E for sol in infinite_levels(spec, fam, max_energies)],
+            None, None, [])
 
 
 def _write_output(text: str, path: Optional[str]) -> None:
@@ -186,8 +186,6 @@ def cmd_eigenfunction(args) -> int:
                          f"level(s) {where}\n")
         return EXIT_RANGE
     sol = levels[args.index]
-    if N is None:
-        sol = build_infinite(spec, fam, sol)
     us = _plot_grid(spec)
     vals = evaluate_grid(sol, us)
     if args.format == "json":

@@ -37,9 +37,5 @@ class ConsistencyError(HeunspecError):
     """A quantity that must vanish for consistency failed its tolerance."""
 
 
-class MinimalSolutionError(HeunspecError):
-    """Backward recursion did not isolate the minimal solution."""
-
-
 class NoRootError(HeunspecError):
     """Root bracketing or refinement found no acceptable root."""

@@ -29,9 +29,10 @@ evaluated over arrays of indices and, for B_n, over an array of
 energies: the energy enters only the constant term of B_n, through the
 accessory parameter q(E).  This one recurrence serves every regime: one
 two-sided recursion (coefficients) gives the coefficients of a
-terminating series and, as Miller's backward recursion, the minimal
-solution of an infinite one, and the continuant's zeros are the levels
-of a finite section.
+terminating series and the minimal solution of an infinite one, both
+joined where the residual is smallest and both held to one bound on
+that residual, FINITE_TOL; and the continuant's zeros are the levels of
+a finite section.
 """
 
 from __future__ import annotations
@@ -42,12 +43,7 @@ from typing import Optional
 
 import numpy as np
 
-from .exceptions import (
-    ArgumentError,
-    ConsistencyError,
-    ConvergenceError,
-    MinimalSolutionError,
-)
+from .exceptions import ArgumentError, ConsistencyError, ConvergenceError
 from .heun_core import (
     ExpansionFamily,
     FamilyGroup,
@@ -59,7 +55,7 @@ from .heun_core import (
 from .special_functions import _tilde_f_rows, jacobi, tilde_F
 
 DEFAULT_N_MAX = 500
-FINITE_TOL = 1.0e-9  # join residual of a terminating series
+FINITE_TOL = 1.0e-9  # join residual of a series at a level
 _INT_TOL = 1.0e-9
 _CONTINUANT_CAP = 2.0 ** 400
 
@@ -203,21 +199,20 @@ def finite_order(spec: PotentialSpec, fam: ExpansionFamily) -> int:
 def coefficients(spec: PotentialSpec, fam: ExpansionFamily, E: float,
                  n_max: int = DEFAULT_N_MAX, finite: Optional[bool] = None
                  ) -> tuple[np.ndarray, float]:
-    """Coefficients b_0.. (b_0 = 1) of a family's series at energy E by
-    two-sided recursion (Oliver, Numer. Math. 11, 1968), and the join
+    """Coefficients b_0..b_last (b_0 = 1) of a family's series at energy E
+    by two-sided recursion (Oliver, Numer. Math. 11, 1968), and the join
     row's energy backward error |alpha_m b_{m+1} + beta_m b_m +
     gamma_m b_{m-1}| / (|beta_slope| |b_m| max(1, |E|)).
 
-    The backward pass runs down from b_{top+1} = 0, b_top = 1 (top = N of
-    a terminating family, else n_max plus a buffer), the forward pass up
-    from b_0 = 1; only the join row m is left open.  A terminating family
-    runs both passes over every row and joins where the residual is
-    smallest.  An infinite one joins at m = 0 (Miller's algorithm), keeps
-    b_0..b_{n_max}, and raises MinimalSolutionError if its tail ratio
-    lies nearer the dominant limit 1 than the minimal one.
+    last is the truncation order N of a terminating family, else n_max.
+    The backward pass runs down from b_{top+1} = 0, b_top = 1 (top = N,
+    or n_max plus a buffer for an infinite family), the forward pass up
+    from b_0 = 1 over rows 0..last, and the two join at the row m where
+    the residual is smallest; only row m is left open.  Both kinds of
+    series follow this one rule and differ only in top.
     finite = True (False) demands a terminating (infinite) family.
     """
-    N = top = truncation_order(spec, fam)
+    N = last = top = truncation_order(spec, fam)
     if finite is not None and finite != (N is not None):
         raise ArgumentError(f"family {fam.selector} at l = {spec.l} "
                             + ("does not terminate" if finite else "terminates"))
@@ -226,11 +221,12 @@ def coefficients(spec: PotentialSpec, fam: ExpansionFamily, E: float,
         # The start index sits far enough above n_max that dominant-
         # solution contamination, which decays like k2 per step of the
         # downward recursion, is below 1e-12 at n_max.
+        last = n_max
         top = n_max + int(math.ceil(12.5 / -math.log10(spec.k.k2))) + 10
     idx = np.arange(top + 1)
     alpha, beta, gamma = tri.alpha_n(idx), tri.beta_n(idx), tri.gamma_n(idx)
     al, be, ga = alpha.tolist(), beta.tolist(), gamma.tolist()
-    back = np.zeros(top + 2)
+    back = [0.0] * (top + 2)
     back[top] = 1.0
     for n in range(top, 0, -1):
         if ga[n] == 0.0:
@@ -239,38 +235,26 @@ def coefficients(spec: PotentialSpec, fam: ExpansionFamily, E: float,
                 "infinite minimal series here")
         back[n - 1] = -(be[n] * back[n] + al[n] * back[n + 1]) / ga[n]
         if abs(back[n - 1]) > 1.0e250:
-            back[n - 1:] /= abs(back[n - 1])
-    last = 0 if N is None else N
-    fwd = np.zeros(last + 2)  # fwd[n + 1] = b_n, fwd[0] = b_{-1} = 0
+            scale = abs(back[n - 1])
+            back[n - 1:] = [x / scale for x in back[n - 1:]]
+    fwd = [0.0] * (last + 2)  # fwd[n + 1] = b_n, fwd[0] = b_{-1} = 0
     fwd[1] = 1.0
     for n in range(last):
         fwd[n + 2] = -(be[n] * fwd[n + 1] + ga[n] * fwd[n]) / al[n]
+    back, fwd = np.array(back), np.array(fwd)
     with np.errstate(divide="ignore", invalid="ignore"):
         rows = np.abs(alpha[:last + 1] * back[1:last + 2] / back[:last + 1]
                       + beta[:last + 1] + gamma[:last + 1] * fwd[:-1] / fwd[1:])
-    m = int(np.argmin(np.where(np.isnan(rows), np.inf, rows)))
-    if back[m] == 0.0:
-        raise MinimalSolutionError("normalization coefficient b_0 vanished")
-    b = back[:top + 1] / back[m] * fwd[m + 1]
+        rows[np.isnan(rows)] = np.inf
+        m = int(np.argmin(rows))
+        b = back[:last + 1] / back[m] * fwd[m + 1]
     b[:m] = fwd[1:m + 1]
-    residual = float(rows[m]) / (abs(tri.beta_slope) * max(1.0, abs(E)))
-    if N is not None:
-        return b, residual
-    b = b[:n_max + 1]
-    ratio = b[n_max] / b[n_max - 1] if b[n_max - 1] != 0.0 else math.inf
-    minimal_limit = spec.k.k2 * (1.0 + (tri_eps(spec, fam) - 2.0) / n_max)
-    if abs(ratio - 1.0) < abs(ratio - minimal_limit):
-        raise MinimalSolutionError(
-            f"tail ratio {ratio:.6g} tracks the dominant solution "
-            f"(minimal limit {minimal_limit:.6g})")
-    return b, residual
+    return b, float(rows[m]) / (abs(tri.beta_slope) * max(1.0, abs(E)))
 
 
-def solve_coeffs_finite(spec: PotentialSpec, fam: ExpansionFamily,
-                        E: float) -> np.ndarray:
-    """Coefficients b_0..b_N of a terminating series at an eigenvalue E;
-    a join residual (coefficients()) above FINITE_TOL raises ConsistencyError."""
-    b, residual = coefficients(spec, fam, E, finite=True)
+def _checked(spec: PotentialSpec, fam: ExpansionFamily, E: float,
+             finite: bool, n_max: int = DEFAULT_N_MAX) -> np.ndarray:
+    b, residual = coefficients(spec, fam, E, n_max, finite)
     if residual > FINITE_TOL:
         raise ConsistencyError(
             f"join residual {residual:.3e} at E = {E}; "
@@ -278,19 +262,19 @@ def solve_coeffs_finite(spec: PotentialSpec, fam: ExpansionFamily,
     return b
 
 
+def solve_coeffs_finite(spec: PotentialSpec, fam: ExpansionFamily,
+                        E: float) -> np.ndarray:
+    """Coefficients b_0..b_N of a terminating series at an eigenvalue E;
+    a join residual (coefficients()) above FINITE_TOL raises ConsistencyError."""
+    return _checked(spec, fam, E, finite=True)
+
+
 def solve_coeffs_infinite(spec: PotentialSpec, fam: ExpansionFamily, E: float,
-                          n_max: int = DEFAULT_N_MAX) -> tuple[np.ndarray, float]:
-    """Minimal-solution coefficients b_0..b_{n_max} (b_0 = 1) by backward
-    recursion, and the tail ratio b_{n_max} / b_{n_max - 1}, which must
-    approach k2 = 1/a (else MinimalSolutionError; see coefficients())."""
-    b, _ = coefficients(spec, fam, E, n_max, finite=False)
-    return b, float(b[n_max] / b[n_max - 1])
-
-
-def tri_eps(spec: PotentialSpec, fam: ExpansionFamily) -> float:
-    """Exponent parameter controlling the first-order tail correction."""
-    p2, _ = transformed_params(spec, fam, 0.0)
-    return p2.epsilon
+                          n_max: int = DEFAULT_N_MAX) -> np.ndarray:
+    """Coefficients b_0..b_{n_max} of an infinite series at an eigenvalue
+    E, under the same bound: a join residual above FINITE_TOL raises
+    ConsistencyError."""
+    return _checked(spec, fam, E, finite=False, n_max=n_max)
 
 
 @dataclass(frozen=True)
@@ -303,7 +287,6 @@ class SeriesSolution:
     coeffs: np.ndarray
     prefactor: Prefactor
     finite: bool
-    tail_ratio: Optional[float] = None
 
 
 def build_finite(spec: PotentialSpec, fam: ExpansionFamily,
@@ -316,10 +299,10 @@ def build_finite(spec: PotentialSpec, fam: ExpansionFamily,
 
 def build_infinite(spec: PotentialSpec, fam: ExpansionFamily, E: float,
                    n_max: int = DEFAULT_N_MAX) -> SeriesSolution:
-    coeffs, ratio = solve_coeffs_infinite(spec, fam, E, n_max=n_max)
+    coeffs = solve_coeffs_infinite(spec, fam, E, n_max=n_max)
     _, pre = transformed_params(spec, fam, E)
     return SeriesSolution(spec=spec, family=fam, E=E, coeffs=coeffs,
-                          prefactor=pre, finite=False, tail_ratio=ratio)
+                          prefactor=pre, finite=False)
 
 
 def hyper_eval_args(spec: PotentialSpec,

@@ -9,6 +9,9 @@ truncation order.  A non-terminating power family's section levels
 converge to its levels (Ikebe, Asai, Miyazaki & Cai, Linear Algebra
 Appl. 241-243, 1996), so N doubles until they stop moving.  A
 non-terminating two-sided family has no minimal solution: rejected.
+Both kinds of family return the series solutions at their levels,
+built by series_engine under one join-residual bound; an infinite
+family's coefficients run to the settled section order N.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from scipy.optimize import brentq
 from .exceptions import ArgumentError, ConvergenceError, DomainError, NoRootError
 from .heun_core import ExpansionFamily, FamilyGroup, PotentialSpec, default_window
 from .series_engine import (Recurrence, SeriesSolution, build_finite,
-                            coefficients, finite_order, recurrence,
+                            build_infinite, finite_order, recurrence,
                             truncation_order)
 
 SECTION_SHIFT_TOL = 1.0e-11
@@ -162,17 +165,22 @@ def _companion_real_roots(tri: Recurrence, N: int,
 
 def infinite_levels(spec: PotentialSpec, fam: ExpansionFamily,
                     count: Optional[int],
-                    window: Optional[tuple[float, float]] = None) -> list[float]:
-    """Levels of a non-terminating family inside the window: of the
-    lowest count (all, if None).  The default window, default_window(spec),
-    starts below the potential's minimum, so no level lies below it.
+                    window: Optional[tuple[float, float]] = None
+                    ) -> list[SeriesSolution]:
+    """Series solutions at the levels of a non-terminating family inside
+    the window: of the lowest count (all, if None), ascending.  The
+    default window, default_window(spec), starts below the potential's
+    minimum, so no level lies below it.
 
     N starts at ceil(30 / -log10 k2), where the minimal solution has
     decayed by 1e-30, and doubles until the levels move by less than
-    SECTION_SHIFT_TOL * max(1, |E|); each must then pass _reject_pole.
-    An order past the cap (DENSE_MAX_ORDER for a section without the
-    sign condition) raises ConvergenceError.  Two-sided families raise
-    DomainError before any recursion.
+    SECTION_SHIFT_TOL * max(1, |E|).  Each level's solution is then
+    built with coefficients b_0..b_N of the settled order, which is the
+    level check: a join residual above FINITE_TOL raises
+    ConsistencyError, as for a terminating family.  An order past the
+    cap (DENSE_MAX_ORDER for a section without the sign condition)
+    raises ConvergenceError.  Two-sided families raise DomainError
+    before any recursion.
     """
     if truncation_order(spec, fam) is not None:
         raise ArgumentError(
@@ -201,9 +209,7 @@ def infinite_levels(spec: PotentialSpec, fam: ExpansionFamily,
         shift = math.inf if len(levels) != len(old) else max(
             [abs(a - b) / max(1.0, abs(a)) for a, b in zip(levels, old)],
             default=0.0)
-    for E in levels:
-        _reject_pole(tri, spec, fam, E, max(200, N))
-    return levels
+    return [build_infinite(spec, fam, E, n_max=N) for E in levels]
 
 
 def infinite_energy(spec: PotentialSpec, fam: ExpansionFamily,
@@ -215,7 +221,7 @@ def infinite_energy(spec: PotentialSpec, fam: ExpansionFamily,
         lo, hi = bracket or default_window(spec)
         raise NoRootError(
             f"no level of family {fam.selector} in [{lo:.6g}, {hi:.6g}]")
-    return levels[0]
+    return levels[0].E
 
 
 def _cf_value(spec: PotentialSpec, fam: ExpansionFamily, E, depth: int):
@@ -236,21 +242,6 @@ def _cf_value(spec: PotentialSpec, fam: ExpansionFamily, E, depth: int):
             f = np.where(f == 0.0, 1.0e-300, f)
         f = beta[n] - ag[n] / f
     return f
-
-
-def _reject_pole(tri: Recurrence, spec: PotentialSpec, fam: ExpansionFamily,
-                 E: float, n_max: int) -> None:
-    """Accept a level only where the minimal solution from the backward
-    recursion to n_max meets row 0 to 1e-6 max(|beta_0|, |alpha_0|, 1): the
-    join residual of coefficients() times |beta_slope| max(1, |E|)."""
-    _, residual = coefficients(spec, fam, E, n_max)
-    row0 = residual * abs(tri.beta_slope) * max(1.0, abs(E))
-    scale = max(abs(tri.beta_n(0) + tri.beta_slope * E), abs(tri.alpha_n(0)),
-                1.0)
-    if row0 > 1.0e-6 * scale:
-        raise NoRootError(
-            f"E = {E:.12g} fails the minimal-solution row test "
-            f"(row residual {row0:.3e})")
 
 
 def symmetry_partner(spec: PotentialSpec) -> PotentialSpec:

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .exceptions import ArgumentError
+from .exceptions import ArgumentError, NoRootError
 from .heun_core import (
     ExpansionFamily,
     FamilyGroup,
@@ -26,11 +26,10 @@ from .heun_core import (
 from .series_engine import (
     SeriesSolution,
     build_infinite,
-    coefficients,
     evaluate_grid,
     truncation_order,
 )
-from .spectrum import finite_spectrum, infinite_energy, symmetry_partner
+from .spectrum import finite_spectrum, infinite_levels, symmetry_partner
 from .special_functions import complete_K
 
 DEFAULT_GRID = 128
@@ -194,35 +193,17 @@ def _infinite_record(spec: PotentialSpec) -> Optional[EquivalenceRecord]:
     fam1 = ExpansionFamily(FamilyGroup.POWER, 1)
     if truncation_order(spec, fam5) is not None:
         return None
-    E = infinite_energy(spec, fam5)
-    sol5 = build_infinite(spec, fam5, E)
-    sol1 = build_infinite(spec, fam1, E)
+    levels = infinite_levels(spec, fam5, 1)
+    if not levels:
+        raise NoRootError(f"no level of family {fam5.selector} in the "
+                          "default window")
+    sol5 = levels[0]
+    sol1 = build_infinite(spec, fam1, sol5.E, n_max=len(sol5.coeffs) - 1)
     us = residual_grid(spec, n_grid=COMPARE_POINTS, margin=0.05)
     f5 = _normalized(evaluate_grid(sol5, us))
     f1 = _normalized(evaluate_grid(sol1, us))
     dev = float(np.max(np.abs(f5 - f1)))
     return EquivalenceRecord(
         name=f"{spec.kind.value} ring1 vs ring5 infinite (l={spec.l:g}, "
-             f"E={E:.12g})",
+             f"E={sol5.E:.12g})",
         max_dev=dev)
-
-
-def partner_coefficient_record(spec: PotentialSpec,
-                               fam: ExpansionFamily,
-                               E: float, n_terms: int = 40) -> EquivalenceRecord:
-    """Termwise identity check: coefficients of (fam, l) at E match the
-    partner family at l -> -l-5 with the same E, term by term."""
-    table = (_POWER_PARTNER if fam.group is FamilyGroup.POWER
-             else _HYPER_PARTNER)
-    fam_b = ExpansionFamily(fam.group, table[spec.kind][fam.index])
-    partner = symmetry_partner(spec)
-    ca, _ = coefficients(spec, fam, E, n_terms)
-    cb, _ = coefficients(partner, fam_b, E, n_terms)
-    n = min(len(ca), len(cb))
-    scale = np.maximum(np.abs(ca[:n]), 1.0e-300)
-    dev = float(np.max(np.abs(ca[:n] - cb[:n]) / scale))
-    return EquivalenceRecord(
-        name=f"coefficients {fam.selector}(l={spec.l:g}) vs "
-             f"{fam_b.selector}(l={partner.l:g})",
-        max_dev=dev)
-

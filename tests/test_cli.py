@@ -12,6 +12,8 @@ import pytest
 
 import heunspec.cli
 from heunspec.cli import main
+from heunspec.heun_core import PotentialKind, PotentialSpec
+from heunspec.shooting import shooting_match_table
 
 RING5_V1_L2_E = [-9.316624790355399849115, -2.683375209644600150885]
 CF_L3_E0 = 2.428437037356383979258
@@ -104,14 +106,58 @@ def test_spectrum_large_half_odd_l(capsys):
 
 
 def test_spectrum_infinite_top_level_passes_row_test(capsys):
-    # the minimal solution's row 0 at the top level E = 49.244 is 1.0e-6
-    # in energy units, inside the row test's bound relative to beta_0
+    # the top level E = 49.244, whose minimal solution closes row 0 only
+    # to 1.0e-6 in energy units, passes the join-residual bound
     code, out, err = run_cli(capsys, "spectrum", "--potential", "v1",
                              "--l", "1.2", "--k2", "0.05", "--family", "ring5")
     assert code == 0 and err == ""
     assert json.loads(out)["energies"] == pytest.approx(
         [-9.030080726218822, 2.490148463490359, 21.959540179312114,
          49.24408103847374], rel=1e-10)
+
+
+def assert_oracle_levels(kind, l, k2, energies):
+    # every level is a root of the shooting oracle, which integrates the
+    # ODE and never calls series code; all families here are even
+    spec = PotentialSpec.from_k2(PotentialKind(kind), l, k2)
+    roots = shooting_match_table(spec, "even", energies)
+    assert None not in roots
+    assert roots == pytest.approx(energies, abs=1e-8)
+
+
+@pytest.mark.parametrize("kind, l", [
+    ("v1", 8.5),     # ground state once failed row 0 by 2.4e-3
+    ("v2", 12.6),    # row 0 off by 71; 500 coefficients miss the tail
+])
+def test_eigenfunction_infinite_ground_level_at_large_l(capsys, kind, l):
+    code, out, err = run_cli(capsys, "eigenfunction", "--potential", kind,
+                             "--l", str(l), "--k2", "0.9", "--family",
+                             "ring1", "--index", "0", "--format", "json")
+    assert code == 0 and err == ""
+    assert_oracle_levels(kind, l, 0.9, [json.loads(out)["energy"]])
+
+
+def test_spectrum_infinite_top_level_at_moderate_k2(capsys):
+    # the top level 86.4298 once failed row 0 by 8.3e-5
+    code, out, err = run_cli(capsys, "spectrum", "--potential", "v1",
+                             "--l", "2.3", "--k2", "0.5", "--family", "ring5",
+                             "--max-energies", "6")
+    assert code == 0 and err == ""
+    energies = json.loads(out)["energies"]
+    assert len(energies) == 6
+    assert energies[-1] == pytest.approx(86.4298025526, abs=1e-8)
+    assert_oracle_levels("v1", 2.3, 0.5, energies)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_eigenfunction_infinite_is_warning_clean(capsys):
+    # half of 501 minimal-solution coefficients underflowed to 0 here,
+    # and a tail ratio divided 0 by 0
+    code, out, err = run_cli(capsys, "eigenfunction", "--potential", "v1",
+                             "--l", "-3", "--k2", "0.05", "--family", "ring5",
+                             "--index", "0")
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == 257
 
 
 def test_spectrum_two_sided_non_terminating_is_domain_error(capsys):

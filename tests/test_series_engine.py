@@ -1,21 +1,17 @@
-"""Recurrence triples, truncation, Miller recursion, and evaluation."""
+"""Recurrence triples, truncation, two-sided recursion, and evaluation."""
 
 import math
 
 import numpy as np
 import pytest
 
-from heunspec.exceptions import (
-    ArgumentError,
-    ConsistencyError,
-    ConvergenceError,
-    MinimalSolutionError,
-)
+from heunspec.exceptions import ArgumentError, ConsistencyError, ConvergenceError
 from heunspec.heun_core import (
     ExpansionFamily,
     FamilyGroup,
     PotentialKind,
     PotentialSpec,
+    transformed_params,
 )
 from heunspec.cli import EQUIV_TOL
 from heunspec.series_engine import (
@@ -32,7 +28,6 @@ from heunspec.series_engine import (
     solve_coeffs_finite,
     solve_coeffs_infinite,
     truncation_order,
-    tri_eps,
 )
 from heunspec.special_functions import complete_K, jacobi
 from heunspec.spectrum import finite_spectrum, symmetry_partner
@@ -238,7 +233,7 @@ def test_two_sided_coefficients_at_large_l(kind, sel, l, k2):
 
 def test_backward_recursion_reference_coefficients():
     spec = vspec(-3.0)
-    b, ratio = solve_coeffs_infinite(spec, fam("ring5"), CF_L3_E0, n_max=60)
+    b = solve_coeffs_infinite(spec, fam("ring5"), CF_L3_E0, n_max=60)
     assert b[0] == 1.0
     for n, ref in CF_L3_COEFFS.items():
         assert b[n] == pytest.approx(ref, rel=1e-11)
@@ -246,15 +241,16 @@ def test_backward_recursion_reference_coefficients():
 
 def test_backward_recursion_depth_stability():
     spec = vspec(-3.0)
-    b60, _ = solve_coeffs_infinite(spec, fam("ring5"), CF_L3_E0, n_max=60)
-    b120, _ = solve_coeffs_infinite(spec, fam("ring5"), CF_L3_E0, n_max=120)
+    b60 = solve_coeffs_infinite(spec, fam("ring5"), CF_L3_E0, n_max=60)
+    b120 = solve_coeffs_infinite(spec, fam("ring5"), CF_L3_E0, n_max=120)
     assert b60[50] == pytest.approx(b120[50], rel=1e-12)
 
 
 def test_backward_recursion_tail_ratio():
     spec = vspec(-3.0)
-    _, ratio = solve_coeffs_infinite(spec, fam("ring5"), CF_L3_E0, n_max=200)
-    eps = tri_eps(spec, fam("ring5"))
+    b = solve_coeffs_infinite(spec, fam("ring5"), CF_L3_E0, n_max=200)
+    ratio = b[200] / b[199]
+    eps = transformed_params(spec, fam("ring5"), 0.0)[0].epsilon
     # first-order large-n model of the recessive growth ratio
     model = 0.5 * (1.0 + (eps - 2.0) / 200.0)
     assert ratio == pytest.approx(model, abs=1e-3)
@@ -266,12 +262,27 @@ def test_backward_recursion_rejects_terminating_family():
 
 
 def test_backward_recursion_detects_dominant_tail():
-    # far from the asymptotic regime the measured ratio tracks the
-    # dominant branch and the solver must refuse
+    # 2.42843... is a level at k2 = 0.5 but none at k2 = 0.9, whose
+    # lowest levels are 0.906, 5.300 and 12.715: no join of the minimal
+    # and the forward solution closes a row (residual 1.11), so the
+    # solver must refuse however few coefficients it keeps
     spec = PotentialSpec.from_k2(PotentialKind.V1, -3.0, 0.9)
-    with pytest.raises(MinimalSolutionError):
-        solve_coeffs_infinite(spec, fam("ring5"), 2.4284370373563840,
-                              n_max=3)
+    for n_max in (3, 500):
+        _, residual = coefficients(spec, fam("ring5"), 2.4284370373563840,
+                                   n_max)
+        assert residual == pytest.approx(1.11, abs=0.01)
+        with pytest.raises(ConsistencyError, match="join residual"):
+            solve_coeffs_infinite(spec, fam("ring5"), 2.4284370373563840,
+                                  n_max=n_max)
+
+
+def test_nan_energy_fails_the_join_bound():
+    # every row is NaN: the join residual counts as infinite, for both
+    # kinds of series, instead of slipping past the bound as NaN
+    with pytest.raises(ConsistencyError, match="join residual inf"):
+        solve_coeffs_finite(vspec(2.0), fam("ring5"), math.nan)
+    with pytest.raises(ConsistencyError, match="join residual inf"):
+        solve_coeffs_infinite(vspec(-3.0), fam("ring5"), math.nan)
 
 
 def test_one_term_even_solution_is_elementary():

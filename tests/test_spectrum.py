@@ -6,15 +6,18 @@ import math
 import numpy as np
 import pytest
 
-from heunspec.exceptions import ConvergenceError, DomainError, NoRootError
+from heunspec.exceptions import (ConsistencyError, ConvergenceError,
+                                 DomainError, NoRootError)
 from heunspec.heun_core import (
     ExpansionFamily,
     FamilyGroup,
     PotentialKind,
     PotentialSpec,
 )
-from heunspec.series_engine import recurrence, truncation_order
-from heunspec.shooting import shooting_spectrum
+from heunspec.series_engine import (recurrence, solve_coeffs_infinite,
+                                    truncation_order)
+from heunspec.cli import RESIDUAL_TOL
+from heunspec.shooting import shooting_match_table, shooting_spectrum
 from heunspec.spectrum import (
     arscott_check,
     characteristic_det,
@@ -24,9 +27,9 @@ from heunspec.spectrum import (
     infinite_levels,
     symmetry_partner,
     _cf_value,
-    _reject_pole,
     _section_levels,
 )
+from heunspec.verify import ode_residual
 
 RING5_V1_L2_E = [-9.316624790355399849115, -2.683375209644600150885]
 RING7_V2_L3_E = [-17.28232998312526813906, -3.717670016874731860935]
@@ -167,7 +170,7 @@ def test_characteristic_det_keeps_sign_at_large_order():
     # unscaled, D_N overflows near N = 90; scaled by powers of two it
     # stays finite and changes sign across each level
     spec, f = vspec(-3.0), fam("ring5")
-    E = np.array([[e - 1e-4, e + 1e-4] for e in infinite_levels(spec, f, 3)])
+    E = np.array([[s.E - 1e-4, s.E + 1e-4] for s in infinite_levels(spec, f, 3)])
     vals = characteristic_det(spec, f, E, N=400)
     assert np.all(np.isfinite(vals))
     assert np.all(vals[:, 0] * vals[:, 1] < 0.0)
@@ -215,14 +218,13 @@ def test_continued_fraction_rejects_pole():
 
 
 def test_minimal_solution_row_test_rejects_detuned_level():
-    # the minimal solution closes row 0 at the level and not at the level
-    # detuned by 1e-6 relative
-    tri = recurrence(vspec(-3.0), fam("ring5"), 0.0)
-    _reject_pole(tri, vspec(-3.0), fam("ring5"), CF_L3_E0, 200)
+    # the two-sided recursion closes its join row at the level and not
+    # at the level detuned by 1e-6 relative
+    solve_coeffs_infinite(vspec(-3.0), fam("ring5"), CF_L3_E0, n_max=200)
     for sign in (1.0, -1.0):
-        with pytest.raises(NoRootError, match="row residual"):
-            _reject_pole(tri, vspec(-3.0), fam("ring5"),
-                         CF_L3_E0 * (1.0 + sign * 1e-6), 200)
+        with pytest.raises(ConsistencyError, match="join residual"):
+            solve_coeffs_infinite(vspec(-3.0), fam("ring5"),
+                                  CF_L3_E0 * (1.0 + sign * 1e-6), n_max=200)
 
 
 def test_continued_fraction_array_matches_scalar_calls():
@@ -257,17 +259,30 @@ def _oracle_even(spec):
     (wspec(-3.0, 0.95), 8),    # k2 near 1: N0 = 1347
 ])
 def test_infinite_levels_match_shooting_oracle(spec, count):
-    levels = infinite_levels(spec, fam("ring5"), 8)
+    levels = [s.E for s in infinite_levels(spec, fam("ring5"), 8)]
     oracle = _oracle_even(spec)
     assert len(levels) == count
     assert levels == pytest.approx(oracle[:count], abs=1e-8)
+
+
+def test_infinite_levels_upper_solutions_solve_the_ode():
+    # dense section (the sign condition fails at l = 2.3); the upper
+    # levels' solutions once missed the residual bound (level 6: 8e-7)
+    spec = vspec(2.3, 0.9)
+    sols = infinite_levels(spec, fam("ring5"), 8)
+    assert len(sols) == 8
+    assert sols[-1].E == pytest.approx(84.8664, abs=1e-4)
+    assert ode_residual(sols[6]).max_rel_residual < RESIDUAL_TOL
+    levels = [s.E for s in sols]
+    assert shooting_match_table(spec, "even", levels) == pytest.approx(
+        levels, abs=1e-8)
 
 
 def test_infinite_levels_near_k2_one():
     # N0 = 69,046: the bisection solve of a very large section; the
     # oracle gives 0.164016 and 1.323637
     spec = vspec(-3.0, 0.999)
-    levels = infinite_levels(spec, fam("ring5"), 2)
+    levels = [s.E for s in infinite_levels(spec, fam("ring5"), 2)]
     oracle = shooting_spectrum(spec, "even", window=(0.0, 2.0)).energies
     assert len(oracle) == 2
     assert levels == pytest.approx(oracle, abs=1e-8)

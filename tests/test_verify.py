@@ -9,8 +9,9 @@ import pytest
 
 import heunspec.shooting
 from heunspec.exceptions import ArgumentError, ConvergenceError
-from heunspec.heun_core import ExpansionFamily, PotentialKind
-from heunspec.spectrum import finite_spectrum
+from heunspec.heun_core import ExpansionFamily, FamilyGroup, PotentialKind
+from heunspec.series_engine import coefficients
+from heunspec.spectrum import finite_spectrum, symmetry_partner
 from heunspec.shooting import (
     MONODROMY_TOL,
     _illinois_batch,
@@ -24,9 +25,11 @@ from heunspec.shooting import (
     shooting_spectrum,
 )
 from heunspec.verify import (
+    _HYPER_PARTNER,
+    _POWER_PARTNER,
+    EquivalenceRecord,
     equivalence_suite,
     ode_residual,
-    partner_coefficient_record,
     residual_grid,
 )
 
@@ -258,6 +261,24 @@ def test_equivalence_suite_half_odd():
     assert all(r.max_dev < 1e-12 for r in records)
     names = " ".join(r.name for r in records)
     assert "bar5(l=-1.5) vs bar3(l=-3.5)" in names
+
+
+def partner_coefficient_record(spec, fam, E, n_terms=40):
+    """Termwise identity check: coefficients of (fam, l) at E match the
+    partner family at l -> -l-5 with the same E, term by term."""
+    table = (_POWER_PARTNER if fam.group is FamilyGroup.POWER
+             else _HYPER_PARTNER)
+    fam_b = ExpansionFamily(fam.group, table[spec.kind][fam.index])
+    partner = symmetry_partner(spec)
+    ca, _ = coefficients(spec, fam, E, n_terms)
+    cb, _ = coefficients(partner, fam_b, E, n_terms)
+    n = min(len(ca), len(cb))
+    scale = np.maximum(np.abs(ca[:n]), 1.0e-300)
+    dev = float(np.max(np.abs(ca[:n] - cb[:n]) / scale))
+    return EquivalenceRecord(
+        name=f"coefficients {fam.selector}(l={spec.l:g}) vs "
+             f"{fam_b.selector}(l={partner.l:g})",
+        max_dev=dev)
 
 
 def test_partner_coefficients_match_termwise():
