@@ -221,6 +221,9 @@ def _parity_for(spec: PotentialSpec, fam: ExpansionFamily) -> str:
 
 def cmd_verify(args) -> int:
     spec = _spec_from_args(args)
+    override = args.energy_override
+    if override is not None and not math.isfinite(override):
+        raise DomainError(f"--energy-override must be finite, got {override}")
     if args.family:  # verify checks terminating families
         families = [ExpansionFamily.from_selector(args.family)]
         finite_order(spec, families[0])

@@ -105,9 +105,6 @@ class Prefactor:
     def shifted(self, d_sn: float, d_cn: float, d_dn: float) -> "Prefactor":
         return Prefactor(self.p_sn + d_sn, self.p_cn + d_cn, self.p_dn + d_dn)
 
-    def value(self, u: float, k2: float) -> float:
-        return self.at(*jacobi(u, k2))
-
     def at(self, sn, cn, dn):
         """The factor at given sn, cn and dn, floats or arrays."""
         return (_real_pow(sn, self.p_sn)
@@ -132,23 +129,34 @@ def _real_pow(base, p: float):
     return np.float_power(base, p)
 
 
-def potential_value(spec: PotentialSpec, u: float) -> float:
-    """The potential at position u.
+def potential_from_squares(kind: PotentialKind, k2: float, L: float,
+                           sn2, cn2, dn2):
+    """The potential of coupling L from sn^2, cn^2 and dn^2.
+
+    V1 = (1 - k2) (2/cn^2 - L/dn^2) and V2 = 2/sn^2 - (1 - k2) L/dn^2.
+    The squares may be floats or arrays, real or complex: the x-form of
+    the equation passes sn^2 = x, cn^2 = 1 - x and dn^2 = 1 - k2 x.
+    """
+    if kind is PotentialKind.V1:
+        return (1.0 - k2) * (2.0 / cn2 - L / dn2)
+    return 2.0 / sn2 - (1.0 - k2) * L / dn2
+
+
+def potential_value(spec: PotentialSpec, u):
+    """The potential at a position u or on an array of positions.
 
     The first well lives on (-K, K) with walls at u = +-K; the second
-    lives on (0, 2K) with walls at u = 0 and u = 2K.  Evaluation at a
-    wall raises SingularPointError.
+    lives on (0, 2K) with walls at u = 0 and u = 2K.  A point at a wall
+    raises SingularPointError.
     """
     k2 = spec.k.k2
-    L = spec.coupling
     sn, cn, dn = jacobi(u, k2)
-    if spec.kind is PotentialKind.V1:
-        if abs(cn) < _POLE_TOL:
-            raise SingularPointError(f"potential wall at u = {u}")
-        return (1.0 - k2) * (2.0 / (cn * cn) - L / (dn * dn))
-    if abs(sn) < _POLE_TOL:
-        raise SingularPointError(f"potential wall at u = {u}")
-    return 2.0 / (sn * sn) - (1.0 - k2) * L / (dn * dn)
+    wall = np.abs(cn if spec.kind is PotentialKind.V1 else sn) < _POLE_TOL
+    if wall.any():
+        at = np.asarray(u, dtype=float)[wall].flat[0]
+        raise SingularPointError(f"potential wall at u = {at}")
+    return potential_from_squares(spec.kind, k2, spec.coupling,
+                                  sn * sn, cn * cn, dn * dn)
 
 
 def darboux_params(spec: PotentialSpec, E: float) -> HeunParams:

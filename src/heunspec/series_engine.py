@@ -43,7 +43,8 @@ from typing import Optional
 
 import numpy as np
 
-from .exceptions import ArgumentError, ConsistencyError, ConvergenceError
+from .exceptions import (ArgumentError, ConsistencyError, ConvergenceError,
+                         DomainError)
 from .heun_core import (
     ExpansionFamily,
     FamilyGroup,
@@ -55,6 +56,7 @@ from .heun_core import (
 from .special_functions import _tilde_f_rows, jacobi, tilde_F
 
 DEFAULT_N_MAX = 500
+SECTION_MAX_ORDER = 1 << 20  # largest section order, of either kind of family
 FINITE_TOL = 1.0e-9  # join residual of a series at a level
 _INT_TOL = 1.0e-9
 _CONTINUANT_CAP = 2.0 ** 400
@@ -173,7 +175,8 @@ def truncation_order(spec: PotentialSpec, fam: ExpansionFamily) -> Optional[int]
     1 <= n <= N, which happens exactly when the smallest integer root of
     gamma is at least 1.  Roots are classified as integers with a 1e-9
     tolerance so that l values entered in decimal notation behave like
-    their exact rational counterparts.
+    their exact rational counterparts.  An order past SECTION_MAX_ORDER
+    raises DomainError before anything of that size is built.
     """
     roots = _gamma_roots(spec, fam)
     best = None
@@ -184,6 +187,10 @@ def truncation_order(spec: PotentialSpec, fam: ExpansionFamily) -> Optional[int]
                 best = int(m)
     if best is None:
         return None
+    if best - 1 > SECTION_MAX_ORDER:
+        raise DomainError(
+            f"family {fam.selector} terminates at order N = {best - 1} at "
+            f"l = {spec.l}; N passes cap {SECTION_MAX_ORDER}")
     return best - 1
 
 
@@ -328,18 +335,19 @@ def hyper_eval_args(spec: PotentialSpec,
 def evaluate_grid(sol: SeriesSolution, us) -> np.ndarray:
     """Values of a series solution on a grid of positions.
 
-    Matches evaluate() pointwise up to rounding.  The prefactor and a
-    power series (by the same _power_sum as evaluate()) are evaluated
-    over the whole grid at once.  The hypergeometric kernels of all
-    nonzero coefficients, at every z up to and including 1, are summed
-    together by _tilde_f_rows, one row per coefficient; the terms
-    b_n z^n 2F1-tilde(n) are then added in ascending n.
+    Matches evaluate() pointwise up to rounding.  sn, cn and dn (one
+    jacobi call), the prefactor and a power series (by the same
+    _power_sum as evaluate()) are evaluated over the whole grid at
+    once.  The hypergeometric kernels of all nonzero coefficients, at
+    every z up to and including 1, are summed together by _tilde_f_rows,
+    one row per coefficient; the terms b_n z^n 2F1-tilde(n) are then
+    added in ascending n.
     """
     us = np.asarray(us, dtype=float)
     spec = sol.spec
     fam = sol.family
     k2 = spec.k.k2
-    sn, cn, dn = np.array([jacobi(u, k2) for u in us]).reshape(-1, 3).T
+    sn, cn, dn = jacobi(us, k2)
     if fam.group is FamilyGroup.POWER:
         total = _power_sum(sol, sn * sn, k2)
     else:
@@ -361,8 +369,8 @@ def evaluate(sol: SeriesSolution, u: float) -> float:
     spec = sol.spec
     fam = sol.family
     k2 = spec.k.k2
-    sn, cn, _ = jacobi(u, k2)
-    pre = sol.prefactor.value(u, k2)
+    sn, cn, dn = jacobi(u, k2)
+    pre = sol.prefactor.at(sn, cn, dn)
     if fam.group is FamilyGroup.POWER:
         x = sn * sn
         total = _power_sum(sol, x, k2)

@@ -28,10 +28,15 @@ energies by one of three conditions:
   general not eigenvalues of either parity class above.
 
 Many trial energies integrate together as one stacked first-order
-system, which keeps the scan and root-refinement passes cheap.  Every
-root, of either matching function or of the monodromy projection, is
-refined from a sign-change bracket by one Illinois regula falsi
-(_illinois_batch) to ROOT_XTOL * max(1, |E|).
+system, which keeps the scan and root-refinement passes cheap.  The
+system carries sn, cn and dn as three more components (sn' = cn dn,
+cn' = -sn dn, dn' = -k2 sn cn), started from one jacobi call per
+integration, so its right-hand side evaluates no elliptic function.
+Both forms of the potential, in u and in x, come from
+heun_core.potential_from_squares.  Every root, of either matching
+function or of the monodromy projection, is refined from a sign-change
+bracket by one Illinois regula falsi (_illinois_batch) to
+ROOT_XTOL * max(1, |E|).
 """
 
 from __future__ import annotations
@@ -44,7 +49,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .exceptions import ArgumentError, ConvergenceError
-from .heun_core import PotentialKind, PotentialSpec, default_window
+from .heun_core import (PotentialKind, PotentialSpec, default_window,
+                        potential_from_squares)
 from .special_functions import complete_K, jacobi
 
 RTOL = 1.0e-11
@@ -93,28 +99,31 @@ def _wall_start(kind: PotentialKind, k2: float, L: float,
 def _advance(kind: PotentialKind, k2: float, L: float, E: np.ndarray,
              u0: float, u1: float, psi0: np.ndarray,
              dpsi0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate the stacked system from u0 to u1."""
+    """Integrate the stacked system from u0 to u1.
+
+    sn, cn and dn ride along as the last three components of the state,
+    started from one jacobi(u0, k2) and moved by sn' = cn dn,
+    cn' = -sn dn, dn' = -k2 sn cn (DLMF 22.13.1-3), so the right-hand
+    side evaluates no elliptic function.
+    """
     m = len(E)
-    one_m_k2 = 1.0 - k2
 
     def rhs(u, y):
-        sn, cn, dn = jacobi(u, k2)
-        if kind is PotentialKind.V1:
-            V = one_m_k2 * (2.0 / (cn * cn) - L / (dn * dn))
-        else:
-            V = 2.0 / (sn * sn) - one_m_k2 * L / (dn * dn)
-        out = np.empty(2 * m)
-        out[:m] = y[m:]
-        out[m:] = (V - E) * y[:m]
+        sn, cn, dn = y[2 * m:].tolist()
+        V = potential_from_squares(kind, k2, L, sn * sn, cn * cn, dn * dn)
+        out = np.empty(2 * m + 3)
+        out[:m] = y[m:2 * m]
+        out[m:2 * m] = (V - E) * y[:m]
+        out[2 * m:] = cn * dn, -sn * dn, -k2 * sn * cn
         return out
 
-    y0 = np.concatenate((psi0, dpsi0))
+    y0 = np.concatenate((psi0, dpsi0, jacobi(u0, k2)))
     res = solve_ivp(rhs, (u0, u1), y0, method="DOP853",
                     rtol=RTOL, atol=ATOL, dense_output=False)
     if not res.success:
         raise ArgumentError(f"integration failed: {res.message}")
     y = res.y[:, -1]
-    return y[:m], y[m:]
+    return y[:m], y[m:2 * m]
 
 
 def matching_values(spec: PotentialSpec, parity: str,
@@ -266,7 +275,6 @@ def monodromy_defect(spec: PotentialSpec,
     L = spec.coupling
     a = spec.k.a
     rho = 0.5 * (a - 1.0)
-    one_m_k2 = 1.0 - k2
     EE = np.concatenate((E, E))
 
     def rhs(theta, y):
@@ -275,10 +283,7 @@ def monodromy_defect(spec: PotentialSpec,
         s = 1.0 - k2 * x
         P = 4.0 * x * (1.0 - x) * s
         half_dP = 2.0 * ((1.0 - 2.0 * x) * s - k2 * x * (1.0 - x))
-        if spec.kind is PotentialKind.V1:
-            V = one_m_k2 * (2.0 / (1.0 - x) - L / s)
-        else:
-            V = 2.0 / x - one_m_k2 * L / s
+        V = potential_from_squares(spec.kind, k2, L, x, 1.0 - x, s)
         psi = y[:2 * m]
         dpsi = y[2 * m:]
         ddpsi = (rho * rho * (V - EE) * psi - rho * half_dP * dpsi) / P

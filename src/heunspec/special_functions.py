@@ -1,11 +1,12 @@
 """Elliptic and hypergeometric building blocks.
 
 Contains the complete elliptic integral K, the Jacobi functions sn, cn,
-dn via the arithmetic-geometric mean and a descending Landen ladder, a
-Lanczos gamma function, and the Gauss hypergeometric series 2F1 with its
-regularized variant, at one point in plain floats (tilde_F) or as numpy
-rows on a grid (_tilde_f_rows).  All are deterministic; no module state
-other than a cache of Landen ladders.
+dn via the arithmetic-geometric mean and a descending Landen ladder (one
+numpy implementation, jacobi, for a point or a grid), a Lanczos gamma
+function, and the Gauss hypergeometric series 2F1 with its regularized
+variant, at one point in plain floats (tilde_F) or as numpy rows on a
+grid (_tilde_f_rows).  All are deterministic; no module state other than
+a cache of Landen ladders.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ _EPS = 2.220446049250313e-16
 
 
 class JacobiTriple(NamedTuple):
+    """sn, cn, dn: floats for a float argument, else arrays of its shape."""
+
     sn: float
     cn: float
     dn: float
@@ -54,6 +57,8 @@ class EllipticModulus:
     def from_k2(cls, k2: float) -> "EllipticModulus":
         if not (0.0 < k2 < 1.0):
             raise DomainError(f"k2 must lie strictly inside (0, 1), got {k2}")
+        if not math.isfinite(1.0 / k2):
+            raise DomainError(f"k2 = {k2} is so small that 1/k2 overflows")
         return cls(k2=float(k2), k=math.sqrt(k2), a=1.0 / float(k2))
 
 
@@ -99,79 +104,67 @@ def complete_K(k2: float) -> float:
     return _landen_ladder(float(k2)).K
 
 
-def _jacobi_core(v: float, k2: float, ladder: _Ladder) -> JacobiTriple:
-    """sn, cn, dn for v in [0, K/2] (no argument folding)."""
-    if v < TAYLOR_CUTOFF:
-        v2 = v * v
-        sn = v * (1.0 - (1.0 + k2) * v2 / 6.0
-                  + (1.0 + 14.0 * k2 + k2 * k2) * v2 * v2 / 120.0)
-        cn = 1.0 - v2 / 2.0 + (1.0 + 4.0 * k2) * v2 * v2 / 24.0
-        dn = 1.0 - k2 * v2 / 2.0 + k2 * (4.0 + k2) * v2 * v2 / 24.0
-        return JacobiTriple(sn, cn, dn)
-    ratios = ladder.ratios
-    phi = math.ldexp(ladder.a_top * v, len(ratios))
-    phi_prev = phi
-    for ratio in ratios:
-        s = ratio * math.sin(phi)
-        if s > 1.0:
-            s = 1.0
-        elif s < -1.0:
-            s = -1.0
-        phi_prev = phi
-        phi = 0.5 * (phi + math.asin(s))
-    sn = math.sin(phi)
-    cn = math.cos(phi)
-    if not ratios:
-        dn = math.sqrt(1.0 - k2 * sn * sn)
-    else:
-        dn = cn / math.cos(phi_prev - phi)
-    return JacobiTriple(sn, cn, dn)
+def jacobi(u, k2: float) -> JacobiTriple:
+    """Jacobi elliptic sn, cn, dn at real u for parameter k2.
 
-
-def jacobi(u: float, k2: float) -> JacobiTriple:
-    """Jacobi elliptic sn, cn, dn at real argument u for parameter k2.
-
-    Arguments are folded into [0, K] using the exact quarter-period
-    symmetries before evaluation, so parity and periodicity hold to
-    machine precision.  Requires 0 < k2 < 1.
+    u is a float or an array; a float gives floats.  Every point is
+    folded onto [0, K/2] by the exact symmetries: the sign of u, the
+    2K period (sn and cn change sign, dn does not), the reflection
+    about K, and past K/2 the complementary point K - v (sn = ct/dt,
+    cn = k' st/dt, dn = k'/dt, DLMF 22.6.1), which keeps cn relatively
+    accurate near its zero at K.  Below TAYLOR_CUTOFF a Taylor series
+    is used, else one descent down the Landen ladder of the AGM (DLMF
+    22.20), all points at once; each point gets, bit for bit, what it
+    gets alone.  Requires 0 < k2 < 1 and finite u.
     """
     if not (0.0 < k2 < 1.0):
         raise DomainError(f"k2 must lie strictly inside (0, 1), got {k2}")
+    u = np.asarray(u, dtype=float)
+    if not np.isfinite(u).all():
+        raise DomainError("jacobi needs a finite argument u")
     k2 = float(k2)
     ladder = _landen_ladder(k2)
     K = ladder.K
     kp = ladder.kprime
 
-    sign_s = 1.0
-    p = u
-    if p < 0.0:
-        p = -p
-        sign_s = -1.0
-    # sn and cn change sign over a half period 2K, dn is 2K-periodic.
-    n2 = math.floor(p / (2.0 * K))
-    r = p - 2.0 * K * n2
-    if r < 0.0:
-        r = 0.0
-    sign_c = 1.0
-    if n2 % 2 == 1:
-        sign_s = -sign_s
-        sign_c = -1.0
-    # Reflect (K, 2K) onto (0, K): sn(2K-v) = sn v, cn(2K-v) = -cn v.
-    if r > K:
-        r = 2.0 * K - r
-        sign_c = -sign_c
-    if r > 0.5 * K:
-        # Evaluate at the complementary point K - r, where the ladder is
-        # best conditioned, then map back.  This keeps cn relatively
-        # accurate near its zero at K.
-        t = K - r
-        st, ct, dt = _jacobi_core(t, k2, ladder)
-        sn = ct / dt
-        cn = kp * st / dt
-        dn = kp / dt
+    p = np.abs(u)
+    n2 = np.floor(p / (2.0 * K))
+    r = np.maximum(p - 2.0 * K * n2, 0.0)
+    odd = n2 % 2.0 == 1.0
+    sign_s = np.where(np.signbit(u) != odd, -1.0, 1.0)  # sn(-0.0) = -0.0
+    sign_c = np.where(odd, -1.0, 1.0)
+    past = r > K  # sn(2K - v) = sn v, cn(2K - v) = -cn v
+    r = np.where(past, 2.0 * K - r, r)
+    sign_c = np.where(past, -sign_c, sign_c)
+    comp = r > 0.5 * K
+    v = np.where(comp, K - r, r)
+
+    ratios = ladder.ratios
+    phi = np.ldexp(ladder.a_top * v, len(ratios))
+    phi_prev = phi
+    for ratio in ratios:
+        phi_prev = phi
+        phi = 0.5 * (phi + np.arcsin(np.clip(ratio * np.sin(phi), -1.0, 1.0)))
+    sn, cn = np.sin(phi), np.cos(phi)
+    if ratios:
+        dn = cn / np.cos(phi_prev - phi)
     else:
-        sn, cn, dn = _jacobi_core(r, k2, ladder)
-    return JacobiTriple(sign_s * sn, sign_c * cn, dn)
+        dn = np.sqrt(1.0 - k2 * sn * sn)
+    taylor = v < TAYLOR_CUTOFF
+    if taylor.any():
+        v2 = v * v
+        sn = np.where(taylor, v * (1.0 - (1.0 + k2) * v2 / 6.0
+                                   + (1.0 + 14.0 * k2 + k2 * k2)
+                                   * v2 * v2 / 120.0), sn)
+        cn = np.where(taylor, 1.0 - v2 / 2.0
+                      + (1.0 + 4.0 * k2) * v2 * v2 / 24.0, cn)
+        dn = np.where(taylor, 1.0 - k2 * v2 / 2.0
+                      + k2 * (4.0 + k2) * v2 * v2 / 24.0, dn)
+    # map the complementary points back from K - v
+    sn, cn, dn = (np.where(comp, cn / dn, sn),
+                  np.where(comp, kp * sn / dn, cn),
+                  np.where(comp, kp / dn, dn))
+    return JacobiTriple((sign_s * sn)[()], (sign_c * cn)[()], dn[()])
 
 
 # Lanczos approximation, g = 7, nine coefficients.

@@ -26,12 +26,11 @@ from scipy.optimize import brentq
 
 from .exceptions import ArgumentError, ConvergenceError, DomainError, NoRootError
 from .heun_core import ExpansionFamily, FamilyGroup, PotentialSpec, default_window
-from .series_engine import (Recurrence, SeriesSolution, build_finite,
-                            build_infinite, finite_order, recurrence,
-                            truncation_order)
+from .series_engine import (SECTION_MAX_ORDER, Recurrence, SeriesSolution,
+                            build_finite, build_infinite, finite_order,
+                            recurrence, truncation_order)
 
 SECTION_SHIFT_TOL = 1.0e-11
-SECTION_MAX_ORDER = 1 << 20
 DENSE_MAX_ORDER = 2000  # a dense solve costs O(N^3) time
 _BISECT_TOL = 2.0 * np.finfo(float).tiny  # the default eps*|T| drifts with N
 
@@ -108,10 +107,16 @@ def _section_levels(tri: Recurrence, N: int,
 
     Under the sign condition the matrix is symmetrized exactly and
     solved by a tridiagonal eigensolver (bisection to full precision for
-    a count or a window), else by _companion_real_roots.
+    a count or a window), else by _companion_real_roots.  Entries that
+    overflow, as the 1/k2 terms do for k2 near 1e-308, raise DomainError.
     """
     idx = np.arange(N + 1)
-    ag = tri.alpha_n(idx[:-1]) * tri.gamma_n(idx[1:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag = tri.beta_n(idx)
+        ag = tri.alpha_n(idx[:-1]) * tri.gamma_n(idx[1:])
+    if not (np.isfinite(diag).all() and np.isfinite(ag).all()):
+        raise DomainError(f"section entries overflow at a = 1/k2 = "
+                          f"{tri.params.a:.6g}; k2 is too small")
     if not np.all(ag > 0.0):
         return _companion_real_roots(tri, N, window, count)
     select = {}
@@ -122,7 +127,7 @@ def _section_levels(tri: Recurrence, N: int,
     elif window is not None:
         select = dict(select="v", tol=_BISECT_TOL, select_range=sorted(
             -tri.beta_slope * E for E in window))
-    lams = eigh_tridiagonal(tri.beta_n(idx), np.sqrt(ag), eigvals_only=True,
+    lams = eigh_tridiagonal(diag, np.sqrt(ag), eigvals_only=True,
                             **select)
     lo, hi = window or (-math.inf, math.inf)
     return [E for E in sorted(float(-lam / tri.beta_slope) for lam in lams)

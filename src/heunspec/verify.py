@@ -77,7 +77,7 @@ def ode_residual(sol: SeriesSolution, n_grid: int = DEFAULT_GRID,
     vals = evaluate_grid(sol, pts).reshape(len(us), 5)
     d2 = (-vals[:, 0] + 16.0 * vals[:, 1] - 30.0 * vals[:, 2]
           + 16.0 * vals[:, 3] - vals[:, 4]) / (12.0 * h * h)
-    V = np.array([potential_value(spec, u) for u in us])
+    V = potential_value(spec, us)
     psi = vals[:, 2]
     r = d2 + (sol.E - V) * psi
     peak = float(np.max(np.abs(psi)))

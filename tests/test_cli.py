@@ -343,6 +343,61 @@ def test_section_order_past_cap_exits_2_without_allocating(capsys):
     assert peak < 10_000_000
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--potential", "v1", "--l", "1e20", "--k2", "0.5",
+     "--family", "ring5"],
+    ["spectrum", "--potential", "v1", "--l", "1e8", "--k2", "0.5",
+     "--family", "ring5"],
+    ["eigenfunction", "--potential", "v1", "--l", "1e20", "--k2", "0.5",
+     "--family", "ring5"],
+    ["sweep", "--potential", "v1", "--l", "1e20", "--k2-list", "0.5",
+     "--family", "ring5"],
+    ["verify", "--potential", "v1", "--l", "1e20", "--k2", "0.5"],
+    ["verify", "--potential", "v1", "--l", "1e20", "--k2", "0.5",
+     "--family", "ring5", "--energy-override", "1"],
+])
+def test_terminating_order_past_cap_exits_2_without_allocating(capsys, argv):
+    # ring5 terminates at order N = l/2 here, far past the section cap:
+    # the order is refused before any array of that length is built
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert err.startswith("error: family ring5 terminates at order N = ")
+    assert "passes cap 1048576" in err
+    assert peak < 10_000_000
+
+
+@pytest.mark.parametrize("command,k2,message", [
+    ("spectrum", "1e-320", "1/k2 overflows"),
+    ("spectrum", "5e-324", "1/k2 overflows"),
+    ("verify", "1e-320", "1/k2 overflows"),
+    ("verify", "5e-324", "1/k2 overflows"),
+    ("spectrum", "1e-308", "section entries overflow"),
+    ("verify", "1e-308", "section entries overflow"),
+])
+def test_tiny_k2_is_domain_error(capsys, command, k2, message):
+    argv = [command, "--potential", "v1", "--l", "2", "--k2", k2]
+    if command == "spectrum":
+        argv += ["--family", "ring5"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "=-inf"])
+def test_non_finite_energy_override_is_domain_error(capsys, value):
+    flag = "--energy-override" + ("" if value.startswith("=") else " ")
+    code, out, err = run_cli(capsys, "verify", "--potential", "v1",
+                             "--l", "2", "--k2", "0.5",
+                             *(flag + value).split(" "))
+    assert code == 2 and out == ""
+    assert err.startswith("error: --energy-override must be finite")
+
+
 def test_cli_imports_no_private_names():
     # the command line uses only the public API of the other modules
     tree = ast.parse(open(heunspec.cli.__file__).read())

@@ -2,9 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from heunspec.exceptions import ArgumentError, SingularPointError
+from heunspec.exceptions import ArgumentError, DomainError, SingularPointError
 from heunspec.heun_core import (
     ExpansionFamily,
     FamilyGroup,
@@ -63,6 +64,28 @@ def test_potential_singular_walls():
         potential_value(wspec(1.0), 0.0)
     with pytest.raises(SingularPointError):
         potential_value(wspec(1.0), 2.0 * K)
+
+
+def test_potential_on_a_grid_matches_points():
+    K = complete_K(0.5)
+    for spec, us in ((vspec(1.3), np.linspace(-0.9, 0.9, 7) * K),
+                     (wspec(-1.5), np.linspace(0.1, 1.9, 7) * K)):
+        grid = potential_value(spec, us)
+        assert grid.tolist() == [potential_value(spec, u) for u in us]
+
+
+def test_potential_on_a_grid_rejects_any_wall_point():
+    K = complete_K(0.5)
+    for spec, us in ((vspec(1.0), [0.0, 0.5 * K, -K]),
+                     (wspec(1.0), [0.5 * K, K, 2.0 * K])):
+        with pytest.raises(SingularPointError, match="wall at u"):
+            potential_value(spec, np.array(us))
+
+
+def test_modulus_rejects_k2_whose_reciprocal_overflows():
+    for tiny in (1e-320, 5e-324):
+        with pytest.raises(DomainError, match="1/k2 overflows"):
+            PotentialSpec.from_k2(PotentialKind.V1, 0.0, tiny)
 
 
 def test_modulus_domain():

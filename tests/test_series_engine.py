@@ -415,6 +415,27 @@ def test_grid_evaluation_needs_no_scalar_2f1(monkeypatch):
         assert evaluate_grid(sol, us) == pytest.approx(ref, rel=1e-13)
 
 
+def test_grid_evaluation_makes_one_jacobi_call(monkeypatch):
+    # sn, cn and dn of a whole grid come from one array call, for power
+    # and hypergeometric families alike
+    from heunspec import series_engine
+    K = complete_K(0.5)
+    us = np.linspace(0.05, 0.95, 64) * K
+    sols = [build_finite(vspec(2.0), fam("ring5"), RING5_V1_L2_E[0]),
+            build_infinite(vspec(-3.0), fam("ring5"), CF_L3_E0),
+            finite_spectrum(vspec(4.5), fam("bold5")).solutions[0]]
+    calls = []
+
+    def counting(u, k2):
+        calls.append(np.shape(u))
+        return jacobi(u, k2)
+    monkeypatch.setattr(series_engine, "jacobi", counting)
+    for sol in sols:
+        calls.clear()
+        evaluate_grid(sol, us)
+        assert calls == [us.shape], sol.family.selector
+
+
 def test_bold_value_at_center_is_finite():
     # at u = 0 the kernel argument reaches 1 and the closed Gauss value
     # takes over

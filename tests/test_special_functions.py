@@ -115,10 +115,13 @@ def test_jacobi_matches_mpmath():
         us = [f * K for f in (0.03, 0.3, 0.5, 0.8, 0.97, 1.0, 1.4, 1.9,
                               2.35, 3.1, 3.9, 5.6)]
         us += [-u for u in us] + [1.0e-5, -2.5e-5]
+        # the whole grid in one call gives each point's own triple
+        grid = jacobi(np.array(us), k2)
         with mpmath.workdps(30):
-            for u in us:
+            for i, u in enumerate(us):
                 t = jacobi(u, k2)
-                for name, got in zip(("sn", "cn", "dn"), t):
+                for name, got, col in zip(("sn", "cn", "dn"), t, grid):
+                    assert col[i] == got, (name, u, k2)
                     ref = float(mpmath.ellipfun(name, u, m=k2))
                     assert got == pytest.approx(ref, abs=1e-13), (
                         name, u, k2)
@@ -134,6 +137,21 @@ def test_jacobi_special_points():
         assert tK.cn == pytest.approx(0.0, abs=1e-14)
         # dn at the quarter period equals the complementary modulus
         assert tK.dn == pytest.approx(math.sqrt(1.0 - k2), rel=1e-14)
+
+
+def test_jacobi_float_gives_floats_and_keeps_signed_zero():
+    t = jacobi(0.7, 0.5)
+    assert all(type(x) is np.float64 and np.ndim(x) == 0 for x in t)
+    neg = jacobi(-0.0, 0.5)
+    assert neg == (0.0, 1.0, 1.0) and math.copysign(1.0, neg.sn) == -1.0
+    grid = jacobi(np.zeros((2, 3)), 0.5)
+    assert all(x.shape == (2, 3) for x in grid)
+
+
+@pytest.mark.parametrize("u", [math.nan, math.inf, [0.5, -math.inf]])
+def test_jacobi_rejects_non_finite_argument(u):
+    with pytest.raises(DomainError):
+        jacobi(u, 0.5)
 
 
 def test_jacobi_parity_and_periodicity(rng):

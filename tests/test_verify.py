@@ -11,6 +11,7 @@ import heunspec.shooting
 from heunspec.exceptions import ArgumentError, ConvergenceError
 from heunspec.heun_core import ExpansionFamily, FamilyGroup, PotentialKind
 from heunspec.series_engine import coefficients
+from heunspec.special_functions import jacobi
 from heunspec.spectrum import finite_spectrum, symmetry_partner
 from heunspec.shooting import (
     MONODROMY_TOL,
@@ -238,6 +239,24 @@ def test_wall_series_quadratic_slope():
         p2, _ = _wall_start(kind, 0.5, L, E, 2e-3)
         slope = math.log(p2[0] / p1[0]) / math.log(2.0)
         assert slope == pytest.approx(2.0, abs=1e-4)
+
+
+def test_matching_values_calls_jacobi_once_per_integration(monkeypatch):
+    # sn, cn and dn ride in the ODE state: the right-hand side evaluates
+    # no elliptic function.  v1 integrates from the center and from the
+    # wall, v2 from the wall alone.
+    calls = []
+
+    def counting(u, k2):
+        calls.append(u)
+        return jacobi(u, k2)
+    monkeypatch.setattr(heunspec.shooting, "jacobi", counting)
+    for kind, l, integrations in (("v1", -3.0, 2), ("v2", 2.0, 1)):
+        spec = make_spec(kind, l, 0.5)
+        for parity in ("even", "odd"):
+            calls.clear()
+            matching_values(spec, parity, np.linspace(-5.0, 15.0, 9))
+            assert len(calls) == integrations, (kind, parity)
 
 
 def test_matching_values_rejects_bad_parity():
