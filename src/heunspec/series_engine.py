@@ -216,7 +216,10 @@ def coefficients(spec: PotentialSpec, fam: ExpansionFamily, E: float,
     or n_max plus a buffer for an infinite family), the forward pass up
     from b_0 = 1 over rows 0..last, and the two join at the row m where
     the residual is smallest; only row m is left open.  Both kinds of
-    series follow this one rule and differ only in top.
+    series follow this one rule and differ only in top.  Both passes
+    rescale past 1e250, the forward one by powers of two so that every
+    b_n that fits comes back exactly; where the join is finite but the
+    b_0 = 1 vector overflows float64, DomainError is raised.
     finite = True (False) demands a terminating (infinite) family.
     """
     N = last = top = truncation_order(spec, fam)
@@ -244,18 +247,33 @@ def coefficients(spec: PotentialSpec, fam: ExpansionFamily, E: float,
         if abs(back[n - 1]) > 1.0e250:
             scale = abs(back[n - 1])
             back[n - 1:] = [x / scale for x in back[n - 1:]]
-    fwd = [0.0] * (last + 2)  # fwd[n + 1] = b_n, fwd[0] = b_{-1} = 0
+    # fwd[n + 1] = b_n / 2^shift[n + 1], fwd[0] = b_{-1} = 0: the pass
+    # shrinks by powers of two past 1e250, so a b_n that fits comes back
+    # exactly
+    fwd = [0.0] * (last + 2)
     fwd[1] = 1.0
+    shift = np.zeros(last + 2, dtype=int)
     for n in range(last):
         fwd[n + 2] = -(be[n] * fwd[n + 1] + ga[n] * fwd[n]) / al[n]
+        if abs(fwd[n + 2]) > 1.0e250:
+            e = math.frexp(fwd[n + 2])[1]
+            fwd[n + 1] = math.ldexp(fwd[n + 1], -e)
+            fwd[n + 2] = math.ldexp(fwd[n + 2], -e)
+            shift[n + 1:] += e
     back, fwd = np.array(back), np.array(fwd)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         rows = np.abs(alpha[:last + 1] * back[1:last + 2] / back[:last + 1]
-                      + beta[:last + 1] + gamma[:last + 1] * fwd[:-1] / fwd[1:])
+                      + beta[:last + 1]
+                      + np.ldexp(gamma[:last + 1] * fwd[:-1] / fwd[1:],
+                                 shift[:-1] - shift[1:]))
         rows[np.isnan(rows)] = np.inf
         m = int(np.argmin(rows))
-        b = back[:last + 1] / back[m] * fwd[m + 1]
-    b[:m] = fwd[1:m + 1]
+        b = np.ldexp(fwd[1:], shift[1:])
+        b[m:] = back[m:last + 1] / back[m] * b[m]
+    if np.isfinite(rows[m]) and not np.isfinite(b).all():
+        raise DomainError(
+            f"coefficients b_0..b_{last} of family {fam.selector} with "
+            f"b_0 = 1 overflow float64 at E = {E}, l = {spec.l}")
     return b, float(rows[m]) / (abs(tri.beta_slope) * max(1.0, abs(E)))
 
 
@@ -341,27 +359,34 @@ def evaluate_grid(sol: SeriesSolution, us) -> np.ndarray:
     once.  The hypergeometric kernels of all nonzero coefficients, at
     every z up to and including 1, are summed together by _tilde_f_rows,
     one row per coefficient; the terms b_n z^n 2F1-tilde(n) are then
-    added in ascending n.
+    added in ascending n.  A value that is not finite raises DomainError.
     """
     us = np.asarray(us, dtype=float)
     spec = sol.spec
     fam = sol.family
     k2 = spec.k.k2
     sn, cn, dn = jacobi(us, k2)
-    if fam.group is FamilyGroup.POWER:
-        total = _power_sum(sol, sn * sn, k2)
-    else:
-        z = sn * sn if fam.group is FamilyGroup.HYPER_BAR else cn * cn
-        A0, B, C0 = hyper_eval_args(spec, fam)
-        ns = np.flatnonzero(sol.coeffs)
-        kernels = iter(_tilde_f_rows(ns + A0, B, ns + C0, z))
-        total = np.zeros_like(z)
-        zp = np.ones_like(z)
-        for bn in sol.coeffs:
-            if bn != 0.0:
-                total += bn * zp * next(kernels)
-            zp *= z
-    return sol.prefactor.at(sn, cn, dn) * total
+    with np.errstate(over="ignore", invalid="ignore"):
+        if fam.group is FamilyGroup.POWER:
+            total = _power_sum(sol, sn * sn, k2)
+        else:
+            z = sn * sn if fam.group is FamilyGroup.HYPER_BAR else cn * cn
+            A0, B, C0 = hyper_eval_args(spec, fam)
+            ns = np.flatnonzero(sol.coeffs)
+            kernels = iter(_tilde_f_rows(ns + A0, B, ns + C0, z))
+            total = np.zeros_like(z)
+            zp = np.ones_like(z)
+            for bn in sol.coeffs:
+                if bn != 0.0:
+                    total += bn * zp * next(kernels)
+                zp *= z
+        vals = sol.prefactor.at(sn, cn, dn) * total
+    bad = np.count_nonzero(~np.isfinite(vals))
+    if bad:
+        raise DomainError(
+            f"eigenfunction of family {fam.selector} at E = {sol.E} is not "
+            f"finite in float64 at {bad} of {vals.size} point(s)")
+    return vals
 
 
 def evaluate(sol: SeriesSolution, u: float) -> float:

@@ -4,15 +4,12 @@ This module deliberately knows nothing about series solutions or
 recurrences.  It integrates psi'' = (V - E) psi with an adaptive
 Runge-Kutta scheme, starting from the exact indicial behavior
 psi ~ t^2 (1 + c2 t^2 + c4 t^4) at the singular walls, and quantizes
-energies by one of three conditions:
+energies by one of two conditions:
 
-* first potential, domain (-K, K): integrate from the regular center
-  u = 0 with even (1, 0) or odd (0, 1) data and from the right wall
-  inward; an eigenvalue makes the two branches proportional, so their
-  Wronskian at u = K/2 vanishes.
-* second potential, domain (0, 2K), symmetric about u = K: integrate
-  from the wall at 0 up to the midpoint; symmetric eigenfunctions need
-  psi'(K) = 0, antisymmetric ones psi(K) = 0.
+* parity, either potential: integrate from the wall to the symmetry
+  point, u = K to u = 0 for the first potential on (-K, K) and u = 0 to
+  u = K for the second on (0, 2K).  Even (symmetric) eigenfunctions
+  need psi' = 0 there, odd (antisymmetric) ones psi = 0.
 * either potential, apparent singularity at x = sn^2 = 1/k2, the point
   u = K + iK' where L/dn^2 has its double pole.  In x the equation is
 
@@ -33,10 +30,11 @@ system carries sn, cn and dn as three more components (sn' = cn dn,
 cn' = -sn dn, dn' = -k2 sn cn), started from one jacobi call per
 integration, so its right-hand side evaluates no elliptic function.
 Both forms of the potential, in u and in x, come from
-heun_core.potential_from_squares.  Every root, of either matching
+heun_core.potential_from_squares.  Every root, of the matching
 function or of the monodromy projection, is refined from a sign-change
 bracket by one Illinois regula falsi (_illinois_batch) to
-ROOT_XTOL * max(1, |E|).
+ROOT_XTOL * max(1, |E|), and both oracles match a target to the root
+nearest to it by one widening probe (_nearest_roots).
 """
 
 from __future__ import annotations
@@ -130,9 +128,10 @@ def matching_values(spec: PotentialSpec, parity: str,
                     energies: Sequence[float]) -> np.ndarray:
     """Vector of matching-function values F(E) for the given energies.
 
-    Roots of F are the shooting eigenvalues of the requested symmetry
-    class ("even" or "odd"; for the second potential these mean
-    symmetric or antisymmetric about the midpoint u = K).
+    F is psi' (even) or psi (odd) at the symmetry point of the solution
+    started at the wall, so roots of F are the shooting eigenvalues of
+    the requested symmetry class ("even" or "odd"; for the second
+    potential these mean symmetric or antisymmetric about u = K).
     """
     if parity not in ("even", "odd"):
         raise ArgumentError(f"parity must be 'even' or 'odd', got {parity!r}")
@@ -143,22 +142,14 @@ def matching_values(spec: PotentialSpec, parity: str,
     L = spec.coupling
     K = complete_K(k2)
     delta = WALL_OFFSET * K
-    if spec.kind is PotentialKind.V1:
-        half = 0.5 * K
-        if parity == "even":
-            psi0 = np.ones_like(E)
-            dpsi0 = np.zeros_like(E)
-        else:
-            psi0 = np.zeros_like(E)
-            dpsi0 = np.ones_like(E)
-        pl, dl = _advance(spec.kind, k2, L, E, 0.0, half, psi0, dpsi0)
-        pw, dw_dt = _wall_start(spec.kind, k2, L, E, delta)
-        # t measures distance from the wall, so du = -dt.
-        pr, dr = _advance(spec.kind, k2, L, E, K - delta, half, pw, -dw_dt)
-        return pl * dr - dl * pr
     pw, dw_dt = _wall_start(spec.kind, k2, L, E, delta)
-    pk, dk = _advance(spec.kind, k2, L, E, delta, K, pw, dw_dt)
-    return dk if parity == "even" else pk
+    if spec.kind is PotentialKind.V1:
+        # wall at u = K, symmetry point u = 0; t = K - u, so du = -dt
+        u0, u1, dpsi0 = K - delta, 0.0, -dw_dt
+    else:
+        u0, u1, dpsi0 = delta, K, dw_dt
+    psi, dpsi = _advance(spec.kind, k2, L, E, u0, u1, pw, dpsi0)
+    return dpsi if parity == "even" else psi
 
 
 def shooting_spectrum(spec: PotentialSpec, parity: str, max_count: int = 8,
@@ -194,21 +185,6 @@ def shooting_spectrum(spec: PotentialSpec, parity: str, max_count: int = 8,
                           complete=complete)
 
 
-def shooting_match(spec: PotentialSpec, parity: str, target: float,
-                   radius: float = 0.05,
-                   max_radius: float = 0.8) -> Optional[float]:
-    """The shooting eigenvalue nearest to target, or None.
-
-    Scans a widening bracket around the target for a sign change of the
-    matching function and refines its root with _illinois_batch.
-    Returns None when no sign change exists within max_radius, meaning
-    the oracle has no eigenvalue of this symmetry class near the target.
-    """
-    res = shooting_match_table(spec, parity, [target], radius=radius,
-                               max_radius=max_radius)
-    return res[0]
-
-
 def _probe_brackets(values, targets: Sequence[float], pending: list[int],
                     r: float) -> list[tuple[int, float, float, float, float]]:
     """Sign changes of values() on nine probes spanning each target +- r.
@@ -229,30 +205,46 @@ def _probe_brackets(values, targets: Sequence[float], pending: list[int],
     return found
 
 
-def shooting_match_table(spec: PotentialSpec, parity: str,
-                         targets: Sequence[float], radius: float = 0.05,
-                         max_radius: float = 0.8) -> list[Optional[float]]:
-    """shooting_match for many targets of one spec, batched."""
-    targets = list(targets)
+def _nearest_roots(values, targets: Sequence[float], accept=None,
+                   max_radius: float = 0.8) -> list[Optional[float]]:
+    """Root of values() nearest to each target, or None.
+
+    Probes +-0.05 around each pending target, tripling the radius while
+    no root is found, and refines every sign change in one
+    _illinois_batch.  A root counts where accept(roots) allows it
+    (always, if accept is None), and each target keeps the accepted
+    root nearest to it.  None means no accepted root within max_radius.
+    """
+    targets = [float(t) for t in targets]
     out: list[Optional[float]] = [None] * len(targets)
     pending = list(range(len(targets)))
-    r = radius
-
-    def values(E):
-        return matching_values(spec, parity, E)
-
+    r = 0.05
     while pending and r <= max_radius:
-        brackets = {}
-        for j, lo, flo, hi, fhi in _probe_brackets(values, targets,
-                                                    pending, r):
-            brackets.setdefault(j, (lo, flo, hi, fhi))
+        brackets = _probe_brackets(values, targets, pending, r)
         if brackets:
-            roots = _illinois_batch(values, *zip(*brackets.values()))
-            for root, j in zip(roots, brackets):
-                out[j] = float(root)
-        pending = [j for j in pending if j not in brackets]
+            owners, lo, flo, hi, fhi = zip(*brackets)
+            roots = _illinois_batch(values, lo, flo, hi, fhi)
+            ok = [True] * len(roots) if accept is None else accept(roots)
+            for j, root, good in zip(owners, roots, ok):
+                best = out[j]
+                if good and (
+                        best is None
+                        or abs(root - targets[j]) < abs(best - targets[j])):
+                    out[j] = float(root)
+        pending = [j for j in pending if out[j] is None]
         r *= 3.0
     return out
+
+
+def shooting_match_table(spec: PotentialSpec, parity: str,
+                         targets: Sequence[float],
+                         max_radius: float = 0.8) -> list[Optional[float]]:
+    """The shooting eigenvalue of one symmetry class nearest to each
+    target, or None where the matching function has no sign change
+    within max_radius: the oracle then has no eigenvalue of this class
+    near the target.  All targets of one spec are batched."""
+    return _nearest_roots(lambda E: matching_values(spec, parity, E),
+                          targets, max_radius=max_radius)
 
 
 def monodromy_defect(spec: PotentialSpec,
@@ -369,34 +361,18 @@ def monodromy_match_table(spec: PotentialSpec, targets: Sequence[float],
                           max_radius: float = 0.8) -> list[Optional[float]]:
     """Nearest energy to each target at which x = 1/k2 is apparent.
 
-    The log coefficient is scanned on a bracket around each target,
-    +-0.05 at first and tripled while no match is found, and every sign
-    change is refined; a root counts only if the
-    full defect |M / lambda - I| (Frobenius norm) is below MONODROMY_TOL
-    there, since sign changes also occur where M is not scalar (integer
-    or generic l).  None means no such energy within max_radius.
+    The log coefficient is matched by _nearest_roots; a root counts
+    only if the full defect |M / lambda - I| (Frobenius norm) is below
+    MONODROMY_TOL there, since sign changes also occur where M is not
+    scalar (integer or generic l).  None means no such energy within
+    max_radius.
     """
-    targets = [float(t) for t in targets]
-    out: list[Optional[float]] = [None] * len(targets)
-    pending = list(range(len(targets)))
-
     def log_coeff(E):
         return _log_coefficient(monodromy_defect(spec, E))
 
-    r = 0.05
-    while pending and r <= max_radius:
-        brackets = _probe_brackets(log_coeff, targets, pending, r)
-        if brackets:
-            owners, lo, flo, hi, fhi = zip(*brackets)
-            roots = _illinois_batch(log_coeff, lo, flo, hi, fhi)
-            defect = np.linalg.norm(monodromy_defect(spec, roots),
-                                    axis=(1, 2))
-            for j, root, d in zip(owners, roots, defect):
-                best = out[j]
-                if d < MONODROMY_TOL and (
-                        best is None
-                        or abs(root - targets[j]) < abs(best - targets[j])):
-                    out[j] = float(root)
-        pending = [j for j in pending if out[j] is None]
-        r *= 3.0
-    return out
+    def apparent(roots):
+        defect = monodromy_defect(spec, roots)
+        return np.linalg.norm(defect, axis=(1, 2)) < MONODROMY_TOL
+
+    return _nearest_roots(log_coeff, targets, accept=apparent,
+                          max_radius=max_radius)

@@ -27,7 +27,6 @@ from .exceptions import (
 
 AGM_MAX_ITER = 64
 SERIES_MAX_TERMS = 10_000
-TAYLOR_CUTOFF = 1.0e-4
 Z_CONNECT = 0.97  # above it, 2F1 is summed from the 1 - z connection
 
 _EPS = 2.220446049250313e-16
@@ -112,10 +111,10 @@ def jacobi(u, k2: float) -> JacobiTriple:
     2K period (sn and cn change sign, dn does not), the reflection
     about K, and past K/2 the complementary point K - v (sn = ct/dt,
     cn = k' st/dt, dn = k'/dt, DLMF 22.6.1), which keeps cn relatively
-    accurate near its zero at K.  Below TAYLOR_CUTOFF a Taylor series
-    is used, else one descent down the Landen ladder of the AGM (DLMF
-    22.20), all points at once; each point gets, bit for bit, what it
-    gets alone.  Requires 0 < k2 < 1 and finite u.
+    accurate near its zero at K.  One descent down the Landen ladder of
+    the AGM (DLMF 22.20) then serves all points at once, v = 0 included;
+    each point gets, bit for bit, what it gets alone.  Requires
+    0 < k2 < 1 and finite u.
     """
     if not (0.0 < k2 < 1.0):
         raise DomainError(f"k2 must lie strictly inside (0, 1), got {k2}")
@@ -150,16 +149,6 @@ def jacobi(u, k2: float) -> JacobiTriple:
         dn = cn / np.cos(phi_prev - phi)
     else:
         dn = np.sqrt(1.0 - k2 * sn * sn)
-    taylor = v < TAYLOR_CUTOFF
-    if taylor.any():
-        v2 = v * v
-        sn = np.where(taylor, v * (1.0 - (1.0 + k2) * v2 / 6.0
-                                   + (1.0 + 14.0 * k2 + k2 * k2)
-                                   * v2 * v2 / 120.0), sn)
-        cn = np.where(taylor, 1.0 - v2 / 2.0
-                      + (1.0 + 4.0 * k2) * v2 * v2 / 24.0, cn)
-        dn = np.where(taylor, 1.0 - k2 * v2 / 2.0
-                      + k2 * (4.0 + k2) * v2 * v2 / 24.0, dn)
     # map the complementary points back from K - v
     sn, cn, dn = (np.where(comp, cn / dn, sn),
                   np.where(comp, kp * sn / dn, cn),

@@ -160,12 +160,43 @@ def test_eigenfunction_infinite_is_warning_clean(capsys):
     assert len(out.splitlines()) == 257
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("l, code", [("600", 0), ("800", 0), ("1000", 2),
+                                     ("2000", 2), ("4000", 2)])
+def test_spectrum_at_large_l_rescales_the_forward_pass(capsys, l, code):
+    # the b_0 = 1 vectors reach 1e184 at l = 800; from l = 1000 a level's
+    # vector passes 1.8e308 and no float64 holds it
+    got, out, err = run_cli(capsys, "spectrum", "--potential", "v1",
+                            "--l", l, "--k2", "0.5", "--family", "ring5")
+    assert got == code
+    if code == 0:
+        meta = json.loads(out)["meta"]
+        assert err == "" and meta["real_count"] == meta["expected_count"]
+    else:
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: coefficients b_0..b_")
+        assert "with b_0 = 1 overflow float64" in err
+
+
 def test_spectrum_two_sided_non_terminating_is_domain_error(capsys):
     code, out, err = run_cli(capsys, "spectrum", "--potential", "v1",
                              "--l", "-0.3", "--k2", "0.5", "--family", "bold5")
     assert code == 2
     assert out == ""
     assert "two-sided" in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("l, index, bad", [("700", "350", 33),
+                                           ("800", "400", 87)])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_eigenfunction_overflow_is_domain_error(capsys, l, index, bad, fmt):
+    code, out, err = run_cli(capsys, "eigenfunction", "--potential", "v1",
+                             "--l", l, "--k2", "0.5", "--family", "ring5",
+                             "--index", index, "--format", fmt)
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: eigenfunction of family ring5")
+    assert f"not finite in float64 at {bad} of 256 point(s)" in err
 
 
 def test_eigenfunction_text_format(capsys):

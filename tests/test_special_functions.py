@@ -125,6 +125,15 @@ def test_jacobi_matches_mpmath():
                     ref = float(mpmath.ellipfun(name, u, m=k2))
                     assert got == pytest.approx(ref, abs=1e-13), (
                         name, u, k2)
+        # near zero the Landen descent alone holds every digit
+        small = [1e-300, 2.5e-200, 1e-100, 3e-40, 1e-15, 7e-10, 2e-7,
+                 3.3e-6, 5e-5, 9.9e-5, 1.5e-4]
+        with mpmath.workdps(30):
+            for u in small + [-u for u in small]:
+                for name, got in zip(("sn", "cn", "dn"), jacobi(u, k2)):
+                    ref = float(mpmath.ellipfun(name, u, m=k2))
+                    assert got == pytest.approx(ref, rel=1e-15, abs=0), (
+                        name, u, k2)
 
 
 def test_jacobi_special_points():

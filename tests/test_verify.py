@@ -21,7 +21,6 @@ from heunspec.shooting import (
     matching_values,
     monodromy_defect,
     monodromy_match_table,
-    shooting_match,
     shooting_match_table,
     shooting_spectrum,
 )
@@ -100,11 +99,11 @@ def test_residual_rejects_tiny_grid():
 def test_shooting_matches_power_eigenvalues():
     spec = make_spec("v1", 2.0, 0.5)
     for E in RING5_V1_L2_E:
-        got = shooting_match(spec, "even", E)
+        got = shooting_match_table(spec, "even", [E])[0]
         assert got is not None
         assert abs(got - E) < 1e-6
     spec2 = make_spec("v2", 0.0, 0.5)
-    got = shooting_match(spec2, "even", -2.0)
+    got = shooting_match_table(spec2, "even", [-2.0])[0]
     assert got is not None
     assert abs(got + 2.0) < 1e-6
 
@@ -153,6 +152,18 @@ def test_shooting_spectrum_keeps_exact_zero_sample(monkeypatch):
     assert res.energies == pytest.approx([1.0, 2.5], abs=1e-10)
 
 
+def test_shooting_match_takes_the_nearest_root(monkeypatch):
+    # both roots lie in the first probe window around 1.015; the nearer
+    # one, 1.02, wins over the lower one, 0.98
+    def synthetic(spec, parity, energies):
+        E = np.asarray(energies, dtype=float)
+        return (E - 0.98) * (E - 1.02)
+
+    monkeypatch.setattr(heunspec.shooting, "matching_values", synthetic)
+    got = shooting_match_table(make_spec("v1", 2.0, 0.5), "even", [1.015])
+    assert got == [pytest.approx(1.02, abs=1e-10)]
+
+
 def test_illinois_refiner_fails_loudly(monkeypatch):
     def cubic(x):
         return np.asarray(x) ** 3 - 2.0
@@ -176,8 +187,8 @@ def test_hyper_level_has_no_shooting_partner():
     spec = make_spec("v2", -1.5, 0.25)
     res = finite_spectrum(spec, fam("bar5"))
     assert res.energies == pytest.approx([0.0625], rel=1e-12)
-    assert shooting_match(spec, "even", 0.0625) is None
-    assert shooting_match(spec, "odd", 0.0625) is None
+    assert shooting_match_table(spec, "even", [0.0625])[0] is None
+    assert shooting_match_table(spec, "odd", [0.0625])[0] is None
 
 
 def test_monodromy_confirms_hyper_level():
@@ -243,15 +254,15 @@ def test_wall_series_quadratic_slope():
 
 def test_matching_values_calls_jacobi_once_per_integration(monkeypatch):
     # sn, cn and dn ride in the ODE state: the right-hand side evaluates
-    # no elliptic function.  v1 integrates from the center and from the
-    # wall, v2 from the wall alone.
+    # no elliptic function.  Both wells integrate once, from the wall to
+    # the symmetry point.
     calls = []
 
     def counting(u, k2):
         calls.append(u)
         return jacobi(u, k2)
     monkeypatch.setattr(heunspec.shooting, "jacobi", counting)
-    for kind, l, integrations in (("v1", -3.0, 2), ("v2", 2.0, 1)):
+    for kind, l, integrations in (("v1", -3.0, 1), ("v2", 2.0, 1)):
         spec = make_spec(kind, l, 0.5)
         for parity in ("even", "odd"):
             calls.clear()
