@@ -27,7 +27,8 @@ from .exceptions import (
 
 AGM_MAX_ITER = 64
 SERIES_MAX_TERMS = 10_000
-Z_CONNECT = 0.97  # above it, 2F1 is summed from the 1 - z connection
+Z_CONNECT = 0.97  # above it gauss_2F1 and two-piece kernel rows use 1 - z
+_BLOCK = 32  # most terms per stop test in _series_rows
 
 _EPS = 2.220446049250313e-16
 
@@ -318,29 +319,47 @@ def tilde_F(A: float, B: float, C: float, z: float) -> float:
 def _series_rows(A, B, C, z: np.ndarray) -> np.ndarray:
     """Plain 2F1(A[r], B[r]; C[r]; z) for every row r, summed at once.
 
-    The operations of a one-row sum run in the same order, so each row
-    is the same to the bit as when summed alone.  A row leaves at the
-    first term with max|term| <= 1e-16 max|total| over its points.
+    A row leaves at its first term with max|term| <= 1e-16 max|total|
+    over its points, and a row still running after SERIES_MAX_TERMS
+    terms raises ConvergenceError.  Terms come in blocks of 4, 8, 16,
+    then _BLOCK steps: each term is formed from the last as in a
+    one-term loop, the running totals are one sequential cumulative
+    sum, and the stop test runs on all steps of a block at once.  So
+    every row is the same to the bit as when summed alone, one term at
+    a time; the steps a row takes past its stop are discarded.
     """
     total = np.ones((A.size, z.size))
     if not total.size:
         return total
     sums = np.empty_like(total)
     live = np.arange(A.size)
-    term = np.ones_like(total)
-    for n in range(SERIES_MAX_TERMS):
-        coef = (A + n) * (B + n) / ((C + n) * (n + 1.0))
-        term = term * coef[:, None] * z
-        total += term
-        done = (np.abs(term).max(axis=1)
-                <= 1.0e-16 * np.abs(total).max(axis=1))
-        if done.any():
-            sums[live[done]] = total[done]
-            if done.all():
-                return sums
-            keep = ~done
-            live, A, B, C = live[keep], A[keep], B[keep], C[keep]
-            term, total = term[keep], total[keep]
+    term = total
+    n0, size = 0, 4
+    # steps past a row's stop may overflow or meet a pole; they are dropped
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while n0 < SERIES_MAX_TERMS:
+            n = np.arange(n0, min(n0 + size, SERIES_MAX_TERMS), dtype=float)
+            n0, size = n0 + size, min(2 * size, _BLOCK)
+            n = n[:, None]
+            coef = (A + n) * (B + n) / ((C + n) * (n + 1.0))
+            terms = np.empty((n.size + 1,) + total.shape)
+            terms[0] = total
+            for k, c in enumerate(coef[:, :, None], 1):
+                term = np.multiply(term, c, out=terms[k])
+                term *= z
+            totals = np.cumsum(terms, axis=0)
+            done = (np.abs(terms[1:]).max(axis=2)
+                    <= 1.0e-16 * np.abs(totals[1:]).max(axis=2))
+            hit = done.any(axis=0)
+            if hit.any():
+                first = done[:, hit].argmax(axis=0)
+                sums[live[hit]] = totals[1 + first, np.flatnonzero(hit)]
+                if hit.all():
+                    return sums
+                keep = ~hit
+                live, A, B, C = live[keep], A[keep], B[keep], C[keep]
+                terms, totals = terms[:, keep], totals[:, keep]
+            term, total = terms[-1], totals[-1]
     raise ConvergenceError(
         f"2F1 series did not converge within {SERIES_MAX_TERMS} terms "
         f"(A={float(A[0])}, B={float(B[0])}, C={float(C[0])}, "
@@ -350,28 +369,41 @@ def _series_rows(A, B, C, z: np.ndarray) -> np.ndarray:
 def _tilde_f_rows(A, B, C, z: np.ndarray) -> np.ndarray:
     """Regularized 2F1(A[r], B[r]; C[r]; z) for every row r on z in [0, 1].
 
-    A and C are arrays, B an array or one float for all rows.  Points
-    with z <= Z_CONNECT are summed directly.  Above it, with w = 1 - z
-    and s = C - A - B, the 1 - z connection (DLMF 15.8.4) gives
-    p_r F(A, B; 1 - s; w) + w^s q_r F(C - A, C - B; 1 + s; w), where
-    p_r = gamma(s) / (gamma(C - A) gamma(C - B)) and q_r = gamma(-s) /
-    (gamma(A) gamma(B)) are computed once per row; gamma(C) cancels the
-    regularization.  At z = 1 only Gauss's sum p_r is left.  An integer
+    A and C are arrays, B an array or one float for all rows.  With
+    w = 1 - z and s = C - A - B, the 1 - z connection (DLMF 15.8.4)
+    gives p_r F(A, B; 1 - s; w) + w^s q_r F(C - A, C - B; 1 + s; w),
+    where p_r = gamma(s) / (gamma(C - A) gamma(C - B)) and q_r =
+    gamma(-s) / (gamma(A) gamma(B)) are computed once per row; gamma(C)
+    cancels the regularization.  At z = 1 only Gauss's sum p_r is left.
+
+    A row is single-piece when p_r or q_r vanishes: then C - A, C - B,
+    A or B is a non-positive integer, and the kernel is a polynomial in
+    w, times w^s when p_r = 0.  That form is exact and free of
+    cancellation, so such a row takes the connection at every z > 1/2,
+    where the direct series would need hundreds of terms or cancel.  A
+    two-piece row's two terms cancel like e^(n w), so it is summed directly
+    up to Z_CONNECT and from the connection only above it.  An integer
     s raises PoleError.
     """
     B = np.broadcast_to(B, A.shape)
+    s = C - A - B
+    rows = zip(A.tolist(), B.tolist(), C.tolist(), s.tolist())
+    g, p, q = np.array([(gamma_fn(c),
+                         gamma_fn(t) * _rgamma(c - a) * _rgamma(c - b),
+                         gamma_fn(-t) * _rgamma(a) * _rgamma(b))
+                        for a, b, c, t in rows]).reshape(-1, 3).T
     out = np.empty((A.size, z.size))
-    near = z > Z_CONNECT
-    if not near.all():
-        gammas = np.array([gamma_fn(c) for c in C.tolist()])
-        out[:, ~near] = _series_rows(A, B, C, z[~near]) / gammas[:, None]
-    if near.any():
-        w, s = 1.0 - z[near], C - A - B
-        rows = zip(A.tolist(), B.tolist(), C.tolist(), s.tolist())
-        p, q = np.array([(gamma_fn(t) * _rgamma(c - a) * _rgamma(c - b),
-                          gamma_fn(-t) * _rgamma(a) * _rgamma(b))
-                         for a, b, c, t in rows]).reshape(-1, 2).T
-        out[:, near] = (p[:, None] * _series_rows(A, B, 1.0 - s, w)
-                        + w ** s[:, None] * q[:, None]
-                        * _series_rows(C - A, C - B, 1.0 + s, w))
+    single = (p == 0.0) | (q == 0.0)
+    for piece, cut in ((single, 0.5), (~single, Z_CONNECT)):
+        a, b, c, t, pp, qq = (x[piece] for x in (A, B, C, s, p, q))
+        near = z > cut
+        out[np.ix_(piece, ~near)] = (_series_rows(a, b, c, z[~near])
+                                     / g[piece, None])
+        w = 1.0 - z[near]
+        kernel = np.zeros((a.size, w.size))
+        i, j = pp != 0.0, qq != 0.0
+        kernel[i] = pp[i, None] * _series_rows(a[i], b[i], 1.0 - t[i], w)
+        kernel[j] += (w ** t[j, None] * qq[j, None]
+                      * _series_rows(c[j] - a[j], c[j] - b[j], 1.0 + t[j], w))
+        out[np.ix_(piece, near)] = kernel
     return out

@@ -49,18 +49,6 @@ class SpectrumResult:
     real_count: int
 
 
-def characteristic_det(spec: PotentialSpec, fam: ExpansionFamily,
-                       E, N: Optional[int] = None):
-    """Determinant of the truncated characteristic matrix at energy E.
-
-    E may be real or complex, a scalar or an array; see
-    Recurrence.continuant.
-    """
-    if N is None:
-        N = finite_order(spec, fam)
-    return recurrence(spec, fam, 0.0).continuant(E, N)
-
-
 def _sign_violations(tri: Recurrence, N: int) -> list[int]:
     """Indices 1 <= n <= N with alpha_{n-1} gamma_n <= 0."""
     idx = np.arange(1, N + 1)

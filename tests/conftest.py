@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from heunspec.heun_core import PotentialKind, PotentialSpec
-from heunspec.series_engine import recurrence
+from heunspec.series_engine import finite_order, recurrence
 
 
 @pytest.fixture
@@ -24,3 +24,14 @@ def relative_rows(spec: PotentialSpec, fam, E: float, b) -> np.ndarray:
                       tri.gamma_n(n) * np.append(0.0, b[:-1])])
     scale = np.abs(terms).sum(axis=0)
     return np.abs(terms.sum(axis=0)) / np.where(scale > 0.0, scale, 1.0)
+
+
+def characteristic_det(spec: PotentialSpec, fam, E, N=None):
+    """Determinant of the truncated characteristic matrix at energy E.
+
+    E may be real or complex, a scalar or an array; N defaults to the
+    family's finite section order.  See Recurrence.continuant.
+    """
+    if N is None:
+        N = finite_order(spec, fam)
+    return recurrence(spec, fam, 0.0).continuant(E, N)

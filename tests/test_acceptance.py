@@ -34,12 +34,13 @@ from heunspec.series_engine import build_infinite, evaluate_grid, truncation_ord
 from heunspec.shooting import monodromy_match_table, shooting_match_table
 from heunspec.special_functions import complete_K, gamma_fn, jacobi
 from heunspec.spectrum import (
-    characteristic_det,
     finite_spectrum,
     infinite_energy,
     _cf_value,
 )
 from heunspec.verify import residual_grid, ode_residual
+
+from conftest import characteristic_det
 
 K2_GRID = (0.25, 0.5, 0.75)
 K2_MAIN = 0.5

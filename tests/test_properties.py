@@ -12,11 +12,10 @@ from heunspec.cli import EQUIV_TOL  # noqa: E402
 from heunspec.heun_core import ExpansionFamily, FamilyGroup  # noqa: E402
 from heunspec.series_engine import (  # noqa: E402
     FINITE_TOL, coefficients, truncation_order)
-from heunspec.spectrum import (  # noqa: E402
-    characteristic_det, finite_spectrum, symmetry_partner)
+from heunspec.spectrum import finite_spectrum, symmetry_partner  # noqa: E402
 from heunspec.verify import _HYPER_PARTNER, _POWER_PARTNER  # noqa: E402
 
-from conftest import make_spec, relative_rows  # noqa: E402
+from conftest import characteristic_det, make_spec, relative_rows  # noqa: E402
 
 FAMILIES = {
     "v1": ("ring1", "ring2", "ring5", "ring6",

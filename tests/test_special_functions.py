@@ -6,10 +6,12 @@ mpmath and are skipped where it is not installed.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from heunspec import special_functions
 from heunspec.exceptions import (
     ConvergenceError,
     DomainError,
@@ -17,6 +19,7 @@ from heunspec.exceptions import (
     UndefinedError,
 )
 from heunspec.special_functions import (
+    _series_rows,
     _tilde_f_rows,
     complete_K,
     gamma_fn,
@@ -324,6 +327,140 @@ def test_regularized_kernels_match_mpmath():
                     assert tilde_F(n + A0, B, n + C0, z) == pytest.approx(
                         ref, rel=SCALAR_KERNEL_TOL), case
                     assert got == pytest.approx(ref, rel=ROWS_KERNEL_TOL), case
+
+
+def _two_sided_kernels(kind, sel, l, k2=0.5):
+    """(A0, B, C0, N) of a two-sided family's terminating kernels."""
+    from heunspec.heun_core import (ExpansionFamily, PotentialKind,
+                                    PotentialSpec)
+    from heunspec.series_engine import hyper_eval_args, truncation_order
+    spec = PotentialSpec.from_k2(PotentialKind(kind), l, k2)
+    fam = ExpansionFamily.from_selector(sel)
+    return (*hyper_eval_args(spec, fam), truncation_order(spec, fam))
+
+
+def _nonpositive_int(x):
+    return x <= 0.0 and x == math.floor(x)
+
+
+# both sides of the single-piece cut at 1/2 and of the two-piece cut at
+# 0.97, and z = 1
+SINGLE_PIECE_Z = (0.0, 0.3, 0.45, 0.5, 0.5001, 0.6, 0.75, 0.85, 0.95,
+                  0.969, 0.97, 0.9701, 0.99, 0.999, 1.0)
+
+
+def test_single_piece_kernels_match_mpmath():
+    # at integer l every kernel row of these families is single-piece:
+    # C - B or A (which one goes with the parity of l) is a non-positive
+    # integer, so one term of the 1 - z connection is left, a
+    # polynomial in w = 1 - z.  At 40 digits the worst relative error
+    # measured 3.3e-13 (bold5, l = 12, n = 0, z = 0.5001); summed
+    # directly up to z = 0.97 these rows were off by up to 4.4e-12
+    mpmath = pytest.importorskip("mpmath")
+    cases = [(kind, sel, float(l))
+             for kind, sels in (("v1", ("bold5", "bold6")),
+                                ("v2", ("bar5", "bar7")))
+             for sel in sels for l in range(13)]
+    checked = 0
+    for kind, sel, l in cases:
+        A0, B, C0, N = _two_sided_kernels(kind, sel, l)
+        if N is None:  # bold6 and bar7 do not terminate at l = 0
+            continue
+        ns = np.arange(N + 1)
+        rows = _tilde_f_rows(ns + A0, B, ns + C0, np.array(SINGLE_PIECE_Z))
+        with mpmath.workdps(40):
+            for n in ns.tolist():
+                A, C = n + A0, n + C0
+                assert any(_nonpositive_int(x) for x in (A, B, C - A, C - B))
+                for z, got in zip(SINGLE_PIECE_Z, rows[n]):
+                    ref = float(mpmath.hyp2f1(A, B, C, z, zeroprec=400)
+                                / mpmath.gamma(C))
+                    case = (sel, l, n, z)
+                    if ref == 0:
+                        # a true zero: w^s at z = 1, or a root of the
+                        # polynomial (w = 1/4 for bold5 at l = 7, n = 2)
+                        assert abs(got) <= 1e-15 * np.abs(rows[n]).max(), case
+                        continue
+                    checked += 1
+                    # abs=0: approx's default absolute 1e-12 would pass
+                    # every kernel below 1e-12 / ROWS_KERNEL_TOL in size
+                    assert got == pytest.approx(ref, rel=ROWS_KERNEL_TOL,
+                                                abs=0), case
+    assert checked > 1000
+
+
+def test_single_piece_rows_need_few_terms(monkeypatch):
+    # summed directly up to z = 0.97 these rows took 542 (bold5, l = 3)
+    # and 831 (bar5, l = 5) terms; from the connection above z = 1/2
+    # 64 are enough, and the values are the same to the bit
+    z = np.linspace(0.0, 1.0, 201)
+    for kind, sel, l in (("v1", "bold5", 3.0), ("v2", "bar5", 5.0)):
+        A0, B, C0, N = _two_sided_kernels(kind, sel, l)
+        ns = np.arange(N + 1)
+        full = _tilde_f_rows(ns + A0, B, ns + C0, z)
+        with monkeypatch.context() as m:
+            m.setattr(special_functions, "SERIES_MAX_TERMS", 64)
+            capped = _tilde_f_rows(ns + A0, B, ns + C0, z)
+        assert np.array_equal(capped, full), (sel, l)
+
+
+def _one_term_loop(a, b, c, z, max_terms=10_000):
+    """2F1(a, b; c; z) of one row, one term per step, with the stop rule
+    of _series_rows; returns the sum and the number of terms."""
+    term = np.ones_like(z)
+    total = np.ones_like(z)
+    for n in range(max_terms):
+        term = term * ((a + n) * (b + n) / ((c + n) * (n + 1.0))) * z
+        total += term
+        if np.abs(term).max() <= 1.0e-16 * np.abs(total).max():
+            return total, n + 1
+    raise AssertionError("reference loop did not stop")
+
+
+def test_blocked_series_matches_one_term_loop():
+    # terminating rows A = -m stop at every step from 1 to 41, so some
+    # leave inside a block of terms and some at its last step; the
+    # non-terminating rows run on across several blocks.  A = -2 with
+    # C = -3 meets a pole one step after it terminates, which the
+    # blocked sum forms and must drop without a warning
+    ends = [-float(m) for m in range(41)]
+    runs = [0.3 + 0.2 * j for j in range(20)]
+    cases = [
+        (np.array([0.0, 0.2, 0.5, 0.8]),
+         [(a, 1.25, 2.5) for a in ends]
+         + [(a, 1.25, 2.5 + a) for a in runs]),
+        (np.array([0.0, 0.2, 0.5, 0.8, 1.0]),
+         [(a, 1.25, 2.5) for a in ends] + [(-2.0, 1.3, -3.0)]),
+        (np.array([0.0]), [(a, 1.25, 2.5) for a in ends + runs]),
+        (np.array([1.0]), [(a, 0.7, 1.1) for a in ends]),
+    ]
+    stops = set()
+    for z, rows in cases:
+        A, B, C = (np.array(col) for col in zip(*rows))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _series_rows(A, B, C, z)
+        for r, (a, b, c) in enumerate(rows):
+            ref, terms = _one_term_loop(a, b, c, z)
+            assert np.array_equal(got[r], ref), (a, b, c, z)
+            stops.add(terms)
+    assert set(range(1, 42)) <= stops and max(stops) > 100
+
+
+def test_series_raises_at_the_term_cap(monkeypatch):
+    # this row needs 40 terms: every cap below fails, 40 itself passes
+    a, b, c, z = 0.3, 0.7, 1.1, np.array([0.0, 0.45])
+    ref, terms = _one_term_loop(a, b, c, z)
+    assert terms == 40
+    row = (np.array([a]), np.array([b]), np.array([c]), z)
+    for cap in range(1, terms):
+        monkeypatch.setattr(special_functions, "SERIES_MAX_TERMS", cap)
+        with pytest.raises(ConvergenceError,
+                           match=rf"within {cap} terms \(A=0\.3, B=0\.7, "
+                                 r"C=1\.1, z up to 0\.45\)"):
+            _series_rows(*row)
+    monkeypatch.setattr(special_functions, "SERIES_MAX_TERMS", terms)
+    assert np.array_equal(_series_rows(*row)[0], ref)
 
 
 def test_gamma_matches_mpmath():

@@ -20,7 +20,6 @@ from heunspec.cli import RESIDUAL_TOL
 from heunspec.shooting import shooting_match_table, shooting_spectrum
 from heunspec.spectrum import (
     arscott_check,
-    characteristic_det,
     default_window,
     finite_spectrum,
     infinite_energy,
@@ -30,6 +29,8 @@ from heunspec.spectrum import (
     _section_levels,
 )
 from heunspec.verify import ode_residual
+
+from conftest import characteristic_det
 
 RING5_V1_L2_E = [-9.316624790355399849115, -2.683375209644600150885]
 RING7_V2_L3_E = [-17.28232998312526813906, -3.717670016874731860935]
