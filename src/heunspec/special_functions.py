@@ -28,7 +28,7 @@ from .exceptions import (
 AGM_MAX_ITER = 64
 SERIES_MAX_TERMS = 10_000
 Z_CONNECT = 0.97  # above it gauss_2F1 and two-piece kernel rows use 1 - z
-_BLOCK = 32  # most terms per stop test in _series_rows
+_BLOCK = 64  # terms per einsum block of _series_rows, after 4 + 8 + 16 + 32
 
 _EPS = 2.220446049250313e-16
 
@@ -322,11 +322,23 @@ def _series_rows(A, B, C, z: np.ndarray) -> np.ndarray:
     A row leaves at its first term with max|term| <= 1e-16 max|total|
     over its points, and a row still running after SERIES_MAX_TERMS
     terms raises ConvergenceError.  Terms come in blocks of 4, 8, 16,
-    then _BLOCK steps: each term is formed from the last as in a
-    one-term loop, the running totals are one sequential cumulative
-    sum, and the stop test runs on all steps of a block at once.  So
-    every row is the same to the bit as when summed alone, one term at
-    a time; the steps a row takes past its stop are discarded.
+    32, then _BLOCK steps.  In the first four blocks (60 terms) each
+    term is formed from the last as in a one-term loop, the running
+    totals are one sequential cumulative sum, and the stop test runs on
+    all steps of a block at once, so a row that stops there is the
+    one-term loop's sum to the bit.  Where a series cancels, nearly all
+    of its mass lies in these terms, and forming each from the last
+    carries its rounding into the later ones, where it cancels too.
+    Past them, a block's terms are t d[r, k] z^k, with t the last term,
+    d one cumulative product of the ratios
+    (A + n)(B + n) / ((C + n)(n + 1)) and z^k one table shared by all
+    rows and blocks.  A step's largest term over the grid is then
+    max|t| |d[r, k]| max|z|^k, tested against the total before the
+    block; the steps after a row's stop, past a terminating row's zero
+    and poles of C + n included, are set to zero, and the block adds t
+    times one row-wise einsum.  Its summation order does not depend on
+    how many rows are stacked, so every row is the same to the bit as
+    when summed alone.
     """
     total = np.ones((A.size, z.size))
     if not total.size:
@@ -334,32 +346,49 @@ def _series_rows(A, B, C, z: np.ndarray) -> np.ndarray:
     sums = np.empty_like(total)
     live = np.arange(A.size)
     term = total
+    top = int(np.abs(z).argmax())
+    powers = None  # z^1 .. z^_BLOCK, made when a row outlasts the 60 terms
     n0, size = 0, 4
     # steps past a row's stop may overflow or meet a pole; they are dropped
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while n0 < SERIES_MAX_TERMS:
             n = np.arange(n0, min(n0 + size, SERIES_MAX_TERMS), dtype=float)
-            n0, size = n0 + size, min(2 * size, _BLOCK)
-            n = n[:, None]
-            coef = (A + n) * (B + n) / ((C + n) * (n + 1.0))
-            terms = np.empty((n.size + 1,) + total.shape)
-            terms[0] = total
-            for k, c in enumerate(coef[:, :, None], 1):
-                term = np.multiply(term, c, out=terms[k])
-                term *= z
-            totals = np.cumsum(terms, axis=0)
-            done = (np.abs(terms[1:]).max(axis=2)
-                    <= 1.0e-16 * np.abs(totals[1:]).max(axis=2))
-            hit = done.any(axis=0)
+            ratio = ((A[:, None] + n) * (B[:, None] + n)
+                     / ((C[:, None] + n) * (n + 1.0)))
+            if size < _BLOCK:
+                terms = np.empty((n.size + 1,) + total.shape)
+                terms[0] = total
+                for k, c in enumerate(ratio.T[:, :, None], 1):
+                    term = np.multiply(term, c, out=terms[k])
+                    term *= z
+                totals = np.cumsum(terms, axis=0)
+                done = (np.abs(terms[1:]).max(axis=2)
+                        <= 1.0e-16 * np.abs(totals[1:]).max(axis=2))
+                hit = done.any(axis=0)
+                stop = totals[1 + done[:, hit].argmax(axis=0), hit]
+                total = totals[-1]
+            else:
+                if powers is None:
+                    powers = z ** np.arange(1.0, _BLOCK + 1.0)[:, None]
+                d = np.cumprod(ratio, axis=1, out=ratio)
+                power = powers[:n.size]
+                done = (np.abs(term).max(axis=1)[:, None]
+                        * np.abs(d * power[:, top])
+                        <= 1.0e-16 * np.abs(total).max(axis=1)[:, None])
+                hit = done.any(axis=1)
+                d[:, 1:][np.logical_or.accumulate(done, axis=1)[:, :-1]] = 0.0
+                total = total + term * np.einsum("rk,kz->rz", d, power,
+                                                 optimize=False)
+                stop = total[hit]
+                term = term * (d[:, -1:] * power[-1])
+            n0, size = n0 + n.size, min(2 * size, _BLOCK)
             if hit.any():
-                first = done[:, hit].argmax(axis=0)
-                sums[live[hit]] = totals[1 + first, np.flatnonzero(hit)]
+                sums[live[hit]] = stop
                 if hit.all():
                     return sums
                 keep = ~hit
                 live, A, B, C = live[keep], A[keep], B[keep], C[keep]
-                terms, totals = terms[:, keep], totals[:, keep]
-            term, total = terms[-1], totals[-1]
+                term, total = term[keep], total[keep]
     raise ConvergenceError(
         f"2F1 series did not converge within {SERIES_MAX_TERMS} terms "
         f"(A={float(A[0])}, B={float(B[0])}, C={float(C[0])}, "
@@ -382,8 +411,9 @@ def _tilde_f_rows(A, B, C, z: np.ndarray) -> np.ndarray:
     cancellation, so such a row takes the connection at every z > 1/2,
     where the direct series would need hundreds of terms or cancel.  A
     two-piece row's two terms cancel like e^(n w), so it is summed directly
-    up to Z_CONNECT and from the connection only above it.  An integer
-    s raises PoleError.
+    up to Z_CONNECT, several hundred terms of _series_rows at z near it,
+    and from the connection only above it.  An integer s raises
+    PoleError.
     """
     B = np.broadcast_to(B, A.shape)
     s = C - A - B

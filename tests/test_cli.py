@@ -300,6 +300,27 @@ def test_verify_passes_at_l8_k2_08(capsys):
     assert json.loads(out)["all_passed"] is True
 
 
+@pytest.mark.parametrize("l, k2, levels", [
+    ("7.5", "0.8", ["bar5 level 6"]),
+    ("8.5", "0.8", ["bar5 level 5", "bar7 level 6"]),
+    ("9.5", "0.8", ["bar7 level 5"]),
+    ("11.5", "0.5", ["bar5 level 5"]),
+    ("11.5", "0.8", ["bar5 level 4"]),
+])
+def test_verify_residuals_at_high_half_odd_l(capsys, l, k2, levels):
+    # the two-piece kernel rows here are summed directly and cancel;
+    # these residuals (3.3e-8 to 8.3e-8) rose to 1.1e-7 to 3.2e-7 when
+    # every early term of a row was rounded on its own rather than
+    # formed from the last one
+    from heunspec.cli import RESIDUAL_TOL
+    _, out, _ = run_cli(capsys, "verify", "--potential", "v2",
+                        "--l", l, "--k2", k2)
+    residuals = {c["name"].split(" (")[0]: c["value"]
+                 for c in json.loads(out)["checks"] if c["kind"] == "residual"}
+    for level in levels:
+        assert residuals["residual " + level] < RESIDUAL_TOL, level
+
+
 def test_sweep_csv_exact_rows(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--potential", "v1",
                            "--l", "-1.5", "--family", "bold5",

@@ -292,26 +292,30 @@ def test_tilde_f_rejects_nonpositive_integer_c():
         tilde_F(0.5, 0.7, 0.0, 0.3)
 
 
-# kernel arguments z on both sides of the cut at 0.97 and at 1 itself
-MPMATH_Z = (0.0, 0.3, 0.6, 0.9, 0.95, 0.969, 0.97, 0.9701, 0.975, 0.99,
-            0.999, 0.99999, 1.0)
-# measured at 40 digits: worst pointwise relative error 2.4e-14 for
-# tilde_F and 4.4e-13 for _tilde_f_rows (bold5 at l = 11/2, z = 0.97,
-# where A = n - 11/4 makes the direct series cancel)
+# kernel arguments z on both sides of the cut at 0.97 and at 1 itself,
+# and inside (1/2, 0.97), where two-piece rows sum hundreds of terms
+MPMATH_Z = (0.0, 0.3, 0.5001, 0.6, 0.75, 0.85, 0.9, 0.93, 0.95, 0.969,
+            0.97, 0.9701, 0.975, 0.99, 0.999, 0.99999, 1.0)
+# measured at 40 digits: worst pointwise relative error 6.3e-14 for
+# tilde_F (bold5 at l = 11/2, n = 0, z = 0.75) and 4.4e-13 for
+# _tilde_f_rows (bold5 at l = 11/2, n = 2, z = 0.97, where A = n - 11/4
+# makes the direct series cancel)
 SCALAR_KERNEL_TOL = 1.0e-13
 ROWS_KERNEL_TOL = 2.0e-12
 
 
 def test_regularized_kernels_match_mpmath():
-    # the 2F1-tilde kernels of every in-scope two-sided family at
-    # l = 3/2, 7/2, 11/2, for every index n <= N
+    # the 2F1-tilde kernels of every in-scope two-sided family at every
+    # half-odd l from -3/2 to 11/2, for every index n <= N.  abs=0:
+    # approx's default absolute 1e-12 would pass every kernel below
+    # 1e-12 / tolerance in size
     mpmath = pytest.importorskip("mpmath")
     from heunspec.heun_core import (ExpansionFamily, PotentialKind,
                                     PotentialSpec)
     from heunspec.series_engine import hyper_eval_args, truncation_order
     cases = [(kind, sel, l) for kind, sels in (("v1", ("bold5", "bold6")),
                                                ("v2", ("bar5", "bar7")))
-             for sel in sels for l in (1.5, 3.5, 5.5)]
+             for sel in sels for l in np.arange(-1.5, 6.0).tolist()]
     for kind, sel, l in cases:
         spec = PotentialSpec.from_k2(PotentialKind(kind), l, 0.5)
         fam = ExpansionFamily.from_selector(sel)
@@ -325,8 +329,9 @@ def test_regularized_kernels_match_mpmath():
                                 / mpmath.gamma(n + C0))
                     case = (sel, l, n, z)
                     assert tilde_F(n + A0, B, n + C0, z) == pytest.approx(
-                        ref, rel=SCALAR_KERNEL_TOL), case
-                    assert got == pytest.approx(ref, rel=ROWS_KERNEL_TOL), case
+                        ref, rel=SCALAR_KERNEL_TOL, abs=0), case
+                    assert got == pytest.approx(ref, rel=ROWS_KERNEL_TOL,
+                                                abs=0), case
 
 
 def _two_sided_kernels(kind, sel, l, k2=0.5):
@@ -406,14 +411,18 @@ def test_single_piece_rows_need_few_terms(monkeypatch):
 
 def _one_term_loop(a, b, c, z, max_terms=10_000):
     """2F1(a, b; c; z) of one row, one term per step, with the stop rule
-    of _series_rows; returns the sum and the number of terms."""
+    of _series_rows; returns the sum, the number of terms and the
+    pointwise sum of |term| (the leading 1 included), the scale of the
+    rounding error of a sum."""
     term = np.ones_like(z)
     total = np.ones_like(z)
+    size = np.ones_like(z)
     for n in range(max_terms):
         term = term * ((a + n) * (b + n) / ((c + n) * (n + 1.0))) * z
         total += term
+        size += np.abs(term)
         if np.abs(term).max() <= 1.0e-16 * np.abs(total).max():
-            return total, n + 1
+            return total, n + 1, size
     raise AssertionError("reference loop did not stop")
 
 
@@ -422,7 +431,12 @@ def test_blocked_series_matches_one_term_loop():
     # leave inside a block of terms and some at its last step; the
     # non-terminating rows run on across several blocks.  A = -2 with
     # C = -3 meets a pole one step after it terminates, which the
-    # blocked sum forms and must drop without a warning
+    # blocked sum forms and must drop without a warning; A = -70 with
+    # C = -71 does so past the first 60 terms.  A row that stops within
+    # the first 60 terms is formed one term at a time and must be the
+    # loop's sum to the bit; a longer row adds the later terms a block
+    # at a time, so it rounds differently: it must agree within
+    # 16 eps sum|t_k| (measured worst 4.1, mostly the loop's own error)
     ends = [-float(m) for m in range(41)]
     runs = [0.3 + 0.2 * j for j in range(20)]
     cases = [
@@ -430,7 +444,8 @@ def test_blocked_series_matches_one_term_loop():
          [(a, 1.25, 2.5) for a in ends]
          + [(a, 1.25, 2.5 + a) for a in runs]),
         (np.array([0.0, 0.2, 0.5, 0.8, 1.0]),
-         [(a, 1.25, 2.5) for a in ends] + [(-2.0, 1.3, -3.0)]),
+         [(a, 1.25, 2.5) for a in ends]
+         + [(-2.0, 1.3, -3.0), (-70.0, 1.3, -71.0)]),
         (np.array([0.0]), [(a, 1.25, 2.5) for a in ends + runs]),
         (np.array([1.0]), [(a, 0.7, 1.1) for a in ends]),
     ]
@@ -441,8 +456,12 @@ def test_blocked_series_matches_one_term_loop():
             warnings.simplefilter("error")
             got = _series_rows(A, B, C, z)
         for r, (a, b, c) in enumerate(rows):
-            ref, terms = _one_term_loop(a, b, c, z)
-            assert np.array_equal(got[r], ref), (a, b, c, z)
+            ref, terms, size = _one_term_loop(a, b, c, z)
+            if terms <= 60:
+                assert np.array_equal(got[r], ref), (a, b, c, z)
+            else:
+                bound = 16 * np.finfo(float).eps * size
+                assert (np.abs(got[r] - ref) <= bound).all(), (a, b, c, z)
             stops.add(terms)
     assert set(range(1, 42)) <= stops and max(stops) > 100
 
@@ -450,7 +469,7 @@ def test_blocked_series_matches_one_term_loop():
 def test_series_raises_at_the_term_cap(monkeypatch):
     # this row needs 40 terms: every cap below fails, 40 itself passes
     a, b, c, z = 0.3, 0.7, 1.1, np.array([0.0, 0.45])
-    ref, terms = _one_term_loop(a, b, c, z)
+    ref, terms, _ = _one_term_loop(a, b, c, z)
     assert terms == 40
     row = (np.array([a]), np.array([b]), np.array([c]), z)
     for cap in range(1, terms):
