@@ -6,6 +6,9 @@ verify (residual, oracle, and symmetry checks as JSON), and sweep
 (energies over a modulus grid as CSV).  All output is deterministic:
 rerunning a command produces byte-identical bytes.
 
+Only verify runs the shooting oracle, so it loads the oracle, and with
+it scipy.integrate, on first use; importing this module does not.
+
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error,
 3 index out of range.
 """
@@ -13,6 +16,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or domain error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -37,7 +41,6 @@ from .series_engine import (
     finite_order,
     truncation_order,
 )
-from .shooting import shooting_match_table
 from .spectrum import finite_spectrum, infinite_levels
 from .verify import equivalence_suite, ode_residual
 from .special_functions import complete_K
@@ -126,7 +129,23 @@ def _write_output(text: str, path: Optional[str]) -> None:
 
 
 def _json_dump(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """json.dumps(payload, indent=2, sort_keys=True) + "\\n", byte for byte.
+
+    indent=2 runs the pure-Python encoder.  An eigenfunction's samples,
+    a list of [u, psi] pairs and most of its payload, are encoded by the
+    C encoder instead and spliced in with the same indentation.
+    """
+    samples = payload.get("samples")
+    if not samples:
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    # the pairs sit at depth 2 (indent 4), their numbers at depth 3 (6)
+    flat = json.dumps(samples, separators=(",", ":"))[2:-2]
+    block = (flat.replace(",", ",\n      ")
+                 .replace("],\n      [", "\n    ],\n    [\n      "))
+    text = json.dumps({**payload, "samples": []}, indent=2, sort_keys=True)
+    return text.replace('"samples": []',
+                        '"samples": [\n    [\n      ' + block + "\n    ]\n  ]",
+                        1) + "\n"
 
 
 def cmd_spectrum(args) -> int:
@@ -220,6 +239,7 @@ def _parity_for(spec: PotentialSpec, fam: ExpansionFamily) -> str:
 
 
 def cmd_verify(args) -> int:
+    from .shooting import shooting_match_table
     spec = _spec_from_args(args)
     override = args.energy_override
     if override is not None and not math.isfinite(override):
@@ -353,7 +373,10 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it
+    unchanged, so every main call can share it."""
     parser = argparse.ArgumentParser(
         prog="heunspec",
         description="Spectra and eigenfunctions of two elliptic potentials "

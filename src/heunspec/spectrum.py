@@ -22,7 +22,6 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import brentq
 
 from .exceptions import ArgumentError, ConvergenceError, DomainError, NoRootError
 from .heun_core import ExpansionFamily, FamilyGroup, PotentialSpec, default_window
@@ -142,6 +141,8 @@ def _companion_real_roots(tri: Recurrence, N: int,
                                for lam in np.linalg.eigvals(M)
                                if abs(lam.imag) <= 1.0e-8 * (1.0 + abs(lam)))
                    if lo <= E <= hi)
+    # local: keeps scipy.optimize out of start-up until Aberth replaces it
+    from scipy.optimize import brentq
     roots = []
     for E in cands[:count]:
         width = 1.0e-6 * (1.0 + abs(E))

@@ -3,6 +3,7 @@
 import ast
 import importlib.resources
 import json
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -24,6 +25,35 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# Runs each argv (a JSON list of argument lists, sys.argv[1]) through
+# main in one fresh interpreter and prints, as JSON, which WATCHED
+# modules the import loaded and, per call, the exit code, stdout,
+# stderr and the WATCHED modules loaded by then.
+FRESH_RUNNER = """
+import contextlib, io, json, sys
+from heunspec.cli import main
+WATCHED = ("scipy.integrate", "scipy.optimize", "heunspec.shooting")
+runs = [{"loaded": [m for m in WATCHED if m in sys.modules]}]
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    runs.append({"code": code, "out": out.getvalue(), "err": err.getvalue(),
+                 "loaded": [m for m in WATCHED if m in sys.modules]})
+print(json.dumps(runs))
+"""
+
+
+def run_fresh(*argvs):
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_RUNNER, json.dumps(argvs)],
+        capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
 
 
 def load_schema(name):
@@ -488,6 +518,75 @@ def test_cli_imports_no_private_names():
             dunder = name.startswith("__") and name.endswith("__")
             assert dunder or not name.startswith("_"), \
                 f"cli imports {name} from {node.module}"
+
+
+SPECTRUM_CF = ["spectrum", "--potential", "v1", "--l", "-3", "--k2", "0.5",
+               "--family", "ring5"]
+EIGEN_JSON = ["eigenfunction", "--potential", "v1", "--l", "2", "--k2", "0.5",
+              "--family", "ring5", "--index", "1", "--format", "json"]
+VERIFY_RING = ["verify", "--potential", "v1", "--l", "2", "--k2", "0.5",
+               "--family", "ring5"]
+
+
+def test_only_verify_loads_the_oracle():
+    # the oracle pulls in scipy.integrate, and brentq scipy.optimize;
+    # spectrum and eigenfunction on symmetric sections need neither
+    runs = run_fresh(SPECTRUM_CF, EIGEN_JSON, VERIFY_RING)
+    assert [r["loaded"] for r in runs[:3]] == [[], [], []]
+    assert [r["code"] for r in runs[1:]] == [0, 0, 0]
+    assert "heunspec.shooting" in runs[3]["loaded"]
+
+
+def test_parser_reuse_matches_fresh_processes(capsys):
+    # the parser is built once per process: no call may see state left
+    # by the one before, usage errors (argparse's and main's) included
+    argvs = [SPECTRUM_CF,
+             ["spectrum", "--potential", "v1", "--l", "2", "--k2", "1.5",
+              "--family", "ring5"],
+             ["spectrum", "--potential", "v3", "--l", "2", "--k2", "0.5",
+              "--family", "ring5"],
+             EIGEN_JSON, VERIFY_RING]
+    together = []
+    for argv in argvs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        together.append((code, captured.out, captured.err))
+    alone = [(r["code"], r["out"], r["err"])
+             for argv in argvs for r in run_fresh(argv)[1:]]
+    assert together == alone
+    assert [code for code, _, _ in together] == [0, 2, 2, 0, 0]
+
+
+@pytest.mark.parametrize("argv,exit_code", [
+    (SPECTRUM_CF, 0),
+    (EIGEN_JSON, 0),
+    (["verify", "--potential", "v1", "--l", "-1.5", "--k2", "0.5",
+      "--family", "bold5"], 0),
+    (["verify", "--potential", "v1", "--l", "2", "--k2", "0.5",
+      "--family", "ring5", "--energy-override", "-9.30"], 1),
+])
+def test_json_dump_matches_indented_encoder(capsys, argv, exit_code):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == exit_code
+    payload = json.loads(out)
+    expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert heunspec.cli._json_dump(payload) == expected == out
+
+
+def test_json_dump_matches_indented_encoder_on_special_floats():
+    values = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 1e300,
+              5e-324, 0.1, -2.5]
+    pairs = [[u, v] for u, v in zip(values, reversed(values))]
+    for samples in (pairs, pairs[:1], []):
+        payload = {"potential": "v1", "l": 2.0, "k2": 0.5,
+                   "family": "ring5", "index": 0, "energy": -9.3,
+                   "samples": samples,
+                   "meta": {"version": "0.1.0", "points": len(samples)}}
+        assert heunspec.cli._json_dump(payload) == \
+            json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def test_module_entry_point():
