@@ -6,8 +6,9 @@ verify (residual, oracle, and symmetry checks as JSON), and sweep
 (energies over a modulus grid as CSV).  All output is deterministic:
 rerunning a command produces byte-identical bytes.
 
-Only verify runs the shooting oracle, so it loads the oracle, and with
-it scipy.integrate, on first use; importing this module does not.
+Only verify runs the shooting oracle, so it loads the oracle on first
+use; importing this module does not.  The oracle integrates with numpy
+alone, so no subcommand loads scipy.integrate.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error,
 3 index out of range.

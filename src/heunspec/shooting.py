@@ -1,10 +1,9 @@
 """Independent eigenvalue oracle: wall asymptotics plus shooting.
 
 This module deliberately knows nothing about series solutions or
-recurrences.  It integrates psi'' = (V - E) psi with an adaptive
-Runge-Kutta scheme, starting from the exact indicial behavior
-psi ~ t^2 (1 + c2 t^2 + c4 t^4) at the singular walls, and quantizes
-energies by one of two conditions:
+recurrences.  It integrates psi'' = (V - E) psi, starting from the
+exact indicial behavior psi ~ t^2 (1 + c2 t^2 + c4 t^4) at the singular
+walls, and quantizes energies by one of two conditions:
 
 * parity, either potential: integrate from the wall to the symmetry
   point, u = K to u = 0 for the first potential on (-K, K) and u = 0 to
@@ -24,11 +23,21 @@ energies by one of two conditions:
   circle that encloses no other singular point.  These energies are in
   general not eigenvalues of either parity class above.
 
-Many trial energies integrate together as one stacked first-order
-system, which keeps the scan and root-refinement passes cheap.  The
-system carries sn, cn and dn as three more components (sn' = cn dn,
-cn' = -sn dn, dn' = -k2 sn cn), started from one jacobi call per
-integration, so its right-hand side evaluates no elliptic function.
+Both conditions integrate a linear system y' = (A0 + E A1) y whose
+coefficients do not depend on E, so all trial energies of a call
+integrate together (_propagate).  Each step of the 12-stage, 8th-order
+Runge-Kutta method of DOP853 is, for a linear system, a 2x2 matrix; the
+propagators of every step and energy are formed at once in numpy and
+multiplied by a pairwise tree.  The parity oracle steps in t, the
+distance from the wall: from t = WALL_OFFSET * K the steps grow as
+GRADE * t up to a cap, the power of two at or below
+STEP_SCALE / sqrt(1 + max|E| + |L|).  The monodromy oracle takes a
+uniform mesh in the angle, with steps at or below the same cap.  Each
+call runs the mesh and the mesh with every step halved, with the
+coefficients at the stage points of both from one evaluation (for the
+parity oracle, one jacobi call), and returns the halved-mesh state once
+the two agree to MESH_TOL; otherwise it halves again, up to
+MESH_HALVINGS times in all, and then raises ConvergenceError.
 Both forms of the potential, in u and in x, come from
 heun_core.potential_from_squares.  Every root, of the matching
 function or of the monodromy projection, is refined from a sign-change
@@ -40,33 +49,61 @@ nearest to it by one widening probe (_nearest_roots).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .exceptions import ArgumentError, ConvergenceError
-from .heun_core import (PotentialKind, PotentialSpec, default_window,
-                        potential_from_squares)
+from .heun_core import PotentialKind, PotentialSpec, potential_from_squares
 from .special_functions import complete_K, jacobi
 
-RTOL = 1.0e-11
-ATOL = 1.0e-14
 WALL_OFFSET = 1.0e-3
-DEFAULT_SAMPLES = 400
+GRADE = 0.08
+STEP_SCALE = 0.35
+MESH_TOL = 1.0e-10
+MESH_HALVINGS = 4
+STAGE_BLOCK = 1 << 13
 MONODROMY_TOL = 1.0e-8
 ROOT_XTOL = 1.0e-10
 ILLINOIS_MAX_ITER = 60
 
-
-@dataclass
-class ShootingResult:
-    """Eigenvalues found in a window, ascending; complete is False when
-    the search stopped at max_count with sign changes left over."""
-
-    energies: list[float]
-    complete: bool
+# The explicit 12-stage Runge-Kutta method of order 8 inside DOP853
+# (Hairer, Norsett & Wanner, Solving Ordinary Differential Equations I,
+# 2nd ed., section II.10): nodes _C, weights _B and the rows of the
+# strictly lower-triangular coupling matrix _A.
+_C = np.array([
+    0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+    0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+    0.6512820512820513, 0.6, 0.8571428571428571, 1.0])
+_B = np.array([
+    0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+    1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+    -0.1521609496625161, 0.20136540080403034, 0.04471061572777259])
+_A_ROWS = (
+    (),
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386,
+     0.12546768756682242),
+    (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596,
+     -0.017578125),
+    (0.03709200011850479, 0.0, 0.0, 0.17038392571223998,
+     0.10726203044637328, -0.015319437748624402, 0.008273789163814023),
+    (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486,
+     -0.020331201708508627),
+    (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505,
+     2.4936055526796523, -3.0467644718982196),
+    (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+     -8.87285693353063, 12.360567175794303, 0.6433927460157636),
+)
+_A = np.array([row + (0.0,) * (12 - len(row)) for row in _A_ROWS])
 
 
 def _wall_coeffs(kind: PotentialKind, k2: float, L: float) -> tuple[float, float]:
@@ -94,34 +131,133 @@ def _wall_start(kind: PotentialKind, k2: float, L: float,
     return psi, dpsi
 
 
-def _advance(kind: PotentialKind, k2: float, L: float, E: np.ndarray,
-             u0: float, u1: float, psi0: np.ndarray,
-             dpsi0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate the stacked system from u0 to u1.
+def _step_cap(E: np.ndarray, L: float) -> float:
+    """The largest power of two at or below
+    STEP_SCALE / sqrt(1 + max|E| + |L|)."""
+    reach = math.sqrt(1.0 + float(np.max(np.abs(E))) + abs(L))
+    return 2.0 ** math.floor(math.log2(STEP_SCALE / reach))
 
-    sn, cn and dn ride along as the last three components of the state,
-    started from one jacobi(u0, k2) and moved by sn' = cn dn,
-    cn' = -sn dn, dn' = -k2 sn cn (DLMF 22.13.1-3), so the right-hand
-    side evaluates no elliptic function.
+
+def _wall_mesh(delta: float, end: float, h_max: float) -> np.ndarray:
+    """Nodes from delta to end in t, the distance from the wall: each
+    step is GRADE * t, capped at h_max."""
+    nodes = [delta]
+    while nodes[-1] < end:
+        nodes.append(min(nodes[-1] + min(GRADE * nodes[-1], h_max), end))
+    return np.array(nodes)
+
+
+def _halved(nodes: np.ndarray) -> np.ndarray:
+    """The mesh with each step split at its midpoint."""
+    out = np.empty(2 * nodes.size - 1)
+    out[0::2] = nodes
+    out[1::2] = 0.5 * (nodes[:-1] + nodes[1:])
+    return out
+
+
+def _stage_points(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Step lengths h, shape (n,), and stage points, shape (12, n)."""
+    h = np.diff(nodes)
+    return h, nodes[:-1] + _C[:, None] * h
+
+
+def _mul(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """X @ Y for 2x2 matrices X and 2xc matrices Y stacked along the
+    trailing axes (shapes (2, 2, ...) and (2, c, ...))."""
+    return X[:, :1] * Y[:1] + X[:, 1:] * Y[1:]
+
+
+def _march(A0: np.ndarray, A1: np.ndarray, h: np.ndarray,
+           E: np.ndarray) -> np.ndarray:
+    """Product of the step propagators over steps of lengths h, shape
+    (2, 2, m), one per energy.
+
+    A0 + E A1 is the coefficient matrix at the stage points (each of
+    shape (2, 2, 12, n)).  For a linear system one Runge-Kutta step is
+    a matrix, the propagator I + sum b_i K_i with
+    K_i = h A_i (I + sum_j a_ij K_j); it is formed for all steps and
+    energies at once, and the propagators are multiplied by a pairwise
+    tree, later steps on the left.  Energies go in blocks of at most
+    STAGE_BLOCK // n, which bounds the stage arrays.
     """
-    m = len(E)
+    n = h.size
+    hA0 = np.moveaxis(A0 * h, 2, 0)[..., None]
+    hA1 = np.moveaxis(A1 * h, 2, 0)[..., None]
+    out = np.empty((2, 2, E.size), dtype=A0.dtype)
+    block = max(1, STAGE_BLOCK // n)
+    for lo in range(0, E.size, block):
+        part = slice(lo, lo + block)
+        e = E[part]
+        K = np.empty((12, 2, 2, n, e.size), dtype=A0.dtype)
+        for i in range(12):
+            S = np.tensordot(_A[i, :i], K[:i], axes=1)
+            S[0, 0] += 1.0
+            S[1, 1] += 1.0
+            hA = hA1[i] * e
+            hA += hA0[i]
+            np.multiply(hA[:, :1], S[:1], out=K[i])
+            K[i] += hA[:, 1:] * S[1:]
+        P = np.tensordot(_B, K, axes=1)
+        P[0, 0] += 1.0
+        P[1, 1] += 1.0
+        while P.shape[2] > 1:
+            even = P.shape[2] // 2 * 2
+            pairs = _mul(P[:, :, 1:even:2], P[:, :, 0:even:2])
+            P = np.concatenate((pairs, P[:, :, even:]), axis=2)
+        out[..., part] = P[:, :, 0]
+    return out
 
-    def rhs(u, y):
-        sn, cn, dn = y[2 * m:].tolist()
-        V = potential_from_squares(kind, k2, L, sn * sn, cn * cn, dn * dn)
-        out = np.empty(2 * m + 3)
-        out[:m] = y[m:2 * m]
-        out[m:2 * m] = (V - E) * y[:m]
-        out[2 * m:] = cn * dn, -sn * dn, -k2 * sn * cn
-        return out
 
-    y0 = np.concatenate((psi0, dpsi0, jacobi(u0, k2)))
-    res = solve_ivp(rhs, (u0, u1), y0, method="DOP853",
-                    rtol=RTOL, atol=ATOL, dense_output=False)
-    if not res.success:
-        raise ArgumentError(f"integration failed: {res.message}")
-    y = res.y[:, -1]
-    return y[:m], y[m:2 * m]
+def _propagate(nodes: np.ndarray, coefficients, E: np.ndarray,
+               y0: np.ndarray) -> np.ndarray:
+    """State at nodes[-1] of y' = (A0(t) + E A1(t)) y, y(nodes[0]) = y0,
+    for each energy E; y0 has shape (2, c, m).
+
+    coefficients(t) gives A0 and A1 at an array of points t, each of
+    shape (2, 2) + t.shape.  The propagator product P is formed on the
+    mesh nodes and on the same mesh with each step halved, with the
+    coefficients of both from one coefficients call.  An energy's
+    halved-mesh state P y0 is returned once no entry of it differs from
+    the coarse-mesh state by more than MESH_TOL max|P| max|y0|, the
+    size the state would have without cancellation: at a root of a
+    steep matching function the state itself is small, and float64
+    fixes it only relative to that size.  For the energies left the
+    mesh is halved again, at most MESH_HALVINGS times in all; then
+    ConvergenceError is raised.
+    """
+    fine = _halved(nodes)
+    h, pts = _stage_points(nodes)
+    h_fine, pts_fine = _stage_points(fine)
+    A0, A1 = coefficients(np.concatenate((pts, pts_fine), axis=1))
+    n = h.size
+    coarse = _mul(_march(A0[..., :n], A1[..., :n], h, E), y0)
+    P = _march(A0[..., n:], A1[..., n:], h_fine, E)
+    out = np.empty((2,) + y0.shape[1:], dtype=P.dtype)
+    todo = np.arange(E.size)
+    halvings = 1
+    while True:
+        state = _mul(P, y0[..., todo])
+        gap = np.abs(state - coarse).max(axis=(0, 1))
+        scale = (np.abs(P).max(axis=(0, 1))
+                 * np.abs(y0[..., todo]).max(axis=(0, 1)))
+        ok = gap <= MESH_TOL * scale
+        out[..., todo[ok]] = state[..., ok]
+        todo, coarse = todo[~ok], state[..., ~ok]
+        if todo.size == 0:
+            return out
+        if halvings == MESH_HALVINGS:
+            rel = np.nan_to_num(gap[~ok] / scale[~ok], nan=np.inf)
+            i = int(np.argmax(rel))
+            raise ConvergenceError(
+                f"{todo.size} state(s) still change by more than "
+                f"{MESH_TOL:g} of their scale after {MESH_HALVINGS} mesh "
+                f"halvings; worst at E = {float(E[todo[i]])!r}, "
+                f"by {rel[i]:.3g}")
+        halvings += 1
+        fine = _halved(fine)
+        h, pts = _stage_points(fine)
+        A0, A1 = coefficients(pts)
+        P = _march(A0, A1, h, E[todo])
 
 
 def matching_values(spec: PotentialSpec, parity: str,
@@ -142,47 +278,30 @@ def matching_values(spec: PotentialSpec, parity: str,
     L = spec.coupling
     K = complete_K(k2)
     delta = WALL_OFFSET * K
-    pw, dw_dt = _wall_start(spec.kind, k2, L, E, delta)
-    if spec.kind is PotentialKind.V1:
-        # wall at u = K, symmetry point u = 0; t = K - u, so du = -dt
-        u0, u1, dpsi0 = K - delta, 0.0, -dw_dt
-    else:
-        u0, u1, dpsi0 = delta, K, dw_dt
-    psi, dpsi = _advance(spec.kind, k2, L, E, u0, u1, pw, dpsi0)
-    return dpsi if parity == "even" else psi
+    psi0, dpsi0 = _wall_start(spec.kind, k2, L, E, delta)
 
+    def coefficients(t):
+        sn, cn, dn = jacobi(t, k2)
+        if spec.kind is PotentialKind.V1:
+            # u = K - t: sn = cn(t)/dn(t), cn = k' sn(t)/dn(t) and
+            # dn = k'/dn(t) there (DLMF 22.4.3), exact at the wall
+            squares = ((cn / dn) ** 2, (1.0 - k2) * (sn / dn) ** 2,
+                       (1.0 - k2) / (dn * dn))
+        else:
+            squares = (sn * sn, cn * cn, dn * dn)
+        A0 = np.zeros((2, 2) + t.shape)
+        A0[0, 1] = 1.0
+        A0[1, 0] = potential_from_squares(spec.kind, k2, L, *squares)
+        A1 = np.zeros_like(A0)
+        A1[1, 0] = -1.0
+        return A0, A1
 
-def shooting_spectrum(spec: PotentialSpec, parity: str, max_count: int = 8,
-                      window: Optional[tuple[float, float]] = None,
-                      samples: Optional[int] = None) -> ShootingResult:
-    """Eigenvalues of one symmetry class found by scan plus refinement.
-
-    The window defaults to the standard search window; the matching
-    function is sampled, sign changes are bracketed, and each bracket
-    is refined by _illinois_batch to ROOT_XTOL * max(1, |E|).  A sample
-    where the function is exactly zero is a root as it stands.  At most
-    max_count roots are refined.
-    """
-    if window is None:
-        window = default_window(spec)
-    n = samples if samples is not None else DEFAULT_SAMPLES
-    grid = np.linspace(window[0], window[1], n)
-    vals = matching_values(spec, parity, grid)
-    brackets = []
-    for i in range(n - 1):
-        if vals[i] == 0.0:
-            # a zero-width bracket: the refiner returns grid[i] untouched
-            brackets.append((grid[i], 0.0, grid[i], 0.0))
-        elif vals[i] * vals[i + 1] < 0.0:
-            brackets.append((grid[i], vals[i], grid[i + 1], vals[i + 1]))
-    complete = len(brackets) <= max_count
-    brackets = brackets[:max_count]
-    if not brackets:
-        return ShootingResult(energies=[], complete=complete)
-    roots = _illinois_batch(lambda E: matching_values(spec, parity, E),
-                            *zip(*brackets))
-    return ShootingResult(energies=sorted(float(r) for r in roots),
-                          complete=complete)
+    y = _propagate(_wall_mesh(delta, K, _step_cap(E, L)), coefficients, E,
+                   np.stack((psi0, dpsi0))[:, None])
+    if parity == "odd":
+        return y[0, 0]
+    # psi' in u: du = -dt for the first potential
+    return -y[1, 0] if spec.kind is PotentialKind.V1 else y[1, 0]
 
 
 def _probe_brackets(values, targets: Sequence[float], pending: list[int],
@@ -267,29 +386,28 @@ def monodromy_defect(spec: PotentialSpec,
     L = spec.coupling
     a = spec.k.a
     rho = 0.5 * (a - 1.0)
-    EE = np.concatenate((E, E))
 
-    def rhs(theta, y):
+    def coefficients(theta):
         w = -np.exp(1j * theta)
         x = a + rho * w
         s = 1.0 - k2 * x
         P = 4.0 * x * (1.0 - x) * s
         half_dP = 2.0 * ((1.0 - 2.0 * x) * s - k2 * x * (1.0 - x))
         V = potential_from_squares(spec.kind, k2, L, x, 1.0 - x, s)
-        psi = y[:2 * m]
-        dpsi = y[2 * m:]
-        ddpsi = (rho * rho * (V - EE) * psi - rho * half_dP * dpsi) / P
         dw = 1j * w
-        return np.concatenate((dpsi * dw, ddpsi * dw))
+        A0 = np.zeros((2, 2) + theta.shape, dtype=complex)
+        A0[0, 1] = dw
+        A0[1, 0] = dw * rho * rho * V / P
+        A0[1, 1] = -dw * rho * half_dP / P
+        A1 = np.zeros_like(A0)
+        A1[1, 0] = -dw * rho * rho / P
+        return A0, A1
 
-    one, zero = np.ones(m), np.zeros(m)
-    y0 = np.concatenate((one, zero, zero, one)).astype(complex)
-    res = solve_ivp(rhs, (0.0, 2.0 * math.pi), y0, method="DOP853",
-                    rtol=RTOL, atol=ATOL)
-    if not res.success:
-        raise ArgumentError(f"integration failed: {res.message}")
-    # Final state rows psi_1, psi_2, dpsi_1, dpsi_2 are M's entries.
-    M = np.moveaxis(res.y[:, -1].reshape(2, 2, m), -1, 0)
+    steps = 2 ** math.ceil(math.log2(2.0 * math.pi / _step_cap(E, L)))
+    nodes = np.linspace(0.0, 2.0 * math.pi, steps + 1)
+    start = np.broadcast_to(np.eye(2)[:, :, None], (2, 2, m))
+    # column j of the state is solution j: psi in row 0, dpsi/dw in row 1
+    M = np.moveaxis(_propagate(nodes, coefficients, E, start), -1, 0)
     lam = np.exp(1j * math.pi * (spec.l + 3.0))
     return M / lam - np.eye(2)
 

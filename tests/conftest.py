@@ -1,7 +1,11 @@
+from dataclasses import dataclass
+from typing import Optional
+
 import numpy as np
 import pytest
 
-from heunspec.heun_core import PotentialKind, PotentialSpec
+from heunspec import shooting
+from heunspec.heun_core import PotentialKind, PotentialSpec, default_window
 from heunspec.series_engine import finite_order, recurrence
 
 
@@ -35,3 +39,45 @@ def characteristic_det(spec: PotentialSpec, fam, E, N=None):
     if N is None:
         N = finite_order(spec, fam)
     return recurrence(spec, fam, 0.0).continuant(E, N)
+
+
+@dataclass
+class ShootingResult:
+    """Eigenvalues found in a window, ascending; complete is False when
+    the search stopped at max_count with sign changes left over."""
+
+    energies: list[float]
+    complete: bool
+
+
+def shooting_spectrum(spec: PotentialSpec, parity: str, max_count: int = 8,
+                      window: Optional[tuple[float, float]] = None,
+                      samples: int = 400) -> ShootingResult:
+    """Eigenvalues of one symmetry class by a scan of the shooting oracle.
+
+    The window defaults to the standard search window; the matching
+    function is sampled, sign changes are bracketed, and each bracket
+    is refined by the oracle's Illinois refiner.  A sample where the
+    function is exactly zero is a root as it stands.  At most max_count
+    roots are refined.  The oracle is looked up on its module at each
+    call, so a test may replace matching_values.
+    """
+    if window is None:
+        window = default_window(spec)
+    grid = np.linspace(window[0], window[1], samples)
+    vals = shooting.matching_values(spec, parity, grid)
+    brackets = []
+    for i in range(samples - 1):
+        if vals[i] == 0.0:
+            # a zero-width bracket: the refiner returns grid[i] untouched
+            brackets.append((grid[i], 0.0, grid[i], 0.0))
+        elif vals[i] * vals[i + 1] < 0.0:
+            brackets.append((grid[i], vals[i], grid[i + 1], vals[i + 1]))
+    complete = len(brackets) <= max_count
+    brackets = brackets[:max_count]
+    if not brackets:
+        return ShootingResult(energies=[], complete=complete)
+    roots = shooting._illinois_batch(
+        lambda E: shooting.matching_values(spec, parity, E), *zip(*brackets))
+    return ShootingResult(energies=sorted(float(r) for r in roots),
+                          complete=complete)

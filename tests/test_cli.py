@@ -529,12 +529,14 @@ VERIFY_RING = ["verify", "--potential", "v1", "--l", "2", "--k2", "0.5",
 
 
 def test_only_verify_loads_the_oracle():
-    # the oracle pulls in scipy.integrate, and brentq scipy.optimize;
-    # spectrum and eigenfunction on symmetric sections need neither
+    # brentq pulls in scipy.optimize; spectrum and eigenfunction on
+    # symmetric sections need neither it nor the oracle, and the oracle
+    # integrates with numpy alone, so verify never loads scipy.integrate
     runs = run_fresh(SPECTRUM_CF, EIGEN_JSON, VERIFY_RING)
     assert [r["loaded"] for r in runs[:3]] == [[], [], []]
     assert [r["code"] for r in runs[1:]] == [0, 0, 0]
     assert "heunspec.shooting" in runs[3]["loaded"]
+    assert "scipy.integrate" not in runs[3]["loaded"]
 
 
 def test_parser_reuse_matches_fresh_processes(capsys):

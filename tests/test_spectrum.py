@@ -17,7 +17,7 @@ from heunspec.heun_core import (
 from heunspec.series_engine import (recurrence, solve_coeffs_infinite,
                                     truncation_order)
 from heunspec.cli import RESIDUAL_TOL
-from heunspec.shooting import shooting_match_table, shooting_spectrum
+from heunspec.shooting import shooting_match_table
 from heunspec.spectrum import (
     arscott_check,
     default_window,
@@ -30,7 +30,7 @@ from heunspec.spectrum import (
 )
 from heunspec.verify import ode_residual
 
-from conftest import characteristic_det
+from conftest import characteristic_det, shooting_spectrum
 
 RING5_V1_L2_E = [-9.316624790355399849115, -2.683375209644600150885]
 RING7_V2_L3_E = [-17.28232998312526813906, -3.717670016874731860935]

@@ -6,12 +6,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 import heunspec.shooting
 from heunspec.exceptions import ArgumentError, ConvergenceError
-from heunspec.heun_core import ExpansionFamily, FamilyGroup, PotentialKind
+from heunspec.heun_core import (ExpansionFamily, FamilyGroup, PotentialKind,
+                                default_window, potential_from_squares)
 from heunspec.series_engine import coefficients
-from heunspec.special_functions import jacobi
+from heunspec.special_functions import complete_K, jacobi
 from heunspec.spectrum import finite_spectrum, symmetry_partner
 from heunspec.shooting import (
     MONODROMY_TOL,
@@ -22,7 +24,6 @@ from heunspec.shooting import (
     monodromy_defect,
     monodromy_match_table,
     shooting_match_table,
-    shooting_spectrum,
 )
 from heunspec.verify import (
     _HYPER_PARTNER,
@@ -33,7 +34,7 @@ from heunspec.verify import (
     residual_grid,
 )
 
-from conftest import make_spec
+from conftest import make_spec, shooting_spectrum
 
 fam = ExpansionFamily.from_selector
 
@@ -268,6 +269,128 @@ def test_matching_values_calls_jacobi_once_per_integration(monkeypatch):
             calls.clear()
             matching_values(spec, parity, np.linspace(-5.0, 15.0, 9))
             assert len(calls) == integrations, (kind, parity)
+
+
+def reference_wall_states(spec, E):
+    """psi and dpsi/dt at the symmetry point, t = K, by DOP853 at
+    rtol 1e-13, atol 1e-16: the start of matching_values, t = delta off
+    the wall, with sn, cn and dn carried in the state at u = K - t
+    (first potential) or u = t (second)."""
+    k2, L = spec.k.k2, spec.coupling
+    K = complete_K(k2)
+    delta = heunspec.shooting.WALL_OFFSET * K
+    psi0, dpsi0 = _wall_start(spec.kind, k2, L, E, delta)
+    v1 = spec.kind is PotentialKind.V1
+    du_dt = -1.0 if v1 else 1.0
+    m = E.size
+
+    def rhs(t, y):
+        sn, cn, dn = y[2 * m:]
+        V = potential_from_squares(spec.kind, k2, L, sn * sn, cn * cn,
+                                   dn * dn)
+        return np.concatenate((y[m:2 * m], (V - E) * y[:m], du_dt * np.array(
+            [cn * dn, -sn * dn, -k2 * sn * cn])))
+
+    y0 = np.concatenate((psi0, dpsi0, jacobi(K - delta if v1 else delta, k2)))
+    res = solve_ivp(rhs, (delta, K), y0, method="DOP853", rtol=1e-13,
+                    atol=1e-16)
+    assert res.success
+    return res.y[:m, -1], res.y[m:2 * m, -1]
+
+
+def test_matching_values_match_a_tight_reference():
+    # the step-propagator product against DOP853 at rtol 1e-13: the
+    # final states agree to 1.7e-11 of their norm, most of which is the
+    # reference's own error at the top of the window
+    for kind in ("v1", "v2"):
+        for l in (-3.0, 0.0, 2.5, 6.0, 20.0):
+            for k2 in (0.2, 0.5, 0.9, 0.97):
+                spec = make_spec(kind, l, k2)
+                E = np.linspace(*default_window(spec), 9)
+                psi, dpsi = reference_wall_states(spec, E)
+                got_psi = matching_values(spec, "odd", E)
+                got_dpsi = matching_values(spec, "even", E)
+                if kind == "v1":  # psi' in u = K - t
+                    got_dpsi = -got_dpsi
+                err = np.hypot(got_psi - psi, got_dpsi - dpsi)
+                assert np.all(err < 1e-10 * np.hypot(psi, dpsi)), (kind, l, k2)
+
+
+def reference_monodromy(spec, E):
+    """The monodromy of monodromy_defect by DOP853 at rtol 1e-13,
+    atol 1e-16 around the same circle, shape (m, 2, 2)."""
+    k2, L, a = spec.k.k2, spec.coupling, spec.k.a
+    rho = 0.5 * (a - 1.0)
+    m = E.size
+    EE = np.concatenate((E, E))
+
+    def rhs(theta, y):
+        w = -np.exp(1j * theta)
+        x = a + rho * w
+        s = 1.0 - k2 * x
+        P = 4.0 * x * (1.0 - x) * s
+        half_dP = 2.0 * ((1.0 - 2.0 * x) * s - k2 * x * (1.0 - x))
+        V = potential_from_squares(spec.kind, k2, L, x, 1.0 - x, s)
+        psi, dpsi = y[:2 * m], y[2 * m:]
+        ddpsi = (rho * rho * (V - EE) * psi - rho * half_dP * dpsi) / P
+        return np.concatenate((dpsi, ddpsi)) * 1j * w
+
+    one, zero = np.ones(m), np.zeros(m)
+    y0 = np.concatenate((one, zero, zero, one)).astype(complex)
+    res = solve_ivp(rhs, (0.0, 2.0 * math.pi), y0, method="DOP853",
+                    rtol=1e-13, atol=1e-16)
+    assert res.success
+    return np.moveaxis(res.y[:, -1].reshape(2, 2, m), -1, 0)
+
+
+def test_monodromy_defect_matches_a_tight_reference():
+    # the v2 l = 5.5 bar5/bar7 levels, |E| up to 56: M agrees with the
+    # reference to 3.7e-12 and the defects are at most 1.0e-12 (2.6e-11
+    # with DOP853 at rtol 1e-11)
+    spec = make_spec("v2", 5.5, 0.5)
+    E = np.array([E for sel in ("bar5", "bar7")
+                  for E in finite_spectrum(spec, fam(sel)).energies])
+    assert len(E) == 12
+    defect = monodromy_defect(spec, E)
+    lam = np.exp(1j * math.pi * (spec.l + 3.0))
+    M = reference_monodromy(spec, E)
+    assert np.abs((defect + np.eye(2)) * lam - M).max() < 1e-10
+    assert np.abs(defect).max() < 1e-10
+
+
+def test_mesh_halving_refines_where_the_meshes_disagree(monkeypatch):
+    # over the whole window at l = 50 the first two meshes disagree by
+    # 1.4e-10 of the scale at E = 16620.8: one more jacobi call halves
+    # the mesh for that energy, and every value then agrees with a run
+    # on a mesh four times finer
+    calls = []
+
+    def counting(u, k2):
+        calls.append(u)
+        return jacobi(u, k2)
+
+    monkeypatch.setattr(heunspec.shooting, "jacobi", counting)
+    spec = make_spec("v1", 50.0, 0.2)
+    E = np.linspace(*default_window(spec), 41)
+    got = matching_values(spec, "odd", E)
+    assert len(calls) == 2
+    with monkeypatch.context() as m:
+        m.setattr(heunspec.shooting, "MESH_HALVINGS", 1)
+        with pytest.raises(ConvergenceError, match="1 state"):
+            matching_values(spec, "odd", E)
+    with monkeypatch.context() as m:
+        m.setattr(heunspec.shooting, "STEP_SCALE",
+                  heunspec.shooting.STEP_SCALE / 4.0)
+        finer = matching_values(spec, "odd", E)
+    assert np.all(np.abs(got - finer) < 1e-10 * np.abs(finer))
+
+
+def test_unreachable_mesh_tolerance_raises(monkeypatch):
+    monkeypatch.setattr(heunspec.shooting, "MESH_TOL", 1e-20)
+    with pytest.raises(ConvergenceError, match="after 4 mesh halvings"):
+        matching_values(make_spec("v1", 2.0, 0.5), "even", RING5_V1_L2_E)
+    with pytest.raises(ConvergenceError, match="after 4 mesh halvings"):
+        monodromy_defect(make_spec("v2", -1.5, 0.25), [0.0625])
 
 
 def test_matching_values_rejects_bad_parity():
