@@ -53,7 +53,7 @@ from .heun_core import (
     Prefactor,
     transformed_params,
 )
-from .special_functions import _tilde_f_rows, jacobi, tilde_F
+from .special_functions import _tilde_f_sum, jacobi
 
 DEFAULT_N_MAX = 500
 SECTION_MAX_ORDER = 1 << 20  # largest section order, of either kind of family
@@ -353,13 +353,14 @@ def hyper_eval_args(spec: PotentialSpec,
 def evaluate_grid(sol: SeriesSolution, us) -> np.ndarray:
     """Values of a series solution on a grid of positions.
 
-    Matches evaluate() pointwise up to rounding.  sn, cn and dn (one
-    jacobi call), the prefactor and a power series (by the same
-    _power_sum as evaluate()) are evaluated over the whole grid at
-    once.  The hypergeometric kernels of all nonzero coefficients, at
-    every z up to and including 1, are summed together by _tilde_f_rows,
-    one row per coefficient; the terms b_n z^n 2F1-tilde(n) are then
-    added in ascending n.  A value that is not finite raises DomainError.
+    sn, cn and dn (one jacobi call), the prefactor and a power series
+    (_power_sum) are evaluated over the whole grid at once.  The kernel
+    sum sum_n b_n z^n 2F1-tilde(n + A0, B; n + C0; z), at every z up to
+    and including 1, is one _tilde_f_sum: below a kernel row's cut its
+    terms fold into one power series in z, whose coefficient runs stop
+    where a term at the largest z below the cut falls under 1e-16 of
+    the run's sum there, and above the cut each row takes the 1 - z
+    connection.  A value that is not finite raises DomainError.
     """
     us = np.asarray(us, dtype=float)
     spec = sol.spec
@@ -371,15 +372,7 @@ def evaluate_grid(sol: SeriesSolution, us) -> np.ndarray:
             total = _power_sum(sol, sn * sn, k2)
         else:
             z = sn * sn if fam.group is FamilyGroup.HYPER_BAR else cn * cn
-            A0, B, C0 = hyper_eval_args(spec, fam)
-            ns = np.flatnonzero(sol.coeffs)
-            kernels = iter(_tilde_f_rows(ns + A0, B, ns + C0, z))
-            total = np.zeros_like(z)
-            zp = np.ones_like(z)
-            for bn in sol.coeffs:
-                if bn != 0.0:
-                    total += bn * zp * next(kernels)
-                zp *= z
+            total = _tilde_f_sum(sol.coeffs, *hyper_eval_args(spec, fam), z)
         vals = sol.prefactor.at(sn, cn, dn) * total
     bad = np.count_nonzero(~np.isfinite(vals))
     if bad:
@@ -387,28 +380,6 @@ def evaluate_grid(sol: SeriesSolution, us) -> np.ndarray:
             f"eigenfunction of family {fam.selector} at E = {sol.E} is not "
             f"finite in float64 at {bad} of {vals.size} point(s)")
     return vals
-
-
-def evaluate(sol: SeriesSolution, u: float) -> float:
-    """Value of a series solution at position u."""
-    spec = sol.spec
-    fam = sol.family
-    k2 = spec.k.k2
-    sn, cn, dn = jacobi(u, k2)
-    pre = sol.prefactor.at(sn, cn, dn)
-    if fam.group is FamilyGroup.POWER:
-        x = sn * sn
-        total = _power_sum(sol, x, k2)
-    else:
-        z = sn * sn if fam.group is FamilyGroup.HYPER_BAR else cn * cn
-        A0, B, C0 = hyper_eval_args(spec, fam)
-        total = 0.0
-        zp = 1.0
-        for n, bn in enumerate(sol.coeffs):
-            if bn != 0.0:
-                total += bn * zp * tilde_F(n + A0, B, n + C0, z)
-            zp *= z
-    return pre * total
 
 
 def _power_sum(sol: SeriesSolution, x, k2: float):

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from heunspec import shooting
-from heunspec.heun_core import PotentialKind, PotentialSpec, default_window
-from heunspec.series_engine import finite_order, recurrence
+from heunspec.heun_core import (FamilyGroup, PotentialKind, PotentialSpec,
+                                default_window)
+from heunspec.series_engine import (_power_sum, finite_order,
+                                    hyper_eval_args, recurrence)
+from heunspec.special_functions import jacobi, tilde_F
 
 
 @pytest.fixture
@@ -16,6 +19,26 @@ def rng():
 
 def make_spec(kind: str, l: float, k2: float) -> PotentialSpec:
     return PotentialSpec.from_k2(PotentialKind(kind), l, k2)
+
+
+def evaluate(sol, u: float) -> float:
+    """Value of a series solution at position u, one scalar tilde_F per
+    kernel term: the pointwise reference for series_engine.evaluate_grid."""
+    fam = sol.family
+    k2 = sol.spec.k.k2
+    sn, cn, dn = jacobi(u, k2)
+    pre = sol.prefactor.at(sn, cn, dn)
+    if fam.group is FamilyGroup.POWER:
+        return pre * _power_sum(sol, sn * sn, k2)
+    z = sn * sn if fam.group is FamilyGroup.HYPER_BAR else cn * cn
+    A0, B, C0 = hyper_eval_args(sol.spec, fam)
+    total = 0.0
+    zp = 1.0
+    for n, bn in enumerate(sol.coeffs):
+        if bn != 0.0:
+            total += bn * zp * tilde_F(n + A0, B, n + C0, z)
+        zp *= z
+    return pre * total
 
 
 def relative_rows(spec: PotentialSpec, fam, E: float, b) -> np.ndarray:

@@ -17,11 +17,9 @@ from heunspec.cli import EQUIV_TOL
 from heunspec.series_engine import (
     FINITE_TOL,
     _power_sum,
-    _tilde_f_rows,
     build_finite,
     build_infinite,
     coefficients,
-    evaluate,
     evaluate_grid,
     hyper_eval_args,
     recurrence,
@@ -29,11 +27,11 @@ from heunspec.series_engine import (
     solve_coeffs_infinite,
     truncation_order,
 )
-from heunspec.special_functions import complete_K, jacobi
+from heunspec.special_functions import _tilde_f_rows, complete_K, jacobi
 from heunspec.spectrum import finite_spectrum, symmetry_partner
 from heunspec.verify import _HYPER_PARTNER
 
-from conftest import make_spec, relative_rows
+from conftest import evaluate, make_spec, relative_rows
 
 RING5_V1_L2_E = [-9.316624790355399849115, -2.683375209644600150885]
 RING7_V2_L3_E = [-17.28232998312526813906, -3.717670016874731860935]
@@ -408,11 +406,80 @@ def test_grid_evaluation_needs_no_scalar_2f1(monkeypatch):
     def scalar_2f1(*args):
         raise AssertionError("scalar 2F1 reached")
     for module, name in ((special_functions, "tilde_F"),
-                         (special_functions, "gauss_2F1"),
-                         (series_engine, "tilde_F")):
+                         (special_functions, "gauss_2F1")):
         monkeypatch.setattr(module, name, scalar_2f1)
+    # nor does series_engine bind the scalar 2F1 under a name of its own
+    assert not hasattr(series_engine, "tilde_F")
     for sol, us, ref in cases:
         assert evaluate_grid(sol, us) == pytest.approx(ref, rel=1e-13)
+
+
+# the (potential, family, l) make-up of the hyper_levels benchmark workload
+HYPER_LEVELS = (("v1", "bold5", (-1.5, 0.5, 2.5, 4.5)),
+                ("v1", "bold6", (-0.5, 1.5, 3.5, 5.5)),
+                ("v2", "bar5", (-1.5, 0.5, 2.5, 4.5)),
+                ("v2", "bar7", (-0.5, 1.5, 3.5, 5.5)))
+
+
+def test_grid_evaluation_matches_mpmath():
+    # every real level of the hyper_levels families at k2 = 0.2, 0.5 and
+    # 0.75, on 40 points of the eigenfunction grid, against a 40-digit
+    # sum of the same float b_n times the same float prefactor, as a
+    # share of max|psi|.  Measured worst where the kernel rows fold into
+    # one power series (z <= Z_CONNECT): 5.0e-13 (7.4e-13 when each row
+    # was summed on its own).  Above it each row takes the 1 - z
+    # connection, bit for bit as before: 1.8e-11 (v2 bar7, l = 11/2,
+    # k2 = 0.75, level 5, z = 0.98, where the terms b_n z^n F~_n reach
+    # 1.4e4 times their sum), next 2.4e-12 (the same level at k2 = 0.5)
+    mpmath = pytest.importorskip("mpmath")
+    from heunspec.cli import PLOT_MARGIN
+    from heunspec.special_functions import Z_CONNECT
+    checked = 0
+    for kind, sel, ls in HYPER_LEVELS:
+        for l, k2 in ((l, k2) for l in ls for k2 in (0.2, 0.5, 0.75)):
+            spec = make_spec(kind, l, k2)
+            sols = finite_spectrum(spec, fam(sel)).solutions
+            if not sols:  # bar spectra at l = -1/2 are complex
+                continue
+            K = complete_K(k2)
+            m = PLOT_MARGIN * K
+            us = (np.linspace(0.0, K - m, 40) if kind == "v1"
+                  else np.linspace(m, 2.0 * K - m, 40))
+            sn, cn, dn = jacobi(us, k2)
+            z = sn * sn if kind == "v2" else cn * cn
+            A0, B, C0 = hyper_eval_args(spec, fam(sel))
+            with mpmath.workdps(40):
+                rows = [[mpmath.mpf(x) ** n / mpmath.gamma(n + C0)
+                         * mpmath.hyp2f1(n + A0, B, n + C0, x)
+                         for x in z.tolist()]
+                        for n in range(len(sols[0].coeffs))]
+                for i, sol in enumerate(sols):
+                    b = [mpmath.mpf(x) for x in sol.coeffs.tolist()]
+                    sums = [mpmath.fsum(bn * r[j] for bn, r in zip(b, rows))
+                            for j in range(z.size)]
+                    ref = sol.prefactor.at(sn, cn, dn) * np.array(
+                        [float(x) for x in sums])
+                    err = (np.abs(evaluate_grid(sol, us) - ref)
+                           / np.abs(ref).max())
+                    near = z > Z_CONNECT
+                    case = (sel, l, k2, i)
+                    assert err[~near].max() <= 5e-12, case
+                    assert err.max() <= 3e-11, case
+                    checked += 1
+    assert checked > 150
+
+
+def test_folded_kernel_sum_raises_at_the_term_cap(monkeypatch):
+    # a two-piece row below z = 0.97 runs several hundred terms; with
+    # the cap below that, evaluate_grid raises instead of returning a
+    # truncated sum
+    from heunspec import special_functions
+    sol = finite_spectrum(vspec(4.5), fam("bold5")).solutions[0]
+    us = np.linspace(0.0, 0.95, 64) * complete_K(0.5)
+    assert np.isfinite(evaluate_grid(sol, us)).all()
+    monkeypatch.setattr(special_functions, "SERIES_MAX_TERMS", 200)
+    with pytest.raises(ConvergenceError, match="within 200 terms"):
+        evaluate_grid(sol, us)
 
 
 def test_grid_evaluation_makes_one_jacobi_call(monkeypatch):

@@ -21,6 +21,7 @@ from heunspec.exceptions import (
 from heunspec.special_functions import (
     _series_rows,
     _tilde_f_rows,
+    _tilde_f_sum,
     complete_K,
     gamma_fn,
     gauss_2F1,
@@ -392,6 +393,52 @@ def test_single_piece_kernels_match_mpmath():
                     assert got == pytest.approx(ref, rel=ROWS_KERNEL_TOL,
                                                 abs=0), case
     assert checked > 1000
+
+
+# _tilde_f_sum against the row sums, in eps * sum_n |b_n z^n F~_n|.
+# Both round every term of every row, and where a row's own series
+# cancels (the polynomial rows of integer l alternate in sign) those
+# terms reach nearly 8000 times that scale (bold5, l = 12, z = 0.97).
+# Measured worst 168 (bold5, l = 12, level 5, z = 0.45), a factor 3
+# below FOLD_TOL.
+FOLD_TOL = 512
+
+
+def test_folded_kernel_sum_matches_row_sums(rng):
+    # the coefficients of every level of every in-scope two-sided family
+    # at half-odd l from -3/2 to 11/2 (two-piece rows) and integer l from
+    # 0 to 12 (single-piece rows), and random b on rows that straddle the
+    # classes: with A0 = -3, rows n <= 3 are polynomials, the rest
+    # two-piece.  z lies on both sides of both cuts.  The reference rows
+    # are summed one point at a time, so each stops on its own point's
+    # total: summed on the whole grid they stop on the largest total
+    # over it and are off by up to 580 eps at z = 0.97 (bold5, l = 11/2)
+    from heunspec.heun_core import (ExpansionFamily, PotentialKind,
+                                    PotentialSpec)
+    from heunspec.spectrum import finite_spectrum
+    z = np.array(SINGLE_PIECE_Z)
+    cases = [((-3.0, 1.25, 2.5), [rng.standard_normal(8) for _ in range(5)])]
+    for kind, sels in (("v1", ("bold5", "bold6")), ("v2", ("bar5", "bar7"))):
+        for sel in sels:
+            for l in np.arange(-1.5, 6.0).tolist() + list(range(13)):
+                *args, N = _two_sided_kernels(kind, sel, float(l))
+                if N is None:
+                    continue
+                spec = PotentialSpec.from_k2(PotentialKind(kind), l, 0.5)
+                fam = ExpansionFamily.from_selector(sel)
+                sols = finite_spectrum(spec, fam).solutions
+                if sols:  # bar spectra at l = -1/2 are complex
+                    cases.append((args, [s.coeffs for s in sols]))
+    eps = np.finfo(float).eps
+    for (A0, B, C0), bs in cases:
+        ns = np.arange(len(bs[0]))
+        rows = np.column_stack([_tilde_f_rows(ns + A0, B, ns + C0, z[j:j + 1])
+                                for j in range(z.size)])
+        for b in bs:
+            terms = b[:, None] * z ** ns[:, None] * rows
+            got = _tilde_f_sum(b, A0, B, C0, z)
+            bound = FOLD_TOL * eps * np.abs(terms).sum(axis=0)
+            assert (np.abs(got - terms.sum(axis=0)) <= bound).all(), (A0, b)
 
 
 def test_single_piece_rows_need_few_terms(monkeypatch):
