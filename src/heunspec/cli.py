@@ -7,8 +7,9 @@ verify (residual, oracle, and symmetry checks as JSON), and sweep
 rerunning a command produces byte-identical bytes.
 
 Only verify runs the shooting oracle, so it loads the oracle on first
-use; importing this module does not.  The oracle integrates with numpy
-alone, so no subcommand loads scipy.integrate.
+use; importing this module does not.  The oracle integrates, and the
+spectra polish their roots, with numpy alone, so no subcommand loads
+scipy.integrate or scipy.optimize.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error,
 3 index out of range.
@@ -216,7 +217,7 @@ def cmd_eigenfunction(args) -> int:
             "family": fam.selector,
             "index": args.index,
             "energy": sol.E,
-            "samples": [[float(u), float(v)] for u, v in zip(us, vals)],
+            "samples": np.column_stack((us, vals)).tolist(),
             "meta": {
                 "version": __version__,
                 "points": PLOT_POINTS,

@@ -105,31 +105,41 @@ class Recurrence:
         return ((n + al - 1.0) * (n + be - 1.0))[()]
 
     def continuant(self, E, N: int):
-        """Determinant D_N of rows 0..N with the energy moved on by E.
+        """Determinant D_N of rows 0..N with the energy moved on by E, and
+        its E-derivative D'_N: a pair of arrays of the shape of E.
 
         D_n = beta_n D_{n-1} - gamma_n alpha_{n-1} D_{n-2}, with each
         beta_n continued along the slope to beta_n + beta_slope * E, so
         the recurrence at E = 0 gives the characteristic determinant at
-        any real or complex E, a scalar or an array.  Past 2^400, D_n and
-        D_{n-1} shrink by 2^-400 (exactly), so D_N keeps its sign at any N.
-        It runs in numpy longdouble: float64 moves the roots of a strongly
-        non-normal section by up to 4e-10 (v2 bar7, l = 13.5, k2 = 0.95).
+        any real or complex E.  The same loop carries D'_n = beta_slope
+        D_{n-1} + beta_n D'_{n-1} - gamma_n alpha_{n-1} D'_{n-2}.  Past
+        2^400, D_n and D_{n-1} shrink by 2^-400 (exactly), and D'_n and
+        D'_{n-1} with them, so D_N keeps its sign and D_N / D'_N its
+        value at any N.  It runs in numpy longdouble: float64 moves the
+        roots of a strongly non-normal section by up to 4e-10 (v2 bar7,
+        l = 13.5, k2 = 0.95).
         """
         E = np.asarray(E)
         ext = np.result_type(E, np.longdouble)
         idx = np.arange(N + 1)
-        diag = np.add.outer(self.beta_n(idx), self.beta_slope * E.astype(ext))
-        off = self.gamma_n(idx[1:]) * self.alpha_n(idx[:-1]).astype(ext)
-        if not E.ndim:  # steps on numpy scalars are cheaper than on arrays
-            diag, off = list(diag), list(off)
+        diag = list(np.add.outer(self.beta_n(idx),
+                                 self.beta_slope * E.astype(ext)))
+        off = list(self.gamma_n(idx[1:]) * self.alpha_n(idx[:-1]).astype(ext))
+        slope = self.beta_slope
         d_prev2, d_prev = 1.0, diag[0]
+        p_prev2, p_prev = 0.0, np.full_like(d_prev, slope)
         for n in range(1, N + 1):
-            d_prev2, d_prev = d_prev, diag[n] * d_prev - off[n - 1] * d_prev2
+            d_prev2, d_prev, p_prev2, p_prev = (
+                d_prev, diag[n] * d_prev - off[n - 1] * d_prev2,
+                p_prev, slope * d_prev + diag[n] * p_prev - off[n - 1] * p_prev2)
             big = abs(d_prev) > _CONTINUANT_CAP
-            if big.any() if E.ndim else big:
+            if big.any():
                 shrink = np.where(big, 1.0 / _CONTINUANT_CAP, 1.0)
                 d_prev2, d_prev = d_prev2 * shrink, d_prev * shrink
-        return np.asarray(d_prev).astype(np.result_type(E, 1.0))[()]
+                p_prev2, p_prev = p_prev2 * shrink, p_prev * shrink
+        out = np.result_type(E, 1.0)
+        return (np.asarray(d_prev).astype(out)[()],
+                np.asarray(p_prev).astype(out)[()])
 
 
 def recurrence(spec: PotentialSpec, fam: ExpansionFamily, E) -> Recurrence:

@@ -397,12 +397,18 @@ def _series_rows(A, B, C, z: np.ndarray) -> np.ndarray:
 
 
 def _kernel_factors(A, B, C):
-    """s = C - A - B, gamma(C), p and q of every row (see _tilde_f_rows)."""
+    """s = C - A - B, gamma(C), p and q of every row (see _tilde_f_rows).
+
+    Gamma(s), Gamma(-s), 1/Gamma(B) and 1/Gamma(C - A) repeat over the
+    rows of one solution, so each argument value is evaluated once per
+    call.  The memo keys compare by value, which merges only +0.0 and
+    -0.0: both are poles, with one result.
+    """
     s = C - A - B
+    gam, rgam = lru_cache(None)(gamma_fn), lru_cache(None)(_rgamma)
     rows = zip(A.tolist(), B.tolist(), C.tolist(), s.tolist())
-    g, p, q = np.array([(gamma_fn(c),
-                         gamma_fn(t) * _rgamma(c - a) * _rgamma(c - b),
-                         gamma_fn(-t) * _rgamma(a) * _rgamma(b))
+    g, p, q = np.array([(gam(c), gam(t) * rgam(c - a) * rgam(c - b),
+                         gam(-t) * rgam(a) * rgam(b))
                         for a, b, c, t in rows]).reshape(-1, 3).T
     return s, g, p, q
 

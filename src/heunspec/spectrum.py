@@ -4,7 +4,8 @@ Every level is an eigenvalue of a finite section (rows 0..N) of one
 three-term recurrence, series_engine.Recurrence, whose energy enters
 only the diagonal, affinely: one tridiagonal eigenproblem, symmetrized
 when alpha_{n-1} gamma_n > 0 for every n, else solved densely and
-polished on the continuant.  For a terminating family N is the
+polished, all levels at once, by bracketed Newton steps on the
+continuant and its E-derivative.  For a terminating family N is the
 truncation order.  A non-terminating power family's section levels
 converge to its levels (Ikebe, Asai, Miyazaki & Cai, Linear Algebra
 Appl. 241-243, 1996), so N doubles until they stop moving.  A
@@ -32,6 +33,7 @@ from .series_engine import (SECTION_MAX_ORDER, Recurrence, SeriesSolution,
 SECTION_SHIFT_TOL = 1.0e-11
 DENSE_MAX_ORDER = 2000  # a dense solve costs O(N^3) time
 _BISECT_TOL = 2.0 * np.finfo(float).tiny  # the default eps*|T| drifts with N
+POLISH_MAX_STEPS = 100  # Newton-bisection steps of one root (_polish)
 
 
 @dataclass
@@ -126,11 +128,11 @@ def _companion_real_roots(tri: Recurrence, N: int,
                           count: Optional[int] = None) -> list[float]:
     """Real roots of the characteristic determinant, ascending.
 
-    The roots are the eigenvalues of the section, mapped back through
-    the diagonal slope.  The real ones (the lowest count in the window,
-    if given) are polished in a determinant bracket that doubles from
-    1e-6 (1 + |E|), up to 8 times, until it holds a sign change: a dense
-    solve of a non-symmetric matrix loses digits (1.7e-5, v2 bar5 l = 13.5).
+    The candidates are the eigenvalues of the section, mapped back
+    through the diagonal slope; the real ones (the lowest count in the
+    window, if given) are polished on the continuant by _polish, all in
+    one pass: a dense solve of a non-symmetric matrix loses digits
+    (1.7e-5, v2 bar5 l = 13.5).
     """
     idx = np.arange(N + 1)
     M = np.diag(tri.beta_n(idx))
@@ -141,20 +143,71 @@ def _companion_real_roots(tri: Recurrence, N: int,
                                for lam in np.linalg.eigvals(M)
                                if abs(lam.imag) <= 1.0e-8 * (1.0 + abs(lam)))
                    if lo <= E <= hi)
-    # local: keeps scipy.optimize out of start-up until Aberth replaces it
-    from scipy.optimize import brentq
-    roots = []
-    for E in cands[:count]:
-        width = 1.0e-6 * (1.0 + abs(E))
-        for _ in range(8):
-            a, b = E - width, E + width
-            if tri.continuant(a, N) * tri.continuant(b, N) < 0.0:
-                E = float(brentq(tri.continuant, a, b, args=(N,),
-                                 xtol=1.0e-12, rtol=8.9e-16))
-                break
-            width *= 2.0
-        roots.append(E)
-    return sorted(roots)
+    return sorted(_polish(tri, N, np.array(cands[:count])).tolist())
+
+
+def _polish(tri: Recurrence, N: int, E: np.ndarray) -> np.ndarray:
+    """Roots of the continuant D_N next to candidate energies E, one per
+    candidate; each round runs one continuant call for all candidates.
+
+    A candidate's bracket E -+ w starts at w = 1e-6 (1 + |E|) and
+    doubles, up to 8 times, until D_N changes sign across it; a
+    candidate whose bracket never does keeps its value.  In a bracket,
+    Newton steps on D_N and D'_N start from E and keep the bracket
+    around the root (rtsafe, Press et al., Numerical Recipes, 9.4): a
+    step that would leave it, or that is not below half the step before
+    last, bisects it instead.  A root is done at its first step of at
+    most 1e-12 + 8.9e-16 |E|; one still moving after POLISH_MAX_STEPS
+    steps raises ConvergenceError.
+    """
+    E = E.astype(float)  # a copy
+    width = 1.0e-6 * (1.0 + np.abs(E))
+    # the first call also gives D_N and D'_N where Newton starts
+    D, dD = tri.continuant(np.concatenate((E, E - width, E + width)), N)
+    f, df, D = D[:E.size], dD[:E.size], D[E.size:]
+    lo, hi, f_lo = np.zeros_like(E), np.zeros_like(E), np.zeros_like(E)
+    pending = np.arange(E.size)
+    for doubling in range(8):
+        if doubling:
+            width[pending] *= 2.0
+            D = tri.continuant(np.concatenate((E[pending] - width[pending],
+                                               E[pending] + width[pending])),
+                               N)[0]
+        f_a, f_b = np.split(D, 2)
+        found = f_a * f_b < 0.0
+        i = pending[found]
+        lo[i], hi[i], f_lo[i] = E[i] - width[i], E[i] + width[i], f_a[found]
+        pending = pending[~found]
+        if not pending.size:
+            break
+    live = np.flatnonzero(f_lo)  # the bracketed candidates
+    x, f, df, lo, hi, f_lo = (v[live] for v in (E, f, df, lo, hi, f_lo))
+    step = older = hi - lo
+    steps = 0
+    while live.size:
+        if steps == POLISH_MAX_STEPS:
+            worst = int(np.argmax(np.abs(step)))
+            raise ConvergenceError(
+                f"{live.size} root(s) of a section of order N = {N} still "
+                f"moving after {steps} steps: step {abs(step[worst]):.3g} "
+                f"at E = {x[worst]:.17g}")
+        if steps:
+            f, df = tri.continuant(x, N)
+        steps += 1
+        above = f * f_lo > 0.0  # the root lies above x
+        lo, hi = np.where(above, x, lo), np.where(above, hi, x)
+        with np.errstate(divide="ignore", over="ignore"):
+            newton = np.divide(f, df, out=np.zeros_like(f), where=f != 0.0)
+        new = x - newton
+        bisect = ~((lo <= new) & (new <= hi)
+                   & (np.abs(newton) <= 0.5 * np.abs(older)))
+        new[bisect] = 0.5 * (lo + hi)[bisect]
+        older, step = step, new - x
+        done = np.abs(step) <= 1.0e-12 + 8.9e-16 * np.abs(new)
+        E[live[done]] = new[done]
+        live, x, lo, hi, f_lo, step, older = (
+            v[~done] for v in (live, new, lo, hi, f_lo, step, older))
+    return E
 
 
 def infinite_levels(spec: PotentialSpec, fam: ExpansionFamily,

@@ -61,7 +61,54 @@ def characteristic_det(spec: PotentialSpec, fam, E, N=None):
     """
     if N is None:
         N = finite_order(spec, fam)
-    return recurrence(spec, fam, 0.0).continuant(E, N)
+    return recurrence(spec, fam, 0.0).continuant(E, N)[0]
+
+
+def brentq_real_roots(tri, N: int) -> list[float]:
+    """Real roots of a section's continuant, ascending, one scalar brentq
+    per eigvals candidate: the reference for spectrum._companion_real_roots.
+
+    The candidates, their filter and the bracket that doubles from
+    1e-6 (1 + |E|), up to 8 times, are those of the solver; each
+    bracketed root is refined to xtol 1e-12, rtol 8.9e-16 on a scalar
+    longdouble continuant of its own, which rescales as
+    Recurrence.continuant does.
+    """
+    from scipy.optimize import brentq
+
+    idx = np.arange(N + 1)
+    beta = list(tri.beta_n(idx).astype(np.longdouble))
+    ag = list(tri.gamma_n(idx[1:])
+              * tri.alpha_n(idx[:-1]).astype(np.longdouble))
+    cap = np.longdouble(2.0 ** 400)
+
+    def det(E):
+        shift = tri.beta_slope * np.longdouble(E)
+        d_prev2, d_prev = 1.0, beta[0] + shift
+        for n in range(1, N + 1):
+            d_prev2, d_prev = (d_prev, (beta[n] + shift) * d_prev
+                               - ag[n - 1] * d_prev2)
+            if abs(d_prev) > cap:
+                d_prev2, d_prev = d_prev2 / cap, d_prev / cap
+        return float(d_prev)
+
+    M = np.diag(tri.beta_n(idx))
+    M[idx[:-1], idx[1:]] = tri.alpha_n(idx[:-1])
+    M[idx[1:], idx[:-1]] = tri.gamma_n(idx[1:])
+    cands = sorted(float(-lam.real / tri.beta_slope)
+                   for lam in np.linalg.eigvals(M)
+                   if abs(lam.imag) <= 1.0e-8 * (1.0 + abs(lam)))
+    roots = []
+    for E in cands:
+        width = 1.0e-6 * (1.0 + abs(E))
+        for _ in range(8):
+            a, b = E - width, E + width
+            if det(a) * det(b) < 0.0:
+                E = float(brentq(det, a, b, xtol=1.0e-12, rtol=8.9e-16))
+                break
+            width *= 2.0
+        roots.append(E)
+    return sorted(roots)
 
 
 @dataclass

@@ -528,15 +528,23 @@ VERIFY_RING = ["verify", "--potential", "v1", "--l", "2", "--k2", "0.5",
                "--family", "ring5"]
 
 
+SPECTRUM_NONSYM = ["spectrum", "--potential", "v2", "--l", "2.5", "--k2",
+                   "0.5", "--family", "bar5"]
+
+
 def test_only_verify_loads_the_oracle():
-    # brentq pulls in scipy.optimize; spectrum and eigenfunction on
-    # symmetric sections need neither it nor the oracle, and the oracle
-    # integrates with numpy alone, so verify never loads scipy.integrate
-    runs = run_fresh(SPECTRUM_CF, EIGEN_JSON, VERIFY_RING)
-    assert [r["loaded"] for r in runs[:3]] == [[], [], []]
-    assert [r["code"] for r in runs[1:]] == [0, 0, 0]
-    assert "heunspec.shooting" in runs[3]["loaded"]
-    assert "scipy.integrate" not in runs[3]["loaded"]
+    # spectrum and eigenfunction need no oracle, and a section without
+    # the sign condition (here one with a complex pair) polishes its
+    # levels with numpy alone, so they load neither scipy.optimize nor
+    # scipy.integrate; the oracle integrates with numpy alone, so
+    # verify never loads scipy.integrate either
+    runs = run_fresh(SPECTRUM_NONSYM, SPECTRUM_CF, EIGEN_JSON, VERIFY_RING)
+    assert [r["loaded"] for r in runs[:4]] == [[], [], [], []]
+    assert [r["code"] for r in runs[1:]] == [0, 0, 0, 0]
+    assert '"expected_count": 5' in runs[1]["out"]
+    assert '"real_count": 3' in runs[1]["out"]
+    assert "heunspec.shooting" in runs[4]["loaded"]
+    assert "scipy.integrate" not in runs[4]["loaded"]
 
 
 def test_parser_reuse_matches_fresh_processes(capsys):

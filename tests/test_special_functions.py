@@ -456,6 +456,41 @@ def test_single_piece_rows_need_few_terms(monkeypatch):
         assert np.array_equal(capped, full), (sel, l)
 
 
+def test_kernel_factors_memo_is_bit_identical(monkeypatch):
+    # one gamma evaluation per argument value and call gives, to the
+    # bit, the factors of one evaluation per use, in fewer evaluations
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return gamma_fn(x)
+
+    def one_per_use(A, B, C):
+        g, rg = special_functions.gamma_fn, special_functions._rgamma
+        s = C - A - B
+        rows = [(g(c), g(t) * rg(c - a) * rg(c - b), g(-t) * rg(a) * rg(b))
+                for a, b, c, t in zip(A.tolist(), B.tolist(), C.tolist(),
+                                      s.tolist())]
+        return (s, *np.array(rows).T)
+
+    monkeypatch.setattr(special_functions, "gamma_fn", counted)
+    for kind, sels in (("v1", ("bold5", "bold6")), ("v2", ("bar5", "bar7"))):
+        for sel in sels:
+            for l in np.arange(-1.5, 12.0).tolist() + list(range(13)):
+                A0, B, C0, N = _two_sided_kernels(kind, sel, float(l))
+                if N is None:
+                    continue
+                ns = np.arange(N + 1.0)
+                args = (ns + A0, np.full(N + 1, B), ns + C0)
+                calls.clear()
+                ref = one_per_use(*args)
+                per_use = len(calls)
+                calls.clear()
+                got = special_functions._kernel_factors(*args)
+                assert all(np.array_equal(x, y) for x, y in zip(got, ref))
+                assert len(calls) < per_use or N == 0, (sel, l)
+
+
 def _one_term_loop(a, b, c, z, max_terms=10_000):
     """2F1(a, b; c; z) of one row, one term per step, with the stop rule
     of _series_rows; returns the sum, the number of terms and the

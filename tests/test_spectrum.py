@@ -14,6 +14,7 @@ from heunspec.heun_core import (
     PotentialKind,
     PotentialSpec,
 )
+from heunspec import spectrum
 from heunspec.series_engine import (recurrence, solve_coeffs_infinite,
                                     truncation_order)
 from heunspec.cli import RESIDUAL_TOL
@@ -26,11 +27,13 @@ from heunspec.spectrum import (
     infinite_levels,
     symmetry_partner,
     _cf_value,
+    _companion_real_roots,
+    _polish,
     _section_levels,
 )
 from heunspec.verify import ode_residual
 
-from conftest import characteristic_det, shooting_spectrum
+from conftest import brentq_real_roots, characteristic_det, shooting_spectrum
 
 RING5_V1_L2_E = [-9.316624790355399849115, -2.683375209644600150885]
 RING7_V2_L3_E = [-17.28232998312526813906, -3.717670016874731860935]
@@ -175,6 +178,102 @@ def test_characteristic_det_keeps_sign_at_large_order():
     vals = characteristic_det(spec, f, E, N=400)
     assert np.all(np.isfinite(vals))
     assert np.all(vals[:, 0] * vals[:, 1] < 0.0)
+
+
+def mp_continuant(tri, N, mp):
+    """D_N(E) of a section at the working precision of mp, from the same
+    float64 coefficients as Recurrence.continuant."""
+    idx = np.arange(N + 1)
+    beta = [mp.mpf(b) for b in tri.beta_n(idx).tolist()]
+    ag = [mp.mpf(a) * mp.mpf(g) for a, g in
+          zip(tri.alpha_n(idx[:-1]).tolist(), tri.gamma_n(idx[1:]).tolist())]
+    slope = mp.mpf(tri.beta_slope)
+
+    def det(E):
+        d_prev2, d_prev = mp.mpf(1), beta[0] + slope * E
+        for n in range(1, N + 1):
+            d_prev2, d_prev = (d_prev, (beta[n] + slope * E) * d_prev
+                               - ag[n - 1] * d_prev2)
+        return d_prev
+    return det
+
+
+@pytest.mark.parametrize("spec,f,N", [(vspec(11.5, 0.9), fam("bold6"), None),
+                                      (vspec(-3.0), fam("ring5"), 400)])
+def test_continuant_derivative_matches_mpmath(spec, f, N):
+    # D'_N from the continuant's own loop against a 40-digit numerical
+    # derivative; at N = 400 both values are rescaled, so compare D'/D
+    mp = pytest.importorskip("mpmath")
+    N = N or truncation_order(spec, f)
+    tri = recurrence(spec, f, 0.0)
+    E = np.array([-120.0, -47.3, -20.1, -3.3, 0.7, 15.0, -20.0 + 3.0j,
+                  -5.0 - 0.5j])
+    D, dD = tri.continuant(E, N)
+    det = mp_continuant(tri, N, mp)
+    with mp.workdps(40):
+        for e, d, dd in zip(E.tolist(), D, dD):
+            ref, ref_d = mp.diff(det, e), det(e)
+            if N <= 100:
+                assert abs(dd - complex(ref)) <= 1e-14 * abs(complex(ref))
+            ratio = complex(ref / ref_d)
+            assert abs(dd / d - ratio) <= 1e-14 * abs(ratio)
+
+
+POLISH_GRID = [(kind, sel, l + 0.5, k2)
+               for kind, sel in (("v1", "bold5"), ("v1", "bold6"),
+                                 ("v2", "bar5"), ("v2", "bar7"))
+               for l in range(-2, 21)
+               for k2 in (0.2, 0.5, 0.75, 0.9, 0.95)]
+
+
+def test_polish_matches_brentq_reference():
+    # one batched Newton pass against one scalar brentq per level, on
+    # every section of the grid whatever its sign condition: the same
+    # count, and the same roots up to 2e-12 (1 + |E|); past that, a
+    # 40-digit root of the section's determinant settles which is closer
+    mp = pytest.importorskip("mpmath")
+    assert len(POLISH_GRID) == 460
+    apart = []
+    for kind, sel, l, k2 in POLISH_GRID:
+        spec, f = PotentialSpec.from_k2(PotentialKind(kind), l, k2), fam(sel)
+        N = truncation_order(spec, f)
+        tri = recurrence(spec, f, 0.0)
+        got, ref = _companion_real_roots(tri, N), brentq_real_roots(tri, N)
+        assert len(got) == len(ref), (kind, sel, l, k2)
+        apart += [(tri, N, a, b) for a, b in zip(got, ref)
+                  if abs(a - b) > 2e-12 * (1.0 + abs(b))]
+    with mp.workdps(40):
+        for tri, N, a, b in apart:
+            det = mp_continuant(tri, N, mp)
+            pad = 1e-9 * (1.0 + abs(a))
+            lo, hi = mp.mpf(min(a, b) - pad), mp.mpf(max(a, b) + pad)
+            assert det(lo) * det(hi) < 0
+            root = mp.findroot(det, (lo, hi), solver="anderson", verify=False)
+            assert lo < root < hi
+            assert abs(root - a) < abs(root - b)
+
+
+def test_polish_converges_from_a_detuned_candidate():
+    # a candidate 1e-5 off its level, on either side, finds the level in
+    # its bracket
+    spec, f = vspec(5.5), fam("bold6")
+    N = truncation_order(spec, f)
+    tri = recurrence(spec, f, 0.0)
+    roots = np.array(_companion_real_roots(tri, N))
+    assert len(roots) == 8
+    for shift in (1e-5, -1e-5):
+        got = _polish(tri, N, roots + shift)
+        assert np.all(np.abs(got - roots) <= 2e-12 * (1.0 + np.abs(roots)))
+
+
+def test_polish_step_cap_raises(monkeypatch):
+    spec, f = vspec(5.5), fam("bold6")
+    N = truncation_order(spec, f)
+    tri = recurrence(spec, f, 0.0)
+    roots = np.array(_companion_real_roots(tri, N))
+    monkeypatch.setattr(spectrum, "POLISH_MAX_STEPS", 1)
+    with pytest.raises(ConvergenceError, match="still moving after 1 step"):
+        _polish(tri, N, roots + 1e-5)
 
 
 def test_arscott_flags():

@@ -1,5 +1,7 @@
-"""The benchmark's tracer must find every function it wraps."""
+"""Tooling guards: the benchmark's tracer finds every function it wraps,
+and the package imports no scipy root finder or integrator."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -17,3 +19,26 @@ def test_tracer_targets_resolve():
         if not callable(getattr(mod, fn_name, None)):
             missing.append(f"heunspec.{mod_name}.{fn_name}")
     assert missing == []
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "heunspec"
+BANNED = ("scipy.optimize", "scipy.integrate")
+
+
+def test_no_module_imports_scipy_solvers():
+    # the root finders and integrators are the package's own; no module,
+    # at top level or inside a function, imports scipy's
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module] + [f"{node.module}.{alias.name}"
+                                         for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if any(name == m or name.startswith(m + ".")
+                             for m in BANNED)]
+    assert found == []
