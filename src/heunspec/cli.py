@@ -198,9 +198,13 @@ def cmd_eigenfunction(args) -> int:
     spec = _spec_from_args(args)
     fam = ExpansionFamily.from_selector(args.family)
     N = truncation_order(spec, fam)
+    if args.index < 0:
+        sys.stderr.write(f"index {args.index} out of range: level indices "
+                         "start at 0\n")
+        return EXIT_RANGE
     levels = (finite_spectrum(spec, fam).solutions if N is not None
               else infinite_levels(spec, fam, args.index + 1))
-    if not 0 <= args.index < len(levels):
+    if args.index >= len(levels):
         where = "here" if N is not None else "in the default window"
         sys.stderr.write(f"index {args.index} out of range: family "
                          f"{fam.selector} has {len(levels)} real "

@@ -29,7 +29,9 @@ from .exceptions import (
 AGM_MAX_ITER = 64
 SERIES_MAX_TERMS = 10_000
 Z_CONNECT = 0.97  # above it gauss_2F1 and two-piece kernel rows use 1 - z
-_BLOCK = 64  # terms per einsum block of _series_rows, after 4 + 8 + 16 + 32
+# the largest stop-test block of _series_rows (after 4, 8, 16 and 32 steps),
+# and the run and einsum block of _folded_sum
+_BLOCK = 64
 
 _EPS = 2.220446049250313e-16
 
@@ -323,23 +325,13 @@ def _series_rows(A, B, C, z: np.ndarray) -> np.ndarray:
     A row leaves at its first term with max|term| <= 1e-16 max|total|
     over its points, and a row still running after SERIES_MAX_TERMS
     terms raises ConvergenceError.  Terms come in blocks of 4, 8, 16,
-    32, then _BLOCK steps.  In the first four blocks (60 terms) each
-    term is formed from the last as in a one-term loop, the running
-    totals are one sequential cumulative sum, and the stop test runs on
-    all steps of a block at once, so a row that stops there is the
-    one-term loop's sum to the bit.  Where a series cancels, nearly all
-    of its mass lies in these terms, and forming each from the last
-    carries its rounding into the later ones, where it cancels too.
-    Past them, a block's terms are t d[r, k] z^k, with t the last term,
-    d one cumulative product of the ratios
-    (A + n)(B + n) / ((C + n)(n + 1)) and z^k one table shared by all
-    rows and blocks.  A step's largest term over the grid is then
-    max|t| |d[r, k]| max|z|^k, tested against the total before the
-    block; the steps after a row's stop, past a terminating row's zero
-    and poles of C + n included, are set to zero, and the block adds t
-    times one row-wise einsum.  Its summation order does not depend on
-    how many rows are stacked, so every row is the same to the bit as
-    when summed alone.
+    32, then _BLOCK steps.  Each term is formed from the last as in a
+    one-term loop, a block's running totals are one sequential
+    cumulative sum, and the stop test runs on all steps of a block at
+    once, so every row is the one-term loop's sum to the bit, whatever
+    rows are stacked with it.  Where a series cancels, forming each term
+    from the last carries its rounding into the later ones, where it
+    cancels too.
     """
     total = np.ones((A.size, z.size))
     if not total.size:
@@ -347,8 +339,6 @@ def _series_rows(A, B, C, z: np.ndarray) -> np.ndarray:
     sums = np.empty_like(total)
     live = np.arange(A.size)
     term = total
-    top = int(np.abs(z).argmax())
-    powers = None  # z^1 .. z^_BLOCK, made when a row outlasts the 60 terms
     n0, size = 0, 4
     # steps past a row's stop may overflow or meet a pole; they are dropped
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -356,35 +346,19 @@ def _series_rows(A, B, C, z: np.ndarray) -> np.ndarray:
             n = np.arange(n0, min(n0 + size, SERIES_MAX_TERMS), dtype=float)
             ratio = ((A[:, None] + n) * (B[:, None] + n)
                      / ((C[:, None] + n) * (n + 1.0)))
-            if size < _BLOCK:
-                terms = np.empty((n.size + 1,) + total.shape)
-                terms[0] = total
-                for k, c in enumerate(ratio.T[:, :, None], 1):
-                    term = np.multiply(term, c, out=terms[k])
-                    term *= z
-                totals = np.cumsum(terms, axis=0)
-                done = (np.abs(terms[1:]).max(axis=2)
-                        <= 1.0e-16 * np.abs(totals[1:]).max(axis=2))
-                hit = done.any(axis=0)
-                stop = totals[1 + done[:, hit].argmax(axis=0), hit]
-                total = totals[-1]
-            else:
-                if powers is None:
-                    powers = z ** np.arange(1.0, _BLOCK + 1.0)[:, None]
-                d = np.cumprod(ratio, axis=1, out=ratio)
-                power = powers[:n.size]
-                done = (np.abs(term).max(axis=1)[:, None]
-                        * np.abs(d * power[:, top])
-                        <= 1.0e-16 * np.abs(total).max(axis=1)[:, None])
-                hit = done.any(axis=1)
-                d[:, 1:][np.logical_or.accumulate(done, axis=1)[:, :-1]] = 0.0
-                total = total + term * np.einsum("rk,kz->rz", d, power,
-                                                 optimize=False)
-                stop = total[hit]
-                term = term * (d[:, -1:] * power[-1])
+            terms = np.empty((n.size + 1,) + total.shape)
+            terms[0] = total
+            for k, c in enumerate(ratio.T[:, :, None], 1):
+                term = np.multiply(term, c, out=terms[k])
+                term *= z
+            totals = np.cumsum(terms, axis=0)
+            done = (np.abs(terms[1:]).max(axis=2)
+                    <= 1.0e-16 * np.abs(totals[1:]).max(axis=2))
+            hit = done.any(axis=0)
+            total = totals[-1]
             n0, size = n0 + n.size, min(2 * size, _BLOCK)
             if hit.any():
-                sums[live[hit]] = stop
+                sums[live[hit]] = totals[1 + done[:, hit].argmax(axis=0), hit]
                 if hit.all():
                     return sums
                 keep = ~hit
@@ -446,11 +420,11 @@ def _tilde_f_rows(A, B, C, z: np.ndarray) -> np.ndarray:
     cancellation, so such a row takes the connection at every z > 1/2,
     where the direct series would need hundreds of terms or cancel.  A
     two-piece row's two terms cancel like e^(n w), so it is summed directly
-    up to Z_CONNECT, several hundred terms of _series_rows at z near it,
-    and from the connection only above it.  An integer s raises
-    PoleError.  The weighted sum of such rows that an eigenfunction
-    needs is _tilde_f_sum, which takes the same pieces but folds each
-    class's direct sums into one power series.
+    up to Z_CONNECT, one term at a time by _series_rows (several hundred
+    terms at z near it), and from the connection only above it.  An
+    integer s raises PoleError.  The weighted sum of such rows that an
+    eigenfunction needs is _tilde_f_sum, which takes the same pieces but
+    folds each class's direct sums into one power series.
     """
     B = np.broadcast_to(B, A.shape)
     s, g, p, q = _kernel_factors(A, B, C)
@@ -475,8 +449,9 @@ def _folded_sum(lead, n, A, B, C, z: np.ndarray) -> np.ndarray:
     sizes change no value).  With z_top = max z >= 0, a run stops at its
     first k >= 1 with |t[r, k]| z_top^k <= 1e-16 |sum_{j <= k} t[r, j]
     z_top^j|, that term included.  A term is largest over the grid at
-    z_top, so no run stops before _series_rows would stop its row; a run
-    still going after SERIES_MAX_TERMS terms raises ConvergenceError.
+    z_top, so no run stops before _series_rows, the direct sum of
+    _tilde_f_rows, would stop its row; a run still going after
+    SERIES_MAX_TERMS terms raises ConvergenceError.
     The runs, shifted by n[r] and added in longdouble in the order of n,
     are the coefficients d_m of the sum, rounded once to float64.  Each
     block of _BLOCK of them is summed by one einsum against one table of

@@ -272,14 +272,20 @@ def test_eigenfunction_index_out_of_range(capsys):
     assert "out of range" in err
 
 
-def test_eigenfunction_negative_index_out_of_range(capsys):
-    # the non-terminating branch shares the finite branch's range check
-    code, out, err = run_cli(capsys, "eigenfunction", "--potential", "v1",
-                             "--l", "-3", "--k2", "0.5", "--family", "ring5",
-                             "--index", "-1")
-    assert code == 3
-    assert out == ""
-    assert "out of range" in err
+def test_eigenfunction_negative_index_out_of_range(capsys, monkeypatch):
+    # a negative index is out of range in the finite (l = 2) and the
+    # non-terminating (l = -3) branch alike, before any level is solved
+    def no_solve(*args):
+        raise AssertionError("a solver ran")
+    monkeypatch.setattr(heunspec.cli, "finite_spectrum", no_solve)
+    monkeypatch.setattr(heunspec.cli, "infinite_levels", no_solve)
+    for l in ("2", "-3"):
+        code, out, err = run_cli(capsys, "eigenfunction", "--potential",
+                                 "v1", "--l", l, "--k2", "0.5", "--family",
+                                 "ring5", "--index", "-1")
+        assert code == 3
+        assert out == ""
+        assert err == "index -1 out of range: level indices start at 0\n"
 
 
 def test_verify_passes_and_validates(capsys):

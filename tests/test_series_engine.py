@@ -482,6 +482,38 @@ def test_folded_kernel_sum_raises_at_the_term_cap(monkeypatch):
         evaluate_grid(sol, us)
 
 
+def test_connection_rows_need_at_most_60_terms(monkeypatch):
+    # the 1 - z connection rows of an eigenfunction stop within the
+    # first four blocks of _series_rows (60 terms): capped there while
+    # _series_rows runs, and only then, since the folded sum below the
+    # cut needs hundreds, evaluate_grid gives the same samples to the
+    # bit at the lowest, middle and top level of every two-sided family
+    from heunspec import special_functions
+    from heunspec.cli import _plot_grid
+    series_rows = special_functions._series_rows
+    calls = []
+
+    def capped(*args):
+        calls.append(args)
+        with monkeypatch.context() as m:
+            m.setattr(special_functions, "SERIES_MAX_TERMS", 60)
+            return series_rows(*args)
+
+    for kind, sels in (("v1", ("bold5", "bold6")), ("v2", ("bar5", "bar7"))):
+        for l, k2 in ((5.5, 0.5), (20.5, 0.5), (20.0, 0.9)):
+            spec = make_spec(kind, l, k2)
+            us = _plot_grid(spec)
+            for sel in sels:
+                sols = finite_spectrum(spec, fam(sel)).solutions
+                for sol in (sols[0], sols[len(sols) // 2], sols[-1]):
+                    ref = evaluate_grid(sol, us)
+                    with monkeypatch.context() as m:
+                        m.setattr(special_functions, "_series_rows", capped)
+                        got = evaluate_grid(sol, us)
+                    assert np.array_equal(got, ref), (kind, sel, l, k2, sol.E)
+    assert calls
+
+
 def test_grid_evaluation_makes_one_jacobi_call(monkeypatch):
     # sn, cn and dn of a whole grid come from one array call, for power
     # and hypergeometric families alike

@@ -493,18 +493,14 @@ def test_kernel_factors_memo_is_bit_identical(monkeypatch):
 
 def _one_term_loop(a, b, c, z, max_terms=10_000):
     """2F1(a, b; c; z) of one row, one term per step, with the stop rule
-    of _series_rows; returns the sum, the number of terms and the
-    pointwise sum of |term| (the leading 1 included), the scale of the
-    rounding error of a sum."""
+    of _series_rows; returns the sum and the number of terms."""
     term = np.ones_like(z)
     total = np.ones_like(z)
-    size = np.ones_like(z)
     for n in range(max_terms):
         term = term * ((a + n) * (b + n) / ((c + n) * (n + 1.0))) * z
         total += term
-        size += np.abs(term)
         if np.abs(term).max() <= 1.0e-16 * np.abs(total).max():
-            return total, n + 1, size
+            return total, n + 1
     raise AssertionError("reference loop did not stop")
 
 
@@ -514,11 +510,9 @@ def test_blocked_series_matches_one_term_loop():
     # non-terminating rows run on across several blocks.  A = -2 with
     # C = -3 meets a pole one step after it terminates, which the
     # blocked sum forms and must drop without a warning; A = -70 with
-    # C = -71 does so past the first 60 terms.  A row that stops within
-    # the first 60 terms is formed one term at a time and must be the
-    # loop's sum to the bit; a longer row adds the later terms a block
-    # at a time, so it rounds differently: it must agree within
-    # 16 eps sum|t_k| (measured worst 4.1, mostly the loop's own error)
+    # C = -71 does so past the first 60 terms.  Every term is formed
+    # from the last, so every row, however long, must be the loop's sum
+    # to the bit
     ends = [-float(m) for m in range(41)]
     runs = [0.3 + 0.2 * j for j in range(20)]
     cases = [
@@ -538,30 +532,32 @@ def test_blocked_series_matches_one_term_loop():
             warnings.simplefilter("error")
             got = _series_rows(A, B, C, z)
         for r, (a, b, c) in enumerate(rows):
-            ref, terms, size = _one_term_loop(a, b, c, z)
-            if terms <= 60:
-                assert np.array_equal(got[r], ref), (a, b, c, z)
-            else:
-                bound = 16 * np.finfo(float).eps * size
-                assert (np.abs(got[r] - ref) <= bound).all(), (a, b, c, z)
+            ref, terms = _one_term_loop(a, b, c, z)
+            assert np.array_equal(got[r], ref), (a, b, c, z)
             stops.add(terms)
     assert set(range(1, 42)) <= stops and max(stops) > 100
 
 
 def test_series_raises_at_the_term_cap(monkeypatch):
-    # this row needs 40 terms: every cap below fails, 40 itself passes
-    a, b, c, z = 0.3, 0.7, 1.1, np.array([0.0, 0.45])
-    ref, terms, _ = _one_term_loop(a, b, c, z)
-    assert terms == 40
-    row = (np.array([a]), np.array([b]), np.array([c]), z)
-    for cap in range(1, terms):
-        monkeypatch.setattr(special_functions, "SERIES_MAX_TERMS", cap)
-        with pytest.raises(ConvergenceError,
-                           match=rf"within {cap} terms \(A=0\.3, B=0\.7, "
-                                 r"C=1\.1, z up to 0\.45\)"):
-            _series_rows(*row)
-    monkeypatch.setattr(special_functions, "SERIES_MAX_TERMS", terms)
-    assert np.array_equal(_series_rows(*row)[0], ref)
+    # the row needs 40 terms at z up to 0.45, inside the first four
+    # blocks, and 134 at z up to 0.8, where caps 61, 100 and 133 cut one
+    # of the later _BLOCK-step blocks short.  Every cap below the need
+    # fails, and the need itself gives the loop's sum to the bit
+    a, b, c = 0.3, 0.7, 1.1
+    for z_top, need, caps in ((0.45, 40, range(1, 40)),
+                              (0.8, 134, (61, 100, 133))):
+        z = np.array([0.0, z_top])
+        ref, terms = _one_term_loop(a, b, c, z)
+        assert terms == need
+        row = (np.array([a]), np.array([b]), np.array([c]), z)
+        for cap in caps:
+            monkeypatch.setattr(special_functions, "SERIES_MAX_TERMS", cap)
+            with pytest.raises(ConvergenceError,
+                               match=rf"within {cap} terms \(A=0\.3, "
+                                     rf"B=0\.7, C=1\.1, z up to {z_top}\)"):
+                _series_rows(*row)
+        monkeypatch.setattr(special_functions, "SERIES_MAX_TERMS", terms)
+        assert np.array_equal(_series_rows(*row)[0], ref)
 
 
 def test_gamma_matches_mpmath():

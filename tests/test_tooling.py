@@ -1,5 +1,6 @@
 """Tooling guards: the benchmark's tracer finds every function it wraps,
-and the package imports no scipy root finder or integrator."""
+the package imports no scipy root finder or integrator, and every
+function defined in the package is used in it or listed with a reason."""
 
 import ast
 import importlib
@@ -42,3 +43,38 @@ def test_no_module_imports_scipy_solvers():
                       if any(name == m or name.startswith(m + ".")
                              for m in BANNED)]
     assert found == []
+
+
+# Functions kept in src although no code in src calls them, each with
+# the reason it stays.
+UNREFERENCED = {
+    "spectrum._cf_value": "the continued-fraction reference for sections; "
+                          "a tracer target",
+    "spectrum.infinite_energy": "a tracer target until the benchmark's "
+                                "tracer is retargeted",
+    "special_functions.tilde_F": "the scalar kernel reference; a tracer "
+                                 "target",
+    "special_functions._tilde_f_rows": "the row reference for _tilde_f_sum",
+    "shooting.monodromy_match_table": "kept for the monodromy oracle in "
+                                      "verify",
+}
+
+
+def test_every_function_is_referenced_in_src():
+    # every function and non-dunder method defined in the package is
+    # named somewhere in its code (a call, an attribute or a value;
+    # docstrings are not code), or stands on UNREFERENCED with a reason
+    defined, named = [], set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not (node.name.startswith("__")
+                        and node.name.endswith("__")):
+                    defined.append(f"{path.stem}.{node.name}")
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    unreferenced = {name for name in defined
+                    if name.rpartition(".")[2] not in named}
+    assert unreferenced == set(UNREFERENCED)
