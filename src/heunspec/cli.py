@@ -125,9 +125,13 @@ def _family_energies(spec: PotentialSpec, fam: ExpansionFamily,
 def _write_output(text: str, path: Optional[str]) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write output to {path}: "
+                          f"{exc.strerror or exc}") from None
 
 
 def _json_dump(payload: dict) -> str:
@@ -269,10 +273,7 @@ def cmd_verify(args) -> int:
             # the join residual is left unchecked, so that a detuned
             # energy reaches the residual check
             E = args.energy_override
-            coeffs, _ = coefficients(spec, fam, E)
-            sols = [SeriesSolution(spec=spec, family=fam, E=E, coeffs=coeffs,
-                                   prefactor=family_prefactor(spec, fam),
-                                   finite=True)]
+            sols = [SeriesSolution(spec, fam, E, coefficients(spec, fam, E)[0])]
         else:
             sols = finite_spectrum(spec, fam).solutions
         for i, sol in enumerate(sols):

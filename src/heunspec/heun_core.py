@@ -80,7 +80,10 @@ class PotentialSpec:
     def from_k2(cls, kind: PotentialKind, l: float, k2: float) -> "PotentialSpec":
         if not math.isfinite(l):
             raise DomainError(f"l must be finite, got {l}")
-        return cls(kind=kind, l=float(l), k=EllipticModulus.from_k2(k2))
+        spec = cls(kind=kind, l=float(l), k=EllipticModulus.from_k2(k2))
+        if not math.isfinite(spec.coupling):
+            raise DomainError(f"(l + 2)(l + 3) overflows at l = {l}")
+        return spec
 
     @property
     def coupling(self) -> float:

@@ -33,6 +33,10 @@ terminating series and the minimal solution of an infinite one, both
 joined where the residual is smallest and both held to one bound on
 that residual, FINITE_TOL; and the continuant's zeros are the levels of
 a finite section.
+
+A SeriesSolution is a family's coefficients at one energy and nothing
+more: its prefactor sn^p cn^q dn^r (family_prefactor) and whether it
+terminates (truncation_order) depend on the spec and the family only.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from .heun_core import (
     FamilyGroup,
     HeunParams,
     PotentialSpec,
-    Prefactor,
+    family_prefactor,
     transformed_params,
 )
 from .special_functions import _tilde_f_sum, jacobi
@@ -147,7 +151,11 @@ def recurrence(spec: PotentialSpec, fam: ExpansionFamily, E) -> Recurrence:
 
     Each energy gets its own transformed_params call, so the constant
     term of beta_n is the accessory parameter q(E) exactly as the Heun
-    parameter map computes it.
+    parameter map computes it.  Shifting the E = 0 term by beta_slope * E
+    instead rounds differently: it moves eigenfunction samples (by up to
+    5e-13 of max|psi| on the benchmark's operations), and it makes four
+    partner-equivalence checks that fail at l = 12 and l = 100 read
+    exactly 0, because partner families' rows at E = 0 agree to the bit.
     """
     E = np.asarray(E, dtype=float)
     params = [transformed_params(spec, fam, e)[0] for e in E.ravel().tolist()]
@@ -314,30 +322,16 @@ def solve_coeffs_infinite(spec: PotentialSpec, fam: ExpansionFamily, E: float,
 
 @dataclass(frozen=True)
 class SeriesSolution:
-    """A concrete series eigenfunction candidate at one energy."""
+    """A family's series at one energy: the coefficients b_0..b_last.
+
+    The prefactor (family_prefactor) and whether the series terminates
+    (truncation_order) depend on the spec and the family alone.
+    """
 
     spec: PotentialSpec
     family: ExpansionFamily
     E: float
     coeffs: np.ndarray
-    prefactor: Prefactor
-    finite: bool
-
-
-def build_finite(spec: PotentialSpec, fam: ExpansionFamily,
-                 E: float) -> SeriesSolution:
-    coeffs = solve_coeffs_finite(spec, fam, E)
-    _, pre = transformed_params(spec, fam, E)
-    return SeriesSolution(spec=spec, family=fam, E=E, coeffs=coeffs,
-                          prefactor=pre, finite=True)
-
-
-def build_infinite(spec: PotentialSpec, fam: ExpansionFamily, E: float,
-                   n_max: int = DEFAULT_N_MAX) -> SeriesSolution:
-    coeffs = solve_coeffs_infinite(spec, fam, E, n_max=n_max)
-    _, pre = transformed_params(spec, fam, E)
-    return SeriesSolution(spec=spec, family=fam, E=E, coeffs=coeffs,
-                          prefactor=pre, finite=False)
 
 
 def hyper_eval_args(spec: PotentialSpec,
@@ -375,15 +369,14 @@ def evaluate_grid(sol: SeriesSolution, us) -> np.ndarray:
     us = np.asarray(us, dtype=float)
     spec = sol.spec
     fam = sol.family
-    k2 = spec.k.k2
-    sn, cn, dn = jacobi(us, k2)
+    sn, cn, dn = jacobi(us, spec.k.k2)
     with np.errstate(over="ignore", invalid="ignore"):
         if fam.group is FamilyGroup.POWER:
-            total = _power_sum(sol, sn * sn, k2)
+            total = _power_sum(sol, sn * sn)
         else:
             z = sn * sn if fam.group is FamilyGroup.HYPER_BAR else cn * cn
             total = _tilde_f_sum(sol.coeffs, *hyper_eval_args(spec, fam), z)
-        vals = sol.prefactor.at(sn, cn, dn) * total
+        vals = family_prefactor(spec, fam).at(sn, cn, dn) * total
     bad = np.count_nonzero(~np.isfinite(vals))
     if bad:
         raise DomainError(
@@ -392,16 +385,17 @@ def evaluate_grid(sol: SeriesSolution, us) -> np.ndarray:
     return vals
 
 
-def _power_sum(sol: SeriesSolution, x, k2: float):
+def _power_sum(sol: SeriesSolution, x):
     """Power series sum_n b_n x^n at a point or an array of points x.
 
-    A finite series is a polynomial.  An infinite one is summed over
-    its coefficients, all points at once, and each point's truncation
-    is checked with a geometric tail estimate: successive terms shrink
-    like k2 * x.  The first failing point raises ConvergenceError.
+    The series of a terminating family is a polynomial.  An infinite one
+    is summed over its coefficients, all points at once, and each
+    point's truncation is checked with a geometric tail estimate:
+    successive terms shrink like k2 * x.  The first failing point raises
+    ConvergenceError.
     """
     coeffs = sol.coeffs
-    if sol.finite:
+    if truncation_order(sol.spec, sol.family) is not None:
         return np.polynomial.polynomial.polyval(x, coeffs)
     x = np.asarray(x, dtype=float)
     total = np.zeros_like(x)
@@ -410,7 +404,7 @@ def _power_sum(sol: SeriesSolution, x, k2: float):
         t = bn * xp
         total += t
         xp *= x
-    qhat = k2 * np.abs(x)
+    qhat = sol.spec.k.k2 * np.abs(x)
     outside = qhat >= 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
         tail = np.abs(t) * qhat / (1.0 - qhat)

@@ -10,9 +10,12 @@ truncation order.  A non-terminating power family's section levels
 converge to its levels (Ikebe, Asai, Miyazaki & Cai, Linear Algebra
 Appl. 241-243, 1996), so N doubles until they stop moving.  A
 non-terminating two-sided family has no minimal solution: rejected.
-Both kinds of family return the series solutions at their levels,
-built by series_engine under one join-residual bound; an infinite
-family's coefficients run to the settled section order N.
+Both kinds of family return the series solutions at their levels:
+each is a SeriesSolution of the coefficients that solve_coeffs_finite
+or solve_coeffs_infinite give under one join-residual bound, and an
+infinite family's coefficients run to the settled section order N.  A
+finite spectrum's sign-condition flag comes from the recurrence and
+order its levels are solved on.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ from scipy.linalg import eigh_tridiagonal
 from .exceptions import ArgumentError, ConvergenceError, DomainError, NoRootError
 from .heun_core import ExpansionFamily, FamilyGroup, PotentialSpec, default_window
 from .series_engine import (SECTION_MAX_ORDER, Recurrence, SeriesSolution,
-                            build_finite, build_infinite, finite_order,
-                            recurrence, truncation_order)
+                            finite_order, recurrence, solve_coeffs_finite,
+                            solve_coeffs_infinite, truncation_order)
 
 SECTION_SHIFT_TOL = 1.0e-11
 DENSE_MAX_ORDER = 2000  # a dense solve costs O(N^3) time
@@ -56,34 +59,25 @@ def _sign_violations(tri: Recurrence, N: int) -> list[int]:
     return idx[~(tri.alpha_n(idx - 1) * tri.gamma_n(idx) > 0.0)].tolist()
 
 
-def arscott_check(spec: PotentialSpec,
-                  fam: ExpansionFamily) -> tuple[bool, list[int]]:
-    """Sign condition guaranteeing N+1 real simple eigenvalues.
-
-    Checks alpha_{n-1} gamma_n > 0 for 1 <= n <= N; returns the flag and
-    the list of violating indices n.
-    """
-    bad = _sign_violations(recurrence(spec, fam, 0.0), finite_order(spec, fam))
-    return (len(bad) == 0, bad)
-
-
 def finite_spectrum(spec: PotentialSpec, fam: ExpansionFamily) -> SpectrumResult:
     """All real eigenvalues of a terminating family, ascending.
 
     The section of order N = truncation order is the whole problem.
-    When the sign condition holds it has N+1 simple real eigenvalues;
-    otherwise complex pairs show up as a deficit between expected_count
-    and real_count.
+    When the sign condition (Arscott) holds, alpha_{n-1} gamma_n > 0 for
+    1 <= n <= N, it has N+1 simple real eigenvalues; otherwise complex
+    pairs show up as a deficit between expected_count and real_count.
     """
     N = finite_order(spec, fam)
-    ok, _bad = arscott_check(spec, fam)
-    energies = _section_levels(recurrence(spec, fam, 0.0), N)
+    tri = recurrence(spec, fam, 0.0)
+    energies = _section_levels(tri, N)
     degenerate = [(i, j) for i in range(len(energies))
                   for j in range(i + 1, len(energies))
                   if abs(energies[i] - energies[j]) <= 1.0e-9 * (1.0 + abs(energies[i]))]
-    solutions = [build_finite(spec, fam, E) for E in energies]
+    solutions = [SeriesSolution(spec, fam, E, solve_coeffs_finite(spec, fam, E))
+                 for E in energies]
     return SpectrumResult(spec=spec, family=fam, energies=energies,
-                          solutions=solutions, arscott_ok=ok,
+                          solutions=solutions,
+                          arscott_ok=not _sign_violations(tri, N),
                           degenerate_pairs=degenerate,
                           expected_count=N + 1, real_count=len(energies))
 
@@ -256,7 +250,9 @@ def infinite_levels(spec: PotentialSpec, fam: ExpansionFamily,
         shift = math.inf if len(levels) != len(old) else max(
             [abs(a - b) / max(1.0, abs(a)) for a, b in zip(levels, old)],
             default=0.0)
-    return [build_infinite(spec, fam, E, n_max=N) for E in levels]
+    return [SeriesSolution(spec, fam, E,
+                           solve_coeffs_infinite(spec, fam, E, n_max=N))
+            for E in levels]
 
 
 def infinite_energy(spec: PotentialSpec, fam: ExpansionFamily,

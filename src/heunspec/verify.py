@@ -25,8 +25,8 @@ from .heun_core import (
 )
 from .series_engine import (
     SeriesSolution,
-    build_infinite,
     evaluate_grid,
+    solve_coeffs_infinite,
     truncation_order,
 )
 from .spectrum import finite_spectrum, infinite_levels, symmetry_partner
@@ -198,7 +198,8 @@ def _infinite_record(spec: PotentialSpec) -> Optional[EquivalenceRecord]:
         raise NoRootError(f"no level of family {fam5.selector} in the "
                           "default window")
     sol5 = levels[0]
-    sol1 = build_infinite(spec, fam1, sol5.E, n_max=len(sol5.coeffs) - 1)
+    sol1 = SeriesSolution(spec, fam1, sol5.E, solve_coeffs_infinite(
+        spec, fam1, sol5.E, n_max=len(sol5.coeffs) - 1))
     us = residual_grid(spec, n_grid=COMPARE_POINTS, margin=0.05)
     f5 = _normalized(evaluate_grid(sol5, us))
     f1 = _normalized(evaluate_grid(sol1, us))

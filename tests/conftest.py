@@ -6,9 +6,11 @@ import pytest
 
 from heunspec import shooting
 from heunspec.heun_core import (FamilyGroup, PotentialKind, PotentialSpec,
-                                default_window)
-from heunspec.series_engine import (_power_sum, finite_order,
-                                    hyper_eval_args, recurrence)
+                                default_window, family_prefactor)
+from heunspec.series_engine import (DEFAULT_N_MAX, SeriesSolution, _power_sum,
+                                    finite_order, hyper_eval_args, recurrence,
+                                    solve_coeffs_finite, solve_coeffs_infinite,
+                                    truncation_order)
 from heunspec.special_functions import jacobi, tilde_F
 
 
@@ -21,15 +23,25 @@ def make_spec(kind: str, l: float, k2: float) -> PotentialSpec:
     return PotentialSpec.from_k2(PotentialKind(kind), l, k2)
 
 
+def series_solution(spec: PotentialSpec, fam, E: float,
+                    n_max: int = DEFAULT_N_MAX) -> SeriesSolution:
+    """The checked series solution of a family at an eigenvalue E: the
+    terminating series, or the infinite one to b_{n_max}."""
+    if truncation_order(spec, fam) is not None:
+        return SeriesSolution(spec, fam, E, solve_coeffs_finite(spec, fam, E))
+    return SeriesSolution(spec, fam, E,
+                          solve_coeffs_infinite(spec, fam, E, n_max=n_max))
+
+
 def evaluate(sol, u: float) -> float:
     """Value of a series solution at position u, one scalar tilde_F per
     kernel term: the pointwise reference for series_engine.evaluate_grid."""
     fam = sol.family
     k2 = sol.spec.k.k2
     sn, cn, dn = jacobi(u, k2)
-    pre = sol.prefactor.at(sn, cn, dn)
+    pre = family_prefactor(sol.spec, fam).at(sn, cn, dn)
     if fam.group is FamilyGroup.POWER:
-        return pre * _power_sum(sol, sn * sn, k2)
+        return pre * _power_sum(sol, sn * sn)
     z = sn * sn if fam.group is FamilyGroup.HYPER_BAR else cn * cn
     A0, B, C0 = hyper_eval_args(sol.spec, fam)
     total = 0.0

@@ -30,7 +30,7 @@ from heunspec.heun_core import (
     PotentialSpec,
     family_prefactor,
 )
-from heunspec.series_engine import build_infinite, evaluate_grid, truncation_order
+from heunspec.series_engine import evaluate_grid, truncation_order
 from heunspec.shooting import monodromy_match_table, shooting_match_table
 from heunspec.special_functions import complete_K, gamma_fn, jacobi
 from heunspec.spectrum import (
@@ -40,7 +40,7 @@ from heunspec.spectrum import (
 )
 from heunspec.verify import residual_grid, ode_residual
 
-from conftest import characteristic_det
+from conftest import characteristic_det, series_solution
 
 K2_GRID = (0.25, 0.5, 0.75)
 K2_MAIN = 0.5
@@ -285,8 +285,8 @@ def test_criterion_6_infinite_family_equivalence():
         E = infinite_energy(spec, fam5, bracket=(E_ref - 0.5, E_ref + 0.5))
         assert abs(E - E_ref) < 1e-6
         us = residual_grid(spec, n_grid=32, margin=0.05)
-        f5 = normalized(evaluate_grid(build_infinite(spec, fam5, E), us))
-        f1 = normalized(evaluate_grid(build_infinite(spec, fam1, E), us))
+        f5 = normalized(evaluate_grid(series_solution(spec, fam5, E), us))
+        f1 = normalized(evaluate_grid(series_solution(spec, fam1, E), us))
         worst = max(worst, float(np.max(np.abs(f5 - f1))))
         lo, hi = E_ref - 0.3, E_ref + 0.3
         roots = []

@@ -511,6 +511,68 @@ def test_non_finite_energy_override_is_domain_error(capsys, value):
     assert err.startswith("error: --energy-override must be finite")
 
 
+def _hostile_argv(command, kind, l, *extra):
+    argv = [command, "--potential", kind, f"--l={l}"]
+    argv += ["--k2-list" if command == "sweep" else "--k2", "0.5"]
+    if command != "verify":
+        argv += ["--family", "ring5"]
+    return argv + list(extra)
+
+
+# (l, a phrase of the error): past l = 1.3407807929942596e154 the
+# coupling (l + 2)(l + 3) overflows float64; at that l it still fits and
+# ring5 terminates at an order past the section cap
+HOSTILE_L = (("1e300", "(l + 2)(l + 3) overflows at l = 1e+300"),
+             ("-1e300", "(l + 2)(l + 3) overflows at l = -1e+300"),
+             ("1.3407807929942597e154", "(l + 2)(l + 3) overflows"),
+             ("1.3407807929942596e154", "passes cap 1048576"))
+COMMANDS = ("spectrum", "eigenfunction", "verify", "sweep")
+
+
+@pytest.mark.parametrize("argv,message", [
+    *[(_hostile_argv(command, kind, l), message) for command in COMMANDS
+      for kind in ("v1", "v2") for l, message in HOSTILE_L],
+    *[(_hostile_argv(command, "v1", "2", "--output", target),
+       "cannot write output to ") for command in COMMANDS
+      for target in ("MISSING", "DIR")],
+])
+def test_hostile_inputs_exit_2_with_one_error_line(capsys, tmp_path, argv,
+                                                    message):
+    # a huge |l| or an --output that cannot be written ends in a typed
+    # error, never a traceback
+    targets = {"MISSING": str(tmp_path / "missing" / "out.txt"),
+               "DIR": str(tmp_path)}
+    argv = [targets.get(a, a) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    if "--output" in argv:
+        assert err.startswith(f"error: cannot write output to {argv[-1]}: ")
+
+
+@pytest.mark.parametrize("kind,l,family", [("v1", "2", "ring5"),
+                                           ("v2", "5.5", "bar7")])
+def test_energy_override_builds_the_solvers_solution(capsys, kind, l, family):
+    # at each level the unchecked override path must evaluate the same
+    # series as the checked one, prefactor included (bar7 at half-odd l
+    # takes the Euler-shifted one), so both residuals agree to the bit
+    common = ["--potential", kind, "--l", l, "--k2", "0.5",
+              "--family", family]
+    _, out, _ = run_cli(capsys, "spectrum", *common)
+    energies = json.loads(out)["energies"]
+    _, out, _ = run_cli(capsys, "verify", *common)
+    solved = [c["value"] for c in json.loads(out)["checks"]
+              if c["kind"] == "residual"]
+    assert len(energies) == len(solved) > 1
+    for E, value in zip(energies, solved):
+        _, out, _ = run_cli(capsys, "verify", *common,
+                            f"--energy-override={E!r}")
+        [check] = json.loads(out)["checks"]
+        assert check["kind"] == "residual"
+        assert check["value"] == value, E
+
+
 def test_cli_imports_no_private_names():
     # the command line uses only the public API of the other modules
     tree = ast.parse(open(heunspec.cli.__file__).read())

@@ -11,14 +11,13 @@ from heunspec.heun_core import (
     FamilyGroup,
     PotentialKind,
     PotentialSpec,
+    family_prefactor,
     transformed_params,
 )
 from heunspec.cli import EQUIV_TOL
 from heunspec.series_engine import (
     FINITE_TOL,
     _power_sum,
-    build_finite,
-    build_infinite,
     coefficients,
     evaluate_grid,
     hyper_eval_args,
@@ -31,7 +30,7 @@ from heunspec.special_functions import _tilde_f_rows, complete_K, jacobi
 from heunspec.spectrum import finite_spectrum, symmetry_partner
 from heunspec.verify import _HYPER_PARTNER
 
-from conftest import evaluate, make_spec, relative_rows
+from conftest import evaluate, make_spec, relative_rows, series_solution
 
 RING5_V1_L2_E = [-9.316624790355399849115, -2.683375209644600150885]
 RING7_V2_L3_E = [-17.28232998312526813906, -3.717670016874731860935]
@@ -287,7 +286,7 @@ def test_one_term_even_solution_is_elementary():
     # single-coefficient level of the first well at l = 0: the series
     # collapses to cn^2 / dn^2 with energy 2 k2 - 2
     spec = vspec(0.0)
-    sol = build_finite(spec, fam("ring5"), 2.0 * 0.5 - 2.0)
+    sol = series_solution(spec, fam("ring5"), 2.0 * 0.5 - 2.0)
     for u in (0.2, 0.7, 1.3, 1.7):
         t = jacobi(u, 0.5)
         assert evaluate(sol, u) == pytest.approx(t.cn ** 2 / t.dn ** 2,
@@ -296,7 +295,7 @@ def test_one_term_even_solution_is_elementary():
 
 def test_one_term_even_solution_second_well():
     spec = wspec(0.0)
-    sol = build_finite(spec, fam("ring5"), -2.0)
+    sol = series_solution(spec, fam("ring5"), -2.0)
     for u in (0.3, 0.9, 1.6):
         t = jacobi(u, 0.5)
         assert evaluate(sol, u) == pytest.approx(t.sn ** 2 / t.dn ** 2,
@@ -306,7 +305,7 @@ def test_one_term_even_solution_second_well():
 def test_odd_family_vanishes_at_origin():
     spec = vspec(1.0)
     E = truncation_energy_single(spec, "ring6")
-    sol = build_finite(spec, fam("ring6"), E)
+    sol = series_solution(spec, fam("ring6"), E)
     assert evaluate(sol, 0.0) == 0.0
 
 
@@ -330,7 +329,7 @@ def test_grid_evaluation_matches_scalar(rng):
         cases += [(spec, sel, E)
                   for E in finite_spectrum(spec, fam(sel)).energies]
     for spec, sel, E in cases:
-        sol = build_finite(spec, fam(sel), E)
+        sol = series_solution(spec, fam(sel), E)
         K = complete_K(spec.k.k2)
         us = rng.uniform(0.05 * K, 0.95 * K, size=24)
         if spec.kind is PotentialKind.V2:
@@ -342,7 +341,7 @@ def test_grid_evaluation_matches_scalar(rng):
 
 def test_infinite_grid_evaluation_matches_scalar(rng):
     spec = vspec(-3.0)
-    sol = build_infinite(spec, fam("ring5"), CF_L3_E0)
+    sol = series_solution(spec, fam("ring5"), CF_L3_E0)
     K = complete_K(0.5)
     us = rng.uniform(0.1 * K, 0.9 * K, size=12)
     grid_vals = evaluate_grid(sol, us)
@@ -352,10 +351,10 @@ def test_infinite_grid_evaluation_matches_scalar(rng):
 
 def test_infinite_power_sum_array_matches_scalar_calls():
     spec = vspec(-3.0)
-    sol = build_infinite(spec, fam("ring5"), CF_L3_E0)
+    sol = series_solution(spec, fam("ring5"), CF_L3_E0)
     x = np.linspace(0.0, 1.0, 41)
-    scalar = [_power_sum(sol, float(xi), 0.5) for xi in x]
-    assert np.array_equal(_power_sum(sol, x, 0.5), scalar)
+    scalar = [_power_sum(sol, float(xi)) for xi in x]
+    assert np.array_equal(_power_sum(sol, x), scalar)
 
 
 def test_infinite_power_sum_names_first_failing_point():
@@ -363,15 +362,15 @@ def test_infinite_power_sum_names_first_failing_point():
     # first failing point is reported even when a later one lies
     # outside the disc of convergence
     spec = vspec(-3.0)
-    short = build_infinite(spec, fam("ring5"), CF_L3_E0, n_max=10)
+    short = series_solution(spec, fam("ring5"), CF_L3_E0, n_max=10)
     with pytest.raises(ConvergenceError,
                        match=r"at x = 0\.9 relative to partial sum 1\.856"):
-        _power_sum(short, np.array([0.1, 0.9, 2.5]), 0.5)
+        _power_sum(short, np.array([0.1, 0.9, 2.5]))
     with pytest.raises(ConvergenceError, match=r"at x = 0\.3 "):
-        _power_sum(short, 0.3, 0.5)
-    sol = build_infinite(spec, fam("ring5"), CF_L3_E0)
+        _power_sum(short, 0.3)
+    sol = series_solution(spec, fam("ring5"), CF_L3_E0)
     with pytest.raises(ConvergenceError, match=r"x = 2\.5 outside"):
-        _power_sum(sol, np.array([0.5, 2.5]), 0.5)
+        _power_sum(sol, np.array([0.5, 2.5]))
 
 
 def test_stacked_kernel_rows_match_one_row_sums():
@@ -457,7 +456,8 @@ def test_grid_evaluation_matches_mpmath():
                     b = [mpmath.mpf(x) for x in sol.coeffs.tolist()]
                     sums = [mpmath.fsum(bn * r[j] for bn, r in zip(b, rows))
                             for j in range(z.size)]
-                    ref = sol.prefactor.at(sn, cn, dn) * np.array(
+                    pre = family_prefactor(spec, fam(sel))
+                    ref = pre.at(sn, cn, dn) * np.array(
                         [float(x) for x in sums])
                     err = (np.abs(evaluate_grid(sol, us) - ref)
                            / np.abs(ref).max())
@@ -520,8 +520,8 @@ def test_grid_evaluation_makes_one_jacobi_call(monkeypatch):
     from heunspec import series_engine
     K = complete_K(0.5)
     us = np.linspace(0.05, 0.95, 64) * K
-    sols = [build_finite(vspec(2.0), fam("ring5"), RING5_V1_L2_E[0]),
-            build_infinite(vspec(-3.0), fam("ring5"), CF_L3_E0),
+    sols = [series_solution(vspec(2.0), fam("ring5"), RING5_V1_L2_E[0]),
+            series_solution(vspec(-3.0), fam("ring5"), CF_L3_E0),
             finite_spectrum(vspec(4.5), fam("bold5")).solutions[0]]
     calls = []
 
@@ -539,7 +539,7 @@ def test_bold_value_at_center_is_finite():
     # at u = 0 the kernel argument reaches 1 and the closed Gauss value
     # takes over
     spec = vspec(-1.5)
-    sol = build_finite(spec, fam("bold5"), -0.5 - 1.75 * 0.5)
+    sol = series_solution(spec, fam("bold5"), -0.5 - 1.75 * 0.5)
     v0 = evaluate(sol, 0.0)
     assert math.isfinite(v0) and v0 != 0.0
     v_near = evaluate(sol, 1e-6)

@@ -20,7 +20,6 @@ from heunspec.series_engine import (recurrence, solve_coeffs_infinite,
 from heunspec.cli import RESIDUAL_TOL
 from heunspec.shooting import shooting_match_table
 from heunspec.spectrum import (
-    arscott_check,
     default_window,
     finite_spectrum,
     infinite_energy,
@@ -30,6 +29,7 @@ from heunspec.spectrum import (
     _companion_real_roots,
     _polish,
     _section_levels,
+    _sign_violations,
 )
 from heunspec.verify import ode_residual
 
@@ -276,13 +276,17 @@ def test_polish_step_cap_raises(monkeypatch):
         _polish(tri, N, roots + 1e-5)
 
 
+def sign_violations(spec, f):
+    return _sign_violations(recurrence(spec, f, 0.0), truncation_order(spec, f))
+
+
 def test_arscott_flags():
-    assert arscott_check(vspec(-0.5), fam("bold5"))[0] is True
-    ok, viol = arscott_check(vspec(0.5), fam("bold5"))
-    assert ok is False and len(viol) >= 1
-    assert arscott_check(vspec(0.5), fam("bold6"))[0] is True
-    assert arscott_check(vspec(1.5), fam("bold6"))[0] is False
-    assert arscott_check(wspec(0.5), fam("bar5"))[0] is False
+    assert sign_violations(vspec(-0.5), fam("bold5")) == []
+    viol = sign_violations(vspec(0.5), fam("bold5"))
+    assert len(viol) >= 1
+    assert sign_violations(vspec(0.5), fam("bold6")) == []
+    assert sign_violations(vspec(1.5), fam("bold6")) != []
+    assert sign_violations(wspec(0.5), fam("bar5")) != []
 
 
 def test_arscott_true_count_and_gaps():
