@@ -24,10 +24,12 @@ Each family of either potential is the generic recurrence evaluated at
 an index-transformed parameter set; the u <-> 2K - u partner families
 additionally swap the singular points 0 and 1 first.
 
-recurrence() holds these coefficients as numpy polynomials in n,
-evaluated over arrays of indices and, for B_n, over an array of
-energies: the energy enters only the constant term of B_n, through the
-accessory parameter q(E).  This one recurrence serves every regime: one
+recurrence() holds these coefficients as numpy polynomials in n, and
+Recurrence.rows(N) evaluates rows 0..N at once, B_n over an array of
+energies too: the energy enters only the constant term of B_n, through
+the accessory parameter q(E).  Every section, continuant, recursion
+and continued fraction reads its rows from there.  This one recurrence
+serves every regime: one
 two-sided recursion (coefficients) gives the coefficients of a
 terminating series and the minimal solution of an infinite one, both
 joined where the residual is smallest and both held to one bound on
@@ -70,43 +72,35 @@ _CONTINUANT_CAP = 2.0 ** 400
 class Recurrence:
     """The three-term recurrence of one family over an array of energies.
 
-    alpha_n(n), beta_n(n) and gamma_n(n) evaluate the coefficients at an
-    index or an array of indices; a scalar index gives a scalar.  alpha_n
-    and gamma_n do not depend on E.  beta_n(n) = -(a + 1) n^2 - lin n -
-    const, where const holds the accessory parameter q(E) of each energy,
-    so beta_n(n) has the shape of n followed by the shape of the
-    energies.  beta_slope is the constant d(beta_n)/dE: the diagonal of
-    the characteristic matrix is affine in E with this slope.  params
-    are the transformed Heun parameters of the first energy; beta_n
-    takes q from const alone.
+    rows(N) gives the coefficients alpha_n, beta_n and gamma_n of rows
+    0..N of the spec's family; every section, continuant and recursion
+    reads them from there.  alpha_n and gamma_n do not depend on E.
+    beta_n = -(a + 1) n^2 - lin n - const, where const holds the
+    accessory parameter q(E) of each energy, so beta has the shape
+    (N + 1,) followed by the shape of the energies.  beta_slope is the
+    constant d(beta_n)/dE: the diagonal of the characteristic matrix is
+    affine in E with this slope.  params are the transformed Heun
+    parameters of the first energy; beta takes q from const alone.
     """
 
+    spec: PotentialSpec
     params: HeunParams
     hyper: bool
     lin: float
     const: np.ndarray
     beta_slope: float
 
-    def alpha_n(self, n):
-        n = np.asarray(n, dtype=float)
-        p = self.params
-        if self.hyper:
-            return (p.a * (n + 1.0))[()]
-        return (p.a * (n + p.gamma) * (n + 1.0))[()]
-
-    def beta_n(self, n):
-        n = np.asarray(n, dtype=float)
-        diag = -(self.params.a + 1.0) * n * n - self.lin * n
-        return np.subtract.outer(diag, self.const)[()]
-
-    def gamma_n(self, n):
-        n = np.asarray(n, dtype=float)
+    def rows(self, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(alpha, beta, gamma): the coefficients of rows n = 0..N."""
+        n = np.arange(N + 1, dtype=float)
         p = self.params
         al, be, ga, de = p.alpha, p.beta, p.gamma, p.delta
+        beta = np.subtract.outer(-(p.a + 1.0) * n * n - self.lin * n,
+                                 self.const)
         if self.hyper:
-            return ((n + al - 1.0) * (n + al - de)
-                    * (n + al + be - ga - de))[()]
-        return ((n + al - 1.0) * (n + be - 1.0))[()]
+            return (p.a * (n + 1.0), beta,
+                    (n + al - 1.0) * (n + al - de) * (n + al + be - ga - de))
+        return p.a * (n + ga) * (n + 1.0), beta, (n + al - 1.0) * (n + be - 1.0)
 
     def continuant(self, E, N: int):
         """Determinant D_N of rows 0..N with the energy moved on by E, and
@@ -125,10 +119,9 @@ class Recurrence:
         """
         E = np.asarray(E)
         ext = np.result_type(E, np.longdouble)
-        idx = np.arange(N + 1)
-        diag = list(np.add.outer(self.beta_n(idx),
-                                 self.beta_slope * E.astype(ext)))
-        off = list(self.gamma_n(idx[1:]) * self.alpha_n(idx[:-1]).astype(ext))
+        alpha, beta, gamma = self.rows(N)
+        diag = list(np.add.outer(beta, self.beta_slope * E.astype(ext)))
+        off = list(gamma[1:] * alpha[:-1].astype(ext))
         slope = self.beta_slope
         d_prev2, d_prev = 1.0, diag[0]
         p_prev2, p_prev = 0.0, np.full_like(d_prev, slope)
@@ -173,7 +166,7 @@ def recurrence(spec: PotentialSpec, fam: ExpansionFamily, E) -> Recurrence:
     slope = 1.0 / (4.0 * spec.k.k2)
     if fam.group is FamilyGroup.HYPER_BOLD:
         slope = -slope
-    return Recurrence(params=p, hyper=hyper, lin=lin, const=const,
+    return Recurrence(spec=spec, params=p, hyper=hyper, lin=lin, const=const,
                       beta_slope=slope)
 
 
@@ -251,8 +244,7 @@ def coefficients(spec: PotentialSpec, fam: ExpansionFamily, E: float,
         # downward recursion, is below 1e-12 at n_max.
         last = n_max
         top = n_max + int(math.ceil(12.5 / -math.log10(spec.k.k2))) + 10
-    idx = np.arange(top + 1)
-    alpha, beta, gamma = tri.alpha_n(idx), tri.beta_n(idx), tri.gamma_n(idx)
+    alpha, beta, gamma = tri.rows(top)
     al, be, ga = alpha.tolist(), beta.tolist(), gamma.tolist()
     back = [0.0] * (top + 2)
     back[top] = 1.0

@@ -29,9 +29,7 @@ from .exceptions import (
 AGM_MAX_ITER = 64
 SERIES_MAX_TERMS = 10_000
 Z_CONNECT = 0.97  # above it gauss_2F1 and two-piece kernel rows use 1 - z
-# the largest stop-test block of _series_rows (after 4, 8, 16 and 32 steps),
-# and the run and einsum block of _folded_sum
-_BLOCK = 64
+_BLOCK = 64  # the run and einsum block of _folded_sum
 
 _EPS = 2.220446049250313e-16
 
@@ -322,16 +320,12 @@ def tilde_F(A: float, B: float, C: float, z: float) -> float:
 def _series_rows(A, B, C, z: np.ndarray) -> np.ndarray:
     """Plain 2F1(A[r], B[r]; C[r]; z) for every row r, summed at once.
 
-    A row leaves at its first term with max|term| <= 1e-16 max|total|
-    over its points, and a row still running after SERIES_MAX_TERMS
-    terms raises ConvergenceError.  Terms come in blocks of 4, 8, 16,
-    32, then _BLOCK steps.  Each term is formed from the last as in a
-    one-term loop, a block's running totals are one sequential
-    cumulative sum, and the stop test runs on all steps of a block at
-    once, so every row is the one-term loop's sum to the bit, whatever
-    rows are stacked with it.  Where a series cancels, forming each term
-    from the last carries its rounding into the later ones, where it
-    cancels too.
+    Each step forms every live row's next term from its last and adds
+    it to the row's total.  A row leaves at its first term with
+    max|term| <= 1e-16 max|total| over its points, and a row still
+    running after SERIES_MAX_TERMS terms raises ConvergenceError.
+    Where a series cancels, forming each term from the last carries its
+    rounding into the later ones, where it cancels too.
     """
     total = np.ones((A.size, z.size))
     if not total.size:
@@ -339,29 +333,20 @@ def _series_rows(A, B, C, z: np.ndarray) -> np.ndarray:
     sums = np.empty_like(total)
     live = np.arange(A.size)
     term = total
-    n0, size = 0, 4
-    # steps past a row's stop may overflow or meet a pole; they are dropped
+    # a row that meets a pole or overflows leaves with a sum that is not
+    # finite, without a warning
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while n0 < SERIES_MAX_TERMS:
-            n = np.arange(n0, min(n0 + size, SERIES_MAX_TERMS), dtype=float)
-            ratio = ((A[:, None] + n) * (B[:, None] + n)
-                     / ((C[:, None] + n) * (n + 1.0)))
-            terms = np.empty((n.size + 1,) + total.shape)
-            terms[0] = total
-            for k, c in enumerate(ratio.T[:, :, None], 1):
-                term = np.multiply(term, c, out=terms[k])
-                term *= z
-            totals = np.cumsum(terms, axis=0)
-            done = (np.abs(terms[1:]).max(axis=2)
-                    <= 1.0e-16 * np.abs(totals[1:]).max(axis=2))
-            hit = done.any(axis=0)
-            total = totals[-1]
-            n0, size = n0 + n.size, min(2 * size, _BLOCK)
-            if hit.any():
-                sums[live[hit]] = totals[1 + done[:, hit].argmax(axis=0), hit]
-                if hit.all():
+        for n in range(SERIES_MAX_TERMS):
+            term = term * ((A + n) * (B + n) / ((C + n) * (n + 1.0)))[:, None]
+            term *= z
+            total = total + term
+            done = (np.abs(term).max(axis=1)
+                    <= 1.0e-16 * np.abs(total).max(axis=1))
+            if done.any():
+                sums[live[done]] = total[done]
+                if done.all():
                     return sums
-                keep = ~hit
+                keep = ~done
                 live, A, B, C = live[keep], A[keep], B[keep], C[keep]
                 term, total = term[keep], total[keep]
     raise ConvergenceError(

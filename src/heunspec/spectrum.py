@@ -2,10 +2,14 @@
 
 Every level is an eigenvalue of a finite section (rows 0..N) of one
 three-term recurrence, series_engine.Recurrence, whose energy enters
-only the diagonal, affinely: one tridiagonal eigenproblem, symmetrized
+only the diagonal, affinely: one tridiagonal eigenproblem
+(_section_levels), which forms the section's rows and products
+alpha_{n-1} gamma_n once and tests their signs once.  It is symmetrized
 when alpha_{n-1} gamma_n > 0 for every n, else solved densely and
 polished, all levels at once, by bracketed Newton steps on the
-continuant and its E-derivative.  For a terminating family N is the
+continuant and its E-derivative; a dense section of either kind of
+family past DENSE_MAX_ORDER raises ConvergenceError before its matrix
+is built.  For a terminating family N is the
 truncation order.  A non-terminating power family's section levels
 converge to its levels (Ikebe, Asai, Miyazaki & Cai, Linear Algebra
 Appl. 241-243, 1996), so N doubles until they stop moving.  A
@@ -14,8 +18,7 @@ Both kinds of family return the series solutions at their levels:
 each is a SeriesSolution of the coefficients that solve_coeffs_finite
 or solve_coeffs_infinite give under one join-residual bound, and an
 infinite family's coefficients run to the settled section order N.  A
-finite spectrum's sign-condition flag comes from the recurrence and
-order its levels are solved on.
+finite spectrum's sign-condition flag is the section solve's own.
 """
 
 from __future__ import annotations
@@ -53,10 +56,10 @@ class SpectrumResult:
     real_count: int
 
 
-def _sign_violations(tri: Recurrence, N: int) -> list[int]:
-    """Indices 1 <= n <= N with alpha_{n-1} gamma_n <= 0."""
-    idx = np.arange(1, N + 1)
-    return idx[~(tri.alpha_n(idx - 1) * tri.gamma_n(idx) > 0.0)].tolist()
+def _sign_violations(ag: np.ndarray) -> list[int]:
+    """Indices 1 <= n <= N with alpha_{n-1} gamma_n <= 0, from the
+    products ag[n - 1] = alpha_{n-1} gamma_n of a section."""
+    return (np.flatnonzero(~(ag > 0.0)) + 1).tolist()
 
 
 def finite_spectrum(spec: PotentialSpec, fam: ExpansionFamily) -> SpectrumResult:
@@ -65,11 +68,11 @@ def finite_spectrum(spec: PotentialSpec, fam: ExpansionFamily) -> SpectrumResult
     The section of order N = truncation order is the whole problem.
     When the sign condition (Arscott) holds, alpha_{n-1} gamma_n > 0 for
     1 <= n <= N, it has N+1 simple real eigenvalues; otherwise complex
-    pairs show up as a deficit between expected_count and real_count.
+    pairs show up as a deficit between expected_count and real_count,
+    and an order past DENSE_MAX_ORDER raises ConvergenceError.
     """
     N = finite_order(spec, fam)
-    tri = recurrence(spec, fam, 0.0)
-    energies = _section_levels(tri, N)
+    energies, symmetric = _section_levels(recurrence(spec, fam, 0.0), N)
     degenerate = [(i, j) for i in range(len(energies))
                   for j in range(i + 1, len(energies))
                   if abs(energies[i] - energies[j]) <= 1.0e-9 * (1.0 + abs(energies[i]))]
@@ -77,31 +80,33 @@ def finite_spectrum(spec: PotentialSpec, fam: ExpansionFamily) -> SpectrumResult
                  for E in energies]
     return SpectrumResult(spec=spec, family=fam, energies=energies,
                           solutions=solutions,
-                          arscott_ok=not _sign_violations(tri, N),
+                          arscott_ok=symmetric,
                           degenerate_pairs=degenerate,
                           expected_count=N + 1, real_count=len(energies))
 
 
 def _section_levels(tri: Recurrence, N: int,
                     window: Optional[tuple[float, float]] = None,
-                    count: Optional[int] = None) -> list[float]:
+                    count: Optional[int] = None) -> tuple[list[float], bool]:
     """Real levels of the section of rows 0..N, ascending: the lowest
-    count (all, if None), and of those only the ones inside a window.
+    count (all, if None), and of those only the ones inside a window;
+    and whether the section meets the sign condition.
 
+    The rows and their products alpha_{n-1} gamma_n are formed once.
     Under the sign condition the matrix is symmetrized exactly and
     solved by a tridiagonal eigensolver (bisection to full precision for
     a count or a window), else by _companion_real_roots.  Entries that
-    overflow, as the 1/k2 terms do for k2 near 1e-308, raise DomainError.
+    overflow float64, from a huge |l| or a tiny k2, raise DomainError.
     """
-    idx = np.arange(N + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        diag = tri.beta_n(idx)
-        ag = tri.alpha_n(idx[:-1]) * tri.gamma_n(idx[1:])
+        alpha, diag, gamma = tri.rows(N)
+        ag = alpha[:-1] * gamma[1:]
     if not (np.isfinite(diag).all() and np.isfinite(ag).all()):
-        raise DomainError(f"section entries overflow at a = 1/k2 = "
-                          f"{tri.params.a:.6g}; k2 is too small")
-    if not np.all(ag > 0.0):
-        return _companion_real_roots(tri, N, window, count)
+        raise DomainError(f"section entries overflow float64 at l = "
+                          f"{tri.spec.l}, k2 = {tri.spec.k.k2}")
+    if _sign_violations(ag):
+        return _companion_real_roots(tri, (alpha, diag, gamma), window,
+                                     count), False
     select = {}
     if count is not None:  # the lowest energies, largest lambda if slope > 0
         m = min(count, N + 1)
@@ -114,24 +119,32 @@ def _section_levels(tri: Recurrence, N: int,
                             **select)
     lo, hi = window or (-math.inf, math.inf)
     return [E for E in sorted(float(-lam / tri.beta_slope) for lam in lams)
-            if lo <= E <= hi][:count]
+            if lo <= E <= hi][:count], True
 
 
-def _companion_real_roots(tri: Recurrence, N: int,
+def _companion_real_roots(tri: Recurrence, rows: tuple[np.ndarray, ...],
                           window: Optional[tuple[float, float]] = None,
                           count: Optional[int] = None) -> list[float]:
-    """Real roots of the characteristic determinant, ascending.
+    """Real roots of the characteristic determinant of the section with
+    rows (alpha, beta, gamma) = tri.rows(N), ascending.
 
     The candidates are the eigenvalues of the section, mapped back
     through the diagonal slope; the real ones (the lowest count in the
     window, if given) are polished on the continuant by _polish, all in
     one pass: a dense solve of a non-symmetric matrix loses digits
-    (1.7e-5, v2 bar5 l = 13.5).
+    (1.7e-5, v2 bar5 l = 13.5).  A section past DENSE_MAX_ORDER raises
+    ConvergenceError before its matrix is built.
     """
+    alpha, beta, gamma = rows
+    N = beta.size - 1
+    if N > DENSE_MAX_ORDER:
+        raise ConvergenceError(
+            f"section of order N = {N} fails alpha_(n-1) gamma_n > 0 and "
+            f"needs a dense solve; N passes cap {DENSE_MAX_ORDER}")
     idx = np.arange(N + 1)
-    M = np.diag(tri.beta_n(idx))
-    M[idx[:-1], idx[1:]] = tri.alpha_n(idx[:-1])
-    M[idx[1:], idx[:-1]] = tri.gamma_n(idx[1:])
+    M = np.diag(beta)
+    M[idx[:-1], idx[1:]] = alpha[:-1]
+    M[idx[1:], idx[:-1]] = gamma[1:]
     lo, hi = window or (-math.inf, math.inf)
     cands = sorted(E for E in (float(-lam.real / tri.beta_slope)
                                for lam in np.linalg.eigvals(M)
@@ -219,9 +232,9 @@ def infinite_levels(spec: PotentialSpec, fam: ExpansionFamily,
     built with coefficients b_0..b_N of the settled order, which is the
     level check: a join residual above FINITE_TOL raises
     ConsistencyError, as for a terminating family.  An order past the
-    cap (DENSE_MAX_ORDER for a section without the sign condition)
-    raises ConvergenceError.  Two-sided families raise DomainError
-    before any recursion.
+    cap (SECTION_MAX_ORDER, or DENSE_MAX_ORDER for a section without the
+    sign condition) raises ConvergenceError.  Two-sided families raise
+    DomainError before any recursion.
     """
     if truncation_order(spec, fam) is not None:
         raise ArgumentError(
@@ -238,18 +251,27 @@ def infinite_levels(spec: PotentialSpec, fam: ExpansionFamily,
     N = math.ceil(30.0 / -math.log10(spec.k.k2))
     levels, shift = None, math.inf
     while shift >= SECTION_SHIFT_TOL:
-        dense = 2 * N <= SECTION_MAX_ORDER and _sign_violations(tri, 2 * N)
-        cap = DENSE_MAX_ORDER if dense else SECTION_MAX_ORDER
+        # the section of order 2N first, so that a cap ends the doubling
+        # before the section of order N is solved
+        cap = SECTION_MAX_ORDER
+        if 2 * N <= cap:
+            try:
+                new = _section_levels(tri, 2 * N, window, count)[0]
+            except ConvergenceError:
+                if 2 * N <= DENSE_MAX_ORDER:
+                    raise  # the polish's, not the dense solver's cap
+                cap = DENSE_MAX_ORDER
         if 2 * N > cap:
             raise ConvergenceError(
                 f"levels of family {fam.selector} not settled at order N = "
                 f"{N} (last relative shift {shift:.3g}); 2N passes cap {cap}")
-        old = _section_levels(tri, N, window, count) if levels is None else levels
+        if levels is None:
+            levels = _section_levels(tri, N, window, count)[0]
         N *= 2
-        levels = _section_levels(tri, N, window, count)
-        shift = math.inf if len(levels) != len(old) else max(
-            [abs(a - b) / max(1.0, abs(a)) for a, b in zip(levels, old)],
+        shift = math.inf if len(new) != len(levels) else max(
+            [abs(a - b) / max(1.0, abs(a)) for a, b in zip(new, levels)],
             default=0.0)
+        levels = new
     return [SeriesSolution(spec, fam, E,
                            solve_coeffs_infinite(spec, fam, E, n_max=N))
             for E in levels]
@@ -275,10 +297,8 @@ def _cf_value(spec: PotentialSpec, fam: ExpansionFamily, E, depth: int):
     levels against it.  An array E is evaluated in one pass and gives,
     bit for bit, the values of one call per energy.
     """
-    tri = recurrence(spec, fam, E)
-    idx = np.arange(depth + 1)
-    beta = tri.beta_n(idx)
-    ag = (tri.alpha_n(idx[:-1]) * tri.gamma_n(idx[1:])).tolist()
+    alpha, beta, gamma = recurrence(spec, fam, E).rows(depth)
+    ag = (alpha[:-1] * gamma[1:]).tolist()
     f = beta[depth]
     for n in range(depth - 1, -1, -1):
         if not f.all():

@@ -56,11 +56,10 @@ def evaluate(sol, u: float) -> float:
 def relative_rows(spec: PotentialSpec, fam, E: float, b) -> np.ndarray:
     """|alpha_n b_{n+1} + beta_n b_n + gamma_n b_{n-1}| over the sum of
     the three terms' moduli, for every row n of b; 0 where all vanish."""
-    tri = recurrence(spec, fam, E)
-    n = np.arange(len(b))
-    terms = np.array([tri.alpha_n(n) * np.append(b[1:], 0.0),
-                      tri.beta_n(n) * b,
-                      tri.gamma_n(n) * np.append(0.0, b[:-1])])
+    alpha, beta, gamma = recurrence(spec, fam, E).rows(len(b) - 1)
+    terms = np.array([alpha * np.append(b[1:], 0.0),
+                      beta * b,
+                      gamma * np.append(0.0, b[:-1])])
     scale = np.abs(terms).sum(axis=0)
     return np.abs(terms.sum(axis=0)) / np.where(scale > 0.0, scale, 1.0)
 
@@ -88,10 +87,9 @@ def brentq_real_roots(tri, N: int) -> list[float]:
     """
     from scipy.optimize import brentq
 
-    idx = np.arange(N + 1)
-    beta = list(tri.beta_n(idx).astype(np.longdouble))
-    ag = list(tri.gamma_n(idx[1:])
-              * tri.alpha_n(idx[:-1]).astype(np.longdouble))
+    alpha, beta0, gamma = tri.rows(N)
+    beta = list(beta0.astype(np.longdouble))
+    ag = list(gamma[1:] * alpha[:-1].astype(np.longdouble))
     cap = np.longdouble(2.0 ** 400)
 
     def det(E):
@@ -104,9 +102,10 @@ def brentq_real_roots(tri, N: int) -> list[float]:
                 d_prev2, d_prev = d_prev2 / cap, d_prev / cap
         return float(d_prev)
 
-    M = np.diag(tri.beta_n(idx))
-    M[idx[:-1], idx[1:]] = tri.alpha_n(idx[:-1])
-    M[idx[1:], idx[:-1]] = tri.gamma_n(idx[1:])
+    idx = np.arange(N + 1)
+    M = np.diag(beta0)
+    M[idx[:-1], idx[1:]] = alpha[:-1]
+    M[idx[1:], idx[:-1]] = gamma[1:]
     cands = sorted(float(-lam.real / tri.beta_slope)
                    for lam in np.linalg.eigvals(M)
                    if abs(lam.imag) <= 1.0e-8 * (1.0 + abs(lam)))

@@ -527,19 +527,32 @@ HOSTILE_L = (("1e300", "(l + 2)(l + 3) overflows at l = 1e+300"),
              ("1.3407807929942597e154", "(l + 2)(l + 3) overflows"),
              ("1.3407807929942596e154", "passes cap 1048576"))
 COMMANDS = ("spectrum", "eigenfunction", "verify", "sweep")
+# finite sections of order N = 1000002 that fail the sign condition stop
+# at the dense solver's cap before an (N + 1)^2 matrix is allocated; at
+# l = 1e154 the entries of ring1's section overflow, although k2 = 0.5
+HOSTILE_SECTIONS = (
+    (["spectrum", "--potential", "v2", "--l", "1000000.5", "--k2", "0.5",
+      "--family", "bar5"], "N = 1000002 fails alpha_(n-1) gamma_n > 0"),
+    (["spectrum", "--potential", "v1", "--l", "1000000.5", "--k2", "0.5",
+      "--family", "bold5"], "N passes cap 2000"),
+    (["spectrum", "--potential", "v1", "--l=1e154", "--k2", "0.5",
+      "--family", "ring1"], "overflow float64 at l = 1e+154, k2 = 0.5"),
+)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("argv,message", [
     *[(_hostile_argv(command, kind, l), message) for command in COMMANDS
       for kind in ("v1", "v2") for l, message in HOSTILE_L],
     *[(_hostile_argv(command, "v1", "2", "--output", target),
        "cannot write output to ") for command in COMMANDS
       for target in ("MISSING", "DIR")],
+    *HOSTILE_SECTIONS,
 ])
 def test_hostile_inputs_exit_2_with_one_error_line(capsys, tmp_path, argv,
                                                     message):
-    # a huge |l| or an --output that cannot be written ends in a typed
-    # error, never a traceback
+    # a huge |l|, a huge non-symmetric section or an --output that cannot
+    # be written ends in a typed error, never a traceback or a warning
     targets = {"MISSING": str(tmp_path / "missing" / "out.txt"),
                "DIR": str(tmp_path)}
     argv = [targets.get(a, a) for a in argv]

@@ -66,9 +66,10 @@ def rows_match(tri, ref_rows, n_max=7):
     scale, so only the ratios beta_n/alpha_n and gamma_n/alpha_n are
     meaningful.
     """
+    alpha, beta, gamma = tri.rows(n_max - 1)
     for n in range(n_max):
         ra, rb, rg = ref_rows(n)
-        ea, eb, eg = tri.alpha_n(n), tri.beta_n(n), tri.gamma_n(n)
+        ea, eb, eg = alpha[n], beta[n], gamma[n]
         assert eb * ra == pytest.approx(rb * ea, rel=1e-12, abs=1e-12)
         assert eg * ra == pytest.approx(rg * ea, rel=1e-12, abs=1e-12)
 
@@ -76,10 +77,10 @@ def rows_match(tri, ref_rows, n_max=7):
 def test_even_v1_family_low_rows():
     # first rows of the even first-well family at l = 2, k2 = 1/2
     spec = vspec(2.0)
-    tri = recurrence(spec, fam("ring5"), RING5_V1_L2_E[0])
-    assert tri.alpha_n(0) == pytest.approx(1.0, rel=1e-14)
-    assert tri.gamma_n(1) == pytest.approx(0.5, rel=1e-14)
-    assert tri.gamma_n(2) == pytest.approx(0.0, abs=1e-14)
+    alpha, _, gamma = recurrence(spec, fam("ring5"), RING5_V1_L2_E[0]).rows(2)
+    assert alpha[0] == pytest.approx(1.0, rel=1e-14)
+    assert gamma[1] == pytest.approx(0.5, rel=1e-14)
+    assert gamma[2] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_bold_rows_match_reference_forms():
@@ -111,12 +112,12 @@ def test_bold_rows_match_reference_forms():
 
 def test_power_first_family_leading_coefficient():
     # alpha_n of the index-1 family is a (n + gamma)(n + 1)
-    tri1 = recurrence(vspec(0.7, 0.5), fam("ring1"), 0.0)
-    tri2 = recurrence(wspec(0.7, 0.5), fam("ring1"), 0.0)
+    alpha1 = recurrence(vspec(0.7, 0.5), fam("ring1"), 0.0).rows(4)[0]
+    alpha2 = recurrence(wspec(0.7, 0.5), fam("ring1"), 0.0).rows(4)[0]
     for n in range(5):
-        assert tri1.alpha_n(n) == pytest.approx(
+        assert alpha1[n] == pytest.approx(
             2.0 * (n + 0.5) * (n + 1.0), rel=1e-14)
-        assert tri2.alpha_n(n) == pytest.approx(
+        assert alpha2[n] == pytest.approx(
             2.0 * (n + 2.5) * (n + 1.0), rel=1e-14)
 
 
@@ -128,7 +129,7 @@ def test_energy_slope_of_diagonal():
                             (vspec(1.0), "bold6", -1.0)):
         tri = recurrence(spec, fam(sel), 0.0)
         tri_up = recurrence(spec, fam(sel), 1.0)
-        measured = tri_up.beta_n(0) - tri.beta_n(0)
+        measured = tri_up.rows(0)[1][0] - tri.rows(0)[1][0]
         assert measured == pytest.approx(sign / (4.0 * 0.5), rel=1e-13)
         assert tri.beta_slope == pytest.approx(sign / (4.0 * 0.5),
                                                rel=1e-14)
@@ -142,14 +143,12 @@ def test_partner_families_share_rows():
              (vspec(-0.5), "bold5", vspec(-4.5), "bold2"),
              (wspec(-0.5), "bar5", wspec(-4.5), "bar3")]
     for sa, fa, sb, fb in pairs:
-        ta = recurrence(sa, fam(fa), -1.7)
-        tb = recurrence(sb, fam(fb), -1.7)
+        a_a, b_a, g_a = recurrence(sa, fam(fa), -1.7).rows(5)
+        a_b, b_b, g_b = recurrence(sb, fam(fb), -1.7).rows(5)
         for n in range(6):
-            assert ta.alpha_n(n) == pytest.approx(tb.alpha_n(n), rel=1e-12)
-            assert ta.beta_n(n) == pytest.approx(tb.beta_n(n), rel=1e-12,
-                                                 abs=1e-12)
-            assert ta.gamma_n(n) == pytest.approx(tb.gamma_n(n), rel=1e-12,
-                                                  abs=1e-12)
+            assert a_a[n] == pytest.approx(a_b[n], rel=1e-12)
+            assert b_a[n] == pytest.approx(b_b[n], rel=1e-12, abs=1e-12)
+            assert g_a[n] == pytest.approx(g_b[n], rel=1e-12, abs=1e-12)
 
 
 def test_truncation_table_integer_l():
@@ -193,8 +192,8 @@ def test_finite_coefficients_at_eigenvalue():
     b = solve_coeffs_finite(spec, fam("ring5"), RING5_V1_L2_E[0])
     assert b.shape == (2,)
     assert b[0] == 1.0
-    tri = recurrence(spec, fam("ring5"), RING5_V1_L2_E[0])
-    assert b[1] == pytest.approx(-tri.beta_n(0) / tri.alpha_n(0), rel=1e-14)
+    alpha, beta, _ = recurrence(spec, fam("ring5"), RING5_V1_L2_E[0]).rows(0)
+    assert b[1] == pytest.approx(-beta[0] / alpha[0], rel=1e-14)
 
 
 def test_finite_coefficients_reject_detuned_energy():

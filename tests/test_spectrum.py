@@ -143,13 +143,14 @@ def test_scan_roots_match_dense_eigensolver():
     N = truncation_order(spec, f)
     assert N == 3
     tri0 = recurrence(spec, f, 0.0)
+    alpha, beta, gamma = tri0.rows(N)
     M = np.zeros((N + 1, N + 1))
     for n in range(N + 1):
-        M[n, n] = tri0.beta_n(n)
+        M[n, n] = beta[n]
         if n + 1 <= N:
-            M[n, n + 1] = tri0.alpha_n(n)
+            M[n, n + 1] = alpha[n]
         if n - 1 >= 0:
-            M[n, n - 1] = tri0.gamma_n(n)
+            M[n, n - 1] = gamma[n]
     lam = np.linalg.eigvals(M)
     dense_real = sorted(float(-x.real / tri0.beta_slope) for x in lam
                         if abs(x.imag) < 1e-9 * (1.0 + abs(x)))
@@ -183,10 +184,10 @@ def test_characteristic_det_keeps_sign_at_large_order():
 def mp_continuant(tri, N, mp):
     """D_N(E) of a section at the working precision of mp, from the same
     float64 coefficients as Recurrence.continuant."""
-    idx = np.arange(N + 1)
-    beta = [mp.mpf(b) for b in tri.beta_n(idx).tolist()]
+    alpha, beta, gamma = tri.rows(N)
+    beta = [mp.mpf(b) for b in beta.tolist()]
     ag = [mp.mpf(a) * mp.mpf(g) for a, g in
-          zip(tri.alpha_n(idx[:-1]).tolist(), tri.gamma_n(idx[1:]).tolist())]
+          zip(alpha[:-1].tolist(), gamma[1:].tolist())]
     slope = mp.mpf(tri.beta_slope)
 
     def det(E):
@@ -238,7 +239,8 @@ def test_polish_matches_brentq_reference():
         spec, f = PotentialSpec.from_k2(PotentialKind(kind), l, k2), fam(sel)
         N = truncation_order(spec, f)
         tri = recurrence(spec, f, 0.0)
-        got, ref = _companion_real_roots(tri, N), brentq_real_roots(tri, N)
+        got = _companion_real_roots(tri, tri.rows(N))
+        ref = brentq_real_roots(tri, N)
         assert len(got) == len(ref), (kind, sel, l, k2)
         apart += [(tri, N, a, b) for a, b in zip(got, ref)
                   if abs(a - b) > 2e-12 * (1.0 + abs(b))]
@@ -259,7 +261,7 @@ def test_polish_converges_from_a_detuned_candidate():
     spec, f = vspec(5.5), fam("bold6")
     N = truncation_order(spec, f)
     tri = recurrence(spec, f, 0.0)
-    roots = np.array(_companion_real_roots(tri, N))
+    roots = np.array(_companion_real_roots(tri, tri.rows(N)))
     assert len(roots) == 8
     for shift in (1e-5, -1e-5):
         got = _polish(tri, N, roots + shift)
@@ -270,14 +272,15 @@ def test_polish_step_cap_raises(monkeypatch):
     spec, f = vspec(5.5), fam("bold6")
     N = truncation_order(spec, f)
     tri = recurrence(spec, f, 0.0)
-    roots = np.array(_companion_real_roots(tri, N))
+    roots = np.array(_companion_real_roots(tri, tri.rows(N)))
     monkeypatch.setattr(spectrum, "POLISH_MAX_STEPS", 1)
     with pytest.raises(ConvergenceError, match="still moving after 1 step"):
         _polish(tri, N, roots + 1e-5)
 
 
 def sign_violations(spec, f):
-    return _sign_violations(recurrence(spec, f, 0.0), truncation_order(spec, f))
+    alpha, _, gamma = recurrence(spec, f, 0.0).rows(truncation_order(spec, f))
+    return _sign_violations(alpha[:-1] * gamma[1:])
 
 
 def test_arscott_flags():
@@ -398,8 +401,8 @@ def test_section_levels_settle_from_start_order(spec):
     tri = recurrence(spec, fam("ring5"), 0.0)
     N0 = math.ceil(30.0 / -math.log10(spec.k.k2))
     window = default_window(spec)
-    a = _section_levels(tri, N0, window, 4)
-    b = _section_levels(tri, 4 * N0, window, 4)
+    a, _ = _section_levels(tri, N0, window, 4)
+    b, _ = _section_levels(tri, 4 * N0, window, 4)
     assert len(a) == len(b) == 4
     for x, y in zip(a, b):
         assert abs(x - y) <= 1e-12 * max(1.0, abs(y))
@@ -413,6 +416,21 @@ def test_infinite_levels_past_cap_raise():
     # cap itself, which is checked before an array of length 2N is built
     with pytest.raises(ConvergenceError, match="passes cap 1048576"):
         infinite_levels(vspec(-3.0, 0.999999999), fam("ring5"), 1)
+
+
+def test_finite_dense_section_past_cap_raises(monkeypatch):
+    # the dense solver's cap covers a finite section too, and stops it
+    # before any eigen-solve; a symmetric section of the same order is
+    # not dense and passes
+    def no_eigvals(M):
+        raise AssertionError(f"eigvals called on a {M.shape} matrix")
+
+    monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
+    monkeypatch.setattr(spectrum, "DENSE_MAX_ORDER", 2)
+    with pytest.raises(ConvergenceError, match=r"N = 3 .*passes cap 2$"):
+        finite_spectrum(wspec(1.5, 0.5), fam("bar5"))
+    res = finite_spectrum(vspec(6.0), fam("ring5"))
+    assert res.arscott_ok is True and res.real_count == 4
 
 
 def test_two_sided_non_terminating_rejected():

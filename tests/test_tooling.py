@@ -1,10 +1,13 @@
 """Tooling guards: the benchmark's tracer finds every function it wraps,
-the package imports no scipy root finder or integrator, and every
-function defined in the package is used in it or listed with a reason."""
+the package imports no scipy root finder or integrator, every function
+defined in the package is used in it or listed with a reason, and the
+README's library quickstart runs and prints what its comments say."""
 
 import ast
+import contextlib
 import importlib
 import importlib.util
+import io
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -78,3 +81,26 @@ def test_every_function_is_referenced_in_src():
     unreferenced = {name for name in defined
                     if name.rpartition(".")[2] not in named}
     assert unreferenced == set(UNREFERENCED)
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_quickstart_runs_as_documented():
+    # the "Library quickstart" block, run as it stands: its three prints
+    # and E0 must show what the block's comments claim
+    text = README.read_text()
+    section = text[text.index("## Library quickstart"):]
+    start = section.index("```python\n") + len("```python\n")
+    code = section[start:section.index("```", start)]
+    names, out = {}, io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, str(README), "exec"), names)
+    energies, residual, roots = out.getvalue().splitlines()
+    energies, roots = ast.literal_eval(energies), ast.literal_eval(roots)
+    assert str(energies[0]).startswith("-9.3166")
+    assert str(energies[1]).startswith("-2.6833")
+    assert float(residual) < 1e-9
+    assert len(roots) == 2
+    assert all(abs(r - E) <= 1e-6 for r, E in zip(roots, energies))
+    assert str(names["E0"]).startswith("2.42843703")
