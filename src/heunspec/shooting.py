@@ -25,19 +25,27 @@ walls, and quantizes energies by one of two conditions:
 
 Both conditions integrate a linear system y' = (A0 + E A1) y whose
 coefficients do not depend on E, so all trial energies of a call
-integrate together (_propagate).  Each step of the 12-stage, 8th-order
-Runge-Kutta method of DOP853 is, for a linear system, a 2x2 matrix; the
-propagators of every step and energy are formed at once in numpy and
-multiplied by a pairwise tree.  The parity oracle steps in t, the
+integrate together (_propagate).  The parity oracle steps in t, the
 distance from the wall: from t = WALL_OFFSET * K the steps grow as
 GRADE * t up to a cap, the power of two at or below
 STEP_SCALE / sqrt(1 + max|E| + |L|).  The monodromy oracle takes a
 uniform mesh in the angle, with steps at or below the same cap.  Each
-call runs the mesh and the mesh with every step halved, with the
+step of the 12-stage, 8th-order Runge-Kutta method of DOP853 is, for a
+linear system, a 2x2 matrix, and since the system is linear in E it is
+a polynomial of degree 12 in E.  Its coefficients are formed once per
+mesh for every step at once (_step_polynomials); each energy's
+propagators then come from Horner's rule and are multiplied by a
+pairwise tree that carries each product less the identity (_march).
+Each call runs the mesh and the mesh with every step halved, with the
 coefficients at the stage points of both from one evaluation (for the
-parity oracle, one jacobi call), and returns the halved-mesh state once
-the two agree to MESH_TOL; otherwise it halves again, up to
-MESH_HALVINGS times in all, and then raises ConvergenceError.
+parity oracle, one jacobi call), and returns the halved-mesh state
+once the two agree to MESH_TOL; otherwise it halves again, up to
+MESH_HALVINGS times in all, and then raises ConvergenceError.  One
+match call (shooting_match_table, monodromy_match_table) keeps the
+step polynomials of the meshes it integrates until it returns
+(_one_match), so its probes, refinement rounds and acceptance test
+evaluate the coefficients once per mesh; nothing is kept from one
+match call to the next.
 Both forms of the potential, in u and in x, come from
 heun_core.potential_from_squares.  Every root, of the matching
 function or of the monodromy projection, is refined from a sign-change
@@ -48,6 +56,8 @@ nearest to it by one widening probe (_nearest_roots).
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 from typing import Optional, Sequence
 
@@ -104,6 +114,10 @@ _A_ROWS = (
      -8.87285693353063, 12.360567175794303, 0.6433927460157636),
 )
 _A = np.array([row + (0.0,) * (12 - len(row)) for row in _A_ROWS])
+
+# The step polynomials of one match call's meshes (see _one_match).
+_meshes: contextvars.ContextVar[Optional[dict]] = contextvars.ContextVar(
+    "_meshes", default=None)
 
 
 def _wall_coeffs(kind: PotentialKind, k2: float, L: float) -> tuple[float, float]:
@@ -167,51 +181,89 @@ def _mul(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return X[:, :1] * Y[:1] + X[:, 1:] * Y[1:]
 
 
-def _march(A0: np.ndarray, A1: np.ndarray, h: np.ndarray,
-           E: np.ndarray) -> np.ndarray:
-    """Product of the step propagators over steps of lengths h, shape
-    (2, 2, m), one per energy.
+def _step_polynomials(A0: np.ndarray, A1: np.ndarray,
+                      h: np.ndarray) -> np.ndarray:
+    """Coefficients C_0..C_12 of every step's propagator less the
+    identity, P(E) - I = sum_k C_k E^k, shape (13, 2, 2, n).
 
     A0 + E A1 is the coefficient matrix at the stage points (each of
     shape (2, 2, 12, n)).  For a linear system one Runge-Kutta step is
     a matrix, the propagator I + sum b_i K_i with
-    K_i = h A_i (I + sum_j a_ij K_j); it is formed for all steps and
-    energies at once, and the propagators are multiplied by a pairwise
-    tree, later steps on the left.  Energies go in blocks of at most
-    STAGE_BLOCK // n, which bounds the stage arrays.
+    K_i = h (A0_i + E A1_i) (I + sum_j a_ij K_j); K_i is a polynomial
+    of degree i + 1 in E, so P is one of degree 12, and its
+    coefficients follow the same recursion, one power of E at a time.
     """
     n = h.size
-    hA0 = np.moveaxis(A0 * h, 2, 0)[..., None]
-    hA1 = np.moveaxis(A1 * h, 2, 0)[..., None]
-    out = np.empty((2, 2, E.size), dtype=A0.dtype)
+    hA0 = np.moveaxis(A0 * h, 2, 0)
+    hA1 = np.moveaxis(A1 * h, 2, 0)
+    K = np.zeros((12, 13, 2, 2, n), dtype=A0.dtype)
+    rows = K.reshape(12, -1)  # row j: the coefficients of K_j, in order
+    for i in range(12):
+        # I + sum_j a_ij K_j, of degree i: the first i + 1 coefficients
+        S = (_A[i, :i] @ rows[:i, :(i + 1) * 4 * n]).reshape(i + 1, 2, 2, n)
+        S[0, 0, 0] += 1.0
+        S[0, 1, 1] += 1.0
+        for X, k in ((hA0[i], 0), (hA1[i], 1)):  # adds E^k X S
+            K[i, k:k + i + 1] += (X[:, 0, None] * S[:, :1]
+                                  + X[:, 1, None] * S[:, 1:])
+    return (_B @ rows).reshape(13, 2, 2, n)
+
+
+def _march(C: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """Product of the step propagators with coefficients C (see
+    _step_polynomials), shape (2, 2, m), one per energy.
+
+    Each energy's propagators less the identity, D = P - I, come from C
+    by Horner's rule.  A pairwise tree multiplies them, later steps on
+    the left, as (I + D2)(I + D1) = I + (D2 + D1 + D2 D1): the small D
+    of a short step is never rounded against the identity, which keeps
+    the ill-conditioned products of the monodromy oracle within
+    MESH_TOL up to l = 9.5 at k2 = 0.5.  Every operation is elementwise
+    in the energies, so an energy's product does not depend on the
+    batch it comes in.  Energies go in blocks of at most
+    STAGE_BLOCK // n, which bounds the working set.
+    """
+    n = C.shape[-1]
+    out = np.empty((2, 2, E.size), dtype=C.dtype)
     block = max(1, STAGE_BLOCK // n)
     for lo in range(0, E.size, block):
         part = slice(lo, lo + block)
         e = E[part]
-        K = np.empty((12, 2, 2, n, e.size), dtype=A0.dtype)
-        for i in range(12):
-            S = np.tensordot(_A[i, :i], K[:i], axes=1)
-            S[0, 0] += 1.0
-            S[1, 1] += 1.0
-            hA = hA1[i] * e
-            hA += hA0[i]
-            np.multiply(hA[:, :1], S[:1], out=K[i])
-            K[i] += hA[:, 1:] * S[1:]
-        P = np.tensordot(_B, K, axes=1)
-        P[0, 0] += 1.0
-        P[1, 1] += 1.0
-        while P.shape[2] > 1:
-            even = P.shape[2] // 2 * 2
-            pairs = _mul(P[:, :, 1:even:2], P[:, :, 0:even:2])
-            P = np.concatenate((pairs, P[:, :, even:]), axis=2)
-        out[..., part] = P[:, :, 0]
+        D = C[12, ..., None] * e
+        for k in range(11, 0, -1):
+            D += C[k, ..., None]
+            D *= e
+        D += C[0, ..., None]
+        while D.shape[2] > 1:
+            even = D.shape[2] // 2 * 2
+            later, earlier = D[:, :, 1:even:2], D[:, :, 0:even:2]
+            pairs = _mul(later, earlier)
+            pairs += later
+            pairs += earlier
+            D = np.concatenate((pairs, D[:, :, even:]), axis=2)
+        out[..., part] = D[:, :, 0]
+    out[0, 0] += 1.0
+    out[1, 1] += 1.0
     return out
 
 
-def _propagate(nodes: np.ndarray, coefficients, E: np.ndarray,
-               y0: np.ndarray) -> np.ndarray:
+@contextlib.contextmanager
+def _one_match():
+    """Keep the step polynomials of every mesh integrated inside the
+    block for the rest of the block, so that the probes and refinement
+    rounds of one match integrate each mesh once; nothing is kept after
+    the block."""
+    token = _meshes.set({})
+    try:
+        yield
+    finally:
+        _meshes.reset(token)
+
+
+def _propagate(mesh, coefficients, E: np.ndarray, y0: np.ndarray,
+               key) -> np.ndarray:
     """State at nodes[-1] of y' = (A0(t) + E A1(t)) y, y(nodes[0]) = y0,
-    for each energy E; y0 has shape (2, c, m).
+    for each energy E, where nodes = mesh(); y0 has shape (2, c, m).
 
     coefficients(t) gives A0 and A1 at an array of points t, each of
     shape (2, 2) + t.shape.  The propagator product P is formed on the
@@ -224,14 +276,25 @@ def _propagate(nodes: np.ndarray, coefficients, E: np.ndarray,
     fixes it only relative to that size.  For the energies left the
     mesh is halved again, at most MESH_HALVINGS times in all; then
     ConvergenceError is raised.
+
+    key names the equation and the mesh: calls with equal keys have
+    equal coefficients and nodes.  Inside _one_match a later call with
+    the same key reuses the step polynomials formed before, and calls
+    mesh and coefficients only for a halving not formed before.
     """
-    fine = _halved(nodes)
-    h, pts = _stage_points(nodes)
-    h_fine, pts_fine = _stage_points(fine)
-    A0, A1 = coefficients(np.concatenate((pts, pts_fine), axis=1))
-    n = h.size
-    coarse = _mul(_march(A0[..., :n], A1[..., :n], h, E), y0)
-    P = _march(A0[..., n:], A1[..., n:], h_fine, E)
+    store = _meshes.get()
+    ladder = [] if store is None else store.setdefault(key, [])
+    if not ladder:  # the step polynomials of nodes halved 0, 1, ... times
+        nodes = mesh()
+        fine = _halved(nodes)
+        h, pts = _stage_points(nodes)
+        h_fine, pts_fine = _stage_points(fine)
+        A0, A1 = coefficients(np.concatenate((pts, pts_fine), axis=1))
+        n = h.size
+        ladder += [_step_polynomials(A0[..., :n], A1[..., :n], h),
+                   _step_polynomials(A0[..., n:], A1[..., n:], h_fine)]
+    coarse = _mul(_march(ladder[0], E), y0)
+    P = _march(ladder[1], E)
     out = np.empty((2,) + y0.shape[1:], dtype=P.dtype)
     todo = np.arange(E.size)
     halvings = 1
@@ -254,10 +317,13 @@ def _propagate(nodes: np.ndarray, coefficients, E: np.ndarray,
                 f"halvings; worst at E = {float(E[todo[i]])!r}, "
                 f"by {rel[i]:.3g}")
         halvings += 1
-        fine = _halved(fine)
-        h, pts = _stage_points(fine)
-        A0, A1 = coefficients(pts)
-        P = _march(A0, A1, h, E[todo])
+        if len(ladder) == halvings:
+            fine = mesh()
+            for _ in range(halvings):
+                fine = _halved(fine)
+            h, pts = _stage_points(fine)
+            ladder.append(_step_polynomials(*coefficients(pts), h))
+        P = _march(ladder[halvings], E[todo])
 
 
 def matching_values(spec: PotentialSpec, parity: str,
@@ -296,8 +362,9 @@ def matching_values(spec: PotentialSpec, parity: str,
         A1[1, 0] = -1.0
         return A0, A1
 
-    y = _propagate(_wall_mesh(delta, K, _step_cap(E, L)), coefficients, E,
-                   np.stack((psi0, dpsi0))[:, None])
+    cap = _step_cap(E, L)
+    y = _propagate(lambda: _wall_mesh(delta, K, cap), coefficients, E,
+                   np.stack((psi0, dpsi0))[:, None], ("wall", spec, cap))
     if parity == "odd":
         return y[0, 0]
     # psi' in u: du = -dt for the first potential
@@ -315,13 +382,11 @@ def _probe_brackets(values, targets: Sequence[float], pending: list[int],
     offsets = np.linspace(-r, r, 9)
     probes = np.concatenate([targets[j] + offsets for j in pending])
     vals = np.asarray(values(probes)).reshape(len(pending), 9)
-    found = []
-    for j, v in zip(pending, vals):
-        for i in range(8):
-            if v[i] * v[i + 1] < 0.0:
-                found.append((j, targets[j] + offsets[i], v[i],
-                              targets[j] + offsets[i + 1], v[i + 1]))
-    return found
+    signs = np.sign(vals)
+    rows, cols = np.nonzero(signs[:, :-1] * signs[:, 1:] < 0.0)
+    return [(pending[r], targets[pending[r]] + offsets[i], vals[r, i],
+             targets[pending[r]] + offsets[i + 1], vals[r, i + 1])
+            for r, i in zip(rows, cols)]
 
 
 def _nearest_roots(values, targets: Sequence[float], accept=None,
@@ -361,9 +426,12 @@ def shooting_match_table(spec: PotentialSpec, parity: str,
     """The shooting eigenvalue of one symmetry class nearest to each
     target, or None where the matching function has no sign change
     within max_radius: the oracle then has no eigenvalue of this class
-    near the target.  All targets of one spec are batched."""
-    return _nearest_roots(lambda E: matching_values(spec, parity, E),
-                          targets, max_radius=max_radius)
+    near the target.  All targets of one spec are batched, and every
+    integration of the match reuses the step polynomials of a mesh
+    already integrated in it (_one_match)."""
+    with _one_match():
+        return _nearest_roots(lambda E: matching_values(spec, parity, E),
+                              targets, max_radius=max_radius)
 
 
 def monodromy_defect(spec: PotentialSpec,
@@ -404,10 +472,11 @@ def monodromy_defect(spec: PotentialSpec,
         return A0, A1
 
     steps = 2 ** math.ceil(math.log2(2.0 * math.pi / _step_cap(E, L)))
-    nodes = np.linspace(0.0, 2.0 * math.pi, steps + 1)
     start = np.broadcast_to(np.eye(2)[:, :, None], (2, 2, m))
     # column j of the state is solution j: psi in row 0, dpsi/dw in row 1
-    M = np.moveaxis(_propagate(nodes, coefficients, E, start), -1, 0)
+    M = np.moveaxis(
+        _propagate(lambda: np.linspace(0.0, 2.0 * math.pi, steps + 1),
+                   coefficients, E, start, ("circle", spec, steps)), -1, 0)
     lam = np.exp(1j * math.pi * (spec.l + 3.0))
     return M / lam - np.eye(2)
 
@@ -483,7 +552,8 @@ def monodromy_match_table(spec: PotentialSpec, targets: Sequence[float],
     only if the full defect |M / lambda - I| (Frobenius norm) is below
     MONODROMY_TOL there, since sign changes also occur where M is not
     scalar (integer or generic l).  None means no such energy within
-    max_radius.
+    max_radius.  As in shooting_match_table, the integrations of the
+    match share their meshes' step polynomials.
     """
     def log_coeff(E):
         return _log_coefficient(monodromy_defect(spec, E))
@@ -492,5 +562,6 @@ def monodromy_match_table(spec: PotentialSpec, targets: Sequence[float],
         defect = monodromy_defect(spec, roots)
         return np.linalg.norm(defect, axis=(1, 2)) < MONODROMY_TOL
 
-    return _nearest_roots(log_coeff, targets, accept=apparent,
-                          max_radius=max_radius)
+    with _one_match():
+        return _nearest_roots(log_coeff, targets, accept=apparent,
+                              max_radius=max_radius)

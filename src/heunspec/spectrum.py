@@ -181,7 +181,7 @@ def _polish(tri: Recurrence, N: int, E: np.ndarray) -> np.ndarray:
                                                E[pending] + width[pending])),
                                N)[0]
         f_a, f_b = np.split(D, 2)
-        found = f_a * f_b < 0.0
+        found = np.sign(f_a) * np.sign(f_b) < 0.0
         i = pending[found]
         lo[i], hi[i], f_lo[i] = E[i] - width[i], E[i] + width[i], f_a[found]
         pending = pending[~found]
@@ -201,7 +201,7 @@ def _polish(tri: Recurrence, N: int, E: np.ndarray) -> np.ndarray:
         if steps:
             f, df = tri.continuant(x, N)
         steps += 1
-        above = f * f_lo > 0.0  # the root lies above x
+        above = np.sign(f) * np.sign(f_lo) > 0.0  # the root lies above x
         lo, hi = np.where(above, x, lo), np.where(above, hi, x)
         with np.errstate(divide="ignore", over="ignore"):
             newton = np.divide(f, df, out=np.zeros_like(f), where=f != 0.0)

@@ -122,6 +122,45 @@ def brentq_real_roots(tri, N: int) -> list[float]:
     return sorted(roots)
 
 
+def march_by_stages(A0, A1, h, E):
+    """Product of the step propagators over steps of lengths h, shape
+    (2, 2, m), one per energy, stage by stage: the reference for
+    shooting._step_polynomials and shooting._march.
+
+    A0 + E A1 is the coefficient matrix at the stage points (each of
+    shape (2, 2, 12, n)).  Each step's propagator I + sum b_i K_i, with
+    K_i = h A_i (I + sum_j a_ij K_j), is formed for every step and
+    energy at once, and the propagators are multiplied by a pairwise
+    tree, later steps on the left.
+    """
+    n = h.size
+    hA0 = np.moveaxis(A0 * h, 2, 0)[..., None]
+    hA1 = np.moveaxis(A1 * h, 2, 0)[..., None]
+    out = np.empty((2, 2, E.size), dtype=A0.dtype)
+    block = max(1, shooting.STAGE_BLOCK // n)
+    for lo in range(0, E.size, block):
+        part = slice(lo, lo + block)
+        e = E[part]
+        K = np.empty((12, 2, 2, n, e.size), dtype=A0.dtype)
+        for i in range(12):
+            S = np.tensordot(shooting._A[i, :i], K[:i], axes=1)
+            S[0, 0] += 1.0
+            S[1, 1] += 1.0
+            hA = hA1[i] * e
+            hA += hA0[i]
+            np.multiply(hA[:, :1], S[:1], out=K[i])
+            K[i] += hA[:, 1:] * S[1:]
+        P = np.tensordot(shooting._B, K, axes=1)
+        P[0, 0] += 1.0
+        P[1, 1] += 1.0
+        while P.shape[2] > 1:
+            even = P.shape[2] // 2 * 2
+            pairs = shooting._mul(P[:, :, 1:even:2], P[:, :, 0:even:2])
+            P = np.concatenate((pairs, P[:, :, even:]), axis=2)
+        out[..., part] = P[:, :, 0]
+    return out
+
+
 @dataclass
 class ShootingResult:
     """Eigenvalues found in a window, ascending; complete is False when

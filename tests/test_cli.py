@@ -208,6 +208,23 @@ def test_spectrum_at_large_l_rescales_the_forward_pass(capsys, l, code):
         assert "with b_0 = 1 overflow float64" in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_polish_tests_signs_without_products(capsys):
+    # at k2 = 1e-200 the continuant's values pass 1e154, and the product
+    # of two of them, once the bracket and side tests of the polish,
+    # overflowed; comparing signs gives the same levels without a warning
+    code, out, err = run_cli(capsys, "spectrum", "--potential", "v2",
+                             "--l=2", "--k2", "1e-200", "--family", "bar5")
+    assert code == 0 and err == ""
+    assert json.loads(out) == {
+        "arscott_ok": False, "closed_form_match": None,
+        "degenerate_pairs": [], "energies": [-16.0, -4.0],
+        "family": "bar5", "k2": 1e-200, "l": 2.0,
+        "meta": {"expected_count": 2, "real_count": 2, "version": "0.1.0",
+                 "window": None},
+        "potential": "v2", "truncation_N": 1}
+
+
 def test_spectrum_two_sided_non_terminating_is_domain_error(capsys):
     code, out, err = run_cli(capsys, "spectrum", "--potential", "v1",
                              "--l", "-0.3", "--k2", "0.5", "--family", "bold5")

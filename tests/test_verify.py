@@ -34,7 +34,7 @@ from heunspec.verify import (
     residual_grid,
 )
 
-from conftest import make_spec, shooting_spectrum
+from conftest import make_spec, march_by_stages, shooting_spectrum
 
 fam = ExpansionFamily.from_selector
 
@@ -231,6 +231,18 @@ def test_monodromy_oracle_rejects_non_apparent_points():
     assert monodromy_match_table(spec, flips) == [None] * len(flips)
 
 
+def test_monodromy_oracle_passes_its_mesh_check_at_l_9_5():
+    # at l = 9.5, k2 = 0.5 the partial products around the circle reach
+    # 2e2 (their inverses 5e2), so the two meshes of the halving check
+    # agree only to some 1e-11 of |M|: a product that rounds each short
+    # step's propagator against the identity raised ConvergenceError on
+    # both families here
+    spec = make_spec("v2", 9.5, 0.5)
+    for sel in ("bar5", "bar7"):
+        levels = finite_spectrum(spec, fam(sel)).energies
+        assert None not in monodromy_match_table(spec, levels), sel
+
+
 def test_monodromy_oracle_needs_no_elliptic_functions(monkeypatch):
     # the oracle works on the rational x-form of the equation alone
     def forbidden(*args):
@@ -314,6 +326,93 @@ def test_matching_values_match_a_tight_reference():
                     got_dpsi = -got_dpsi
                 err = np.hypot(got_psi - psi, got_dpsi - dpsi)
                 assert np.all(err < 1e-10 * np.hypot(psi, dpsi)), (kind, l, k2)
+
+
+def test_step_polynomials_match_the_stage_loop(monkeypatch):
+    # each step's propagator as a degree-12 polynomial in E, evaluated
+    # by Horner's rule, against the 12 stages run for every energy, on
+    # the same meshes: the final states agree to 5.4e-13 of their norm
+    # (v2, l = 100, k2 = 0.5)
+    def states(spec, E):
+        return (matching_values(spec, "odd", E),
+                matching_values(spec, "even", E))
+
+    for kind in ("v1", "v2"):
+        for l in (-3.0, 0.0, 2.5, 6.0, 20.0, 100.0):
+            for k2 in (0.2, 0.5, 0.9, 0.97):
+                spec = make_spec(kind, l, k2)
+                E = np.linspace(*default_window(spec), 9)
+                psi, dpsi = states(spec, E)
+                with monkeypatch.context() as m:
+                    m.setattr(heunspec.shooting, "_step_polynomials",
+                              lambda *stages: stages)
+                    m.setattr(heunspec.shooting, "_march",
+                              lambda C, E: march_by_stages(*C, E))
+                    ref_psi, ref_dpsi = states(spec, E)
+                err = np.hypot(psi - ref_psi, dpsi - ref_dpsi)
+                assert np.all(err < 1e-11 * np.hypot(ref_psi, ref_dpsi)), (
+                    kind, l, k2)
+
+
+def test_matching_value_does_not_depend_on_its_batch():
+    # on one mesh (every energy alone has the step cap of the batch) an
+    # energy's value is the same, bit for bit, alone or in a batch
+    spec = make_spec("v1", 2.0, 0.5)
+    E = np.array([-100.0, -60.0, -11.0, 11.0, 30.0, 60.0, 100.0])
+    cap = heunspec.shooting._step_cap(E, spec.coupling)
+    assert all(heunspec.shooting._step_cap(E[i:i + 1], spec.coupling) == cap
+               for i in range(E.size))
+    for parity in ("even", "odd"):
+        batch = matching_values(spec, parity, E)
+        alone = [matching_values(spec, parity, [e])[0] for e in E]
+        assert batch.tolist() == alone, parity
+
+
+def test_one_match_integrates_each_mesh_once(monkeypatch):
+    # every probe and refinement round of one match reuses the step
+    # polynomials of a mesh it integrated before: the coefficients are
+    # evaluated once per distinct mesh, on fewer calls than the match
+    # makes; a second, identical match evaluates them all again
+    points, calls = [], []
+
+    def counting(fn, record):
+        def wrapped(*args):
+            record.append(args)
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(heunspec.shooting, "jacobi",
+                        counting(jacobi, points))
+    monkeypatch.setattr(heunspec.shooting, "matching_values",
+                        counting(matching_values, calls))
+    spec = make_spec("v1", 2.0, 0.5)
+    runs = []
+    for _ in range(2):
+        points.clear()
+        calls.clear()
+        got = shooting_match_table(spec, "even", RING5_V1_L2_E)
+        assert got == pytest.approx(RING5_V1_L2_E, abs=1e-9)
+        meshes = {u.tobytes() for u, _ in points}
+        assert len(points) == len(meshes) < len(calls)
+        runs.append(sorted(meshes))
+    assert runs[0] == runs[1]
+
+    squares = heunspec.shooting.potential_from_squares
+    monkeypatch.setattr(heunspec.shooting, "potential_from_squares",
+                        counting(squares, points))
+    monkeypatch.setattr(heunspec.shooting, "monodromy_defect",
+                        counting(monodromy_defect, calls))
+    spec = make_spec("v2", -1.5, 0.25)
+    runs = []
+    for _ in range(2):
+        points.clear()
+        calls.clear()
+        got = monodromy_match_table(spec, [0.0625])
+        assert got == [pytest.approx(0.0625, abs=1e-8)]
+        meshes = {args[3].tobytes() for args in points}
+        assert len(points) == len(meshes) < len(calls)
+        runs.append(sorted(meshes))
+    assert runs[0] == runs[1]
 
 
 def reference_monodromy(spec, E):
