@@ -29,6 +29,7 @@ import numpy as np
 from . import __version__
 from .exceptions import ArgumentError, DomainError, HeunspecError
 from .heun_core import (
+    FAMILY_PARTNERS,
     ExpansionFamily,
     FamilyGroup,
     PotentialKind,
@@ -258,14 +259,9 @@ def cmd_verify(args) -> int:
         families = [ExpansionFamily.from_selector(args.family)]
         finite_order(spec, families[0])
     else:
-        if spec.kind is PotentialKind.V1:
-            families = [ExpansionFamily(FamilyGroup.POWER, i) for i in (5, 6)]
-            families += [ExpansionFamily(FamilyGroup.HYPER_BOLD, i)
-                         for i in (5, 6)]
-        else:
-            families = [ExpansionFamily(FamilyGroup.POWER, i) for i in (5, 7)]
-            families += [ExpansionFamily(FamilyGroup.HYPER_BAR, i)
-                         for i in (5, 7)]
+        families = [ExpansionFamily(group, i) for group, partners
+                    in FAMILY_PARTNERS[spec.kind].items()
+                    for i in sorted(partners)]
         families = [f for f in families if truncation_order(spec, f) is not None]
     checks = []
     for fam in families:
@@ -277,13 +273,13 @@ def cmd_verify(args) -> int:
         else:
             sols = finite_spectrum(spec, fam).solutions
         for i, sol in enumerate(sols):
-            rep = ode_residual(sol)
+            residual = ode_residual(sol)
             checks.append({
                 "name": f"residual {fam.selector} level {i} "
                         f"(E={sol.E:.12g})",
                 "kind": "residual",
-                "passed": rep.max_rel_residual < RESIDUAL_TOL,
-                "value": rep.max_rel_residual,
+                "passed": residual < RESIDUAL_TOL,
+                "value": residual,
                 "tolerance": RESIDUAL_TOL,
             })
         if args.energy_override is not None:
@@ -326,6 +322,7 @@ def cmd_verify(args) -> int:
                 "passed": bool(rec.max_dev < EQUIV_TOL),
                 "value": None if not np.isfinite(rec.max_dev) else rec.max_dev,
                 "tolerance": EQUIV_TOL,
+                **({"note": rec.note} if rec.note else {}),
             })
     all_passed = all(c.get("passed", True) for c in checks)
     payload = {

@@ -239,20 +239,17 @@ class FamilyGroup(enum.Enum):
     HYPER_BOLD = "bold"
 
 
-_GROUP_INDICES = {
-    FamilyGroup.POWER: frozenset({1, 2, 3, 5, 6, 7}),
-    FamilyGroup.HYPER_BAR: frozenset({1, 3, 5, 7}),
-    FamilyGroup.HYPER_BOLD: frozenset({1, 2, 5, 6}),
-}
-
-_SUPPORTED = {
+# Each potential's families by group, in the order verify walks them,
+# each index mapped to its partner's: the partner at -l - 5 has the same
+# levels and eigenfunctions, as (l + 2)(l + 3) is the same there.
+FAMILY_PARTNERS = {
     PotentialKind.V1: {
-        FamilyGroup.POWER: frozenset({1, 2, 5, 6}),
-        FamilyGroup.HYPER_BOLD: frozenset({1, 2, 5, 6}),
+        FamilyGroup.POWER: {5: 1, 1: 5, 6: 2, 2: 6},
+        FamilyGroup.HYPER_BOLD: {1: 6, 6: 1, 2: 5, 5: 2},
     },
     PotentialKind.V2: {
-        FamilyGroup.POWER: frozenset({1, 3, 5, 7}),
-        FamilyGroup.HYPER_BAR: frozenset({1, 3, 5, 7}),
+        FamilyGroup.POWER: {5: 1, 1: 5, 7: 3, 3: 7},
+        FamilyGroup.HYPER_BAR: {1: 7, 7: 1, 3: 5, 5: 3},
     },
 }
 
@@ -265,7 +262,8 @@ class ExpansionFamily:
     index: int
 
     def __post_init__(self):
-        valid = _GROUP_INDICES[self.group]
+        valid = {i for groups in FAMILY_PARTNERS.values()
+                 for i in groups.get(self.group, ())}
         if self.index not in valid:
             raise ArgumentError(
                 f"no {self.group.value} family with index {self.index}; "
@@ -285,8 +283,7 @@ class ExpansionFamily:
         raise ArgumentError(f"unrecognized family selector {text!r}")
 
     def supported_for(self, kind: PotentialKind) -> bool:
-        table = _SUPPORTED[kind]
-        return self.group in table and self.index in table[self.group]
+        return self.index in FAMILY_PARTNERS[kind].get(self.group, ())
 
 
 def require_supported(spec: PotentialSpec, fam: ExpansionFamily) -> None:

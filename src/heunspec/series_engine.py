@@ -113,9 +113,10 @@ class Recurrence:
         D_{n-1} + beta_n D'_{n-1} - gamma_n alpha_{n-1} D'_{n-2}.  Past
         2^400, D_n and D_{n-1} shrink by 2^-400 (exactly), and D'_n and
         D'_{n-1} with them, so D_N keeps its sign and D_N / D'_N its
-        value at any N.  It runs in numpy longdouble: float64 moves the
-        roots of a strongly non-normal section by up to 4e-10 (v2 bar7,
-        l = 13.5, k2 = 0.95).
+        value at any N, as they do where one more power of two brings
+        both into float64 on return.  It runs in numpy longdouble: float64
+        moves the roots of a strongly non-normal section by up to 4e-10
+        (v2 bar7, l = 13.5, k2 = 0.95).
         """
         E = np.asarray(E)
         ext = np.result_type(E, np.longdouble)
@@ -134,9 +135,15 @@ class Recurrence:
                 shrink = np.where(big, 1.0 / _CONTINUANT_CAP, 1.0)
                 d_prev2, d_prev = d_prev2 * shrink, d_prev * shrink
                 p_prev2, p_prev = p_prev2 * shrink, p_prev * shrink
+        d_prev, p_prev = np.asarray(d_prev), np.asarray(p_prev)
+        top = np.maximum(abs(d_prev), abs(p_prev))
+        big = top > np.finfo(float).max
+        if big.any():
+            scale = np.ldexp(np.ones_like(top),
+                             np.where(big, 1023 - np.frexp(top)[1], 0))
+            d_prev, p_prev = d_prev * scale, p_prev * scale
         out = np.result_type(E, 1.0)
-        return (np.asarray(d_prev).astype(out)[()],
-                np.asarray(p_prev).astype(out)[()])
+        return d_prev.astype(out)[()], p_prev.astype(out)[()]
 
 
 def recurrence(spec: PotentialSpec, fam: ExpansionFamily, E) -> Recurrence:

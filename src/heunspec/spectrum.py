@@ -52,8 +52,6 @@ class SpectrumResult:
     solutions: list[SeriesSolution]
     arscott_ok: bool
     degenerate_pairs: list[tuple[int, int]]
-    expected_count: int
-    real_count: int
 
 
 def _sign_violations(ag: np.ndarray) -> list[int]:
@@ -68,8 +66,8 @@ def finite_spectrum(spec: PotentialSpec, fam: ExpansionFamily) -> SpectrumResult
     The section of order N = truncation order is the whole problem.
     When the sign condition (Arscott) holds, alpha_{n-1} gamma_n > 0 for
     1 <= n <= N, it has N+1 simple real eigenvalues; otherwise complex
-    pairs show up as a deficit between expected_count and real_count,
-    and an order past DENSE_MAX_ORDER raises ConvergenceError.
+    pairs show up as fewer than N+1 energies, and an order past
+    DENSE_MAX_ORDER raises ConvergenceError.
     """
     N = finite_order(spec, fam)
     energies, symmetric = _section_levels(recurrence(spec, fam, 0.0), N)
@@ -79,10 +77,8 @@ def finite_spectrum(spec: PotentialSpec, fam: ExpansionFamily) -> SpectrumResult
     solutions = [SeriesSolution(spec, fam, E, solve_coeffs_finite(spec, fam, E))
                  for E in energies]
     return SpectrumResult(spec=spec, family=fam, energies=energies,
-                          solutions=solutions,
-                          arscott_ok=symmetric,
-                          degenerate_pairs=degenerate,
-                          expected_count=N + 1, real_count=len(energies))
+                          solutions=solutions, arscott_ok=symmetric,
+                          degenerate_pairs=degenerate)
 
 
 def _section_levels(tri: Recurrence, N: int,

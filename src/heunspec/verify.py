@@ -4,8 +4,9 @@ The residual check discretizes psi'' + (E - V) psi on an interior grid
 with a five-point stencil and normalizes by the solution and potential
 scales, so a correct eigenfunction lands many orders below the
 tolerance while a detuned energy fails immediately.  The equivalence
-suite exercises the l -> -l - 5 partner identities between series
-families.  The shooting oracle lives in its own module, shooting.
+suite walks heun_core.FAMILY_PARTNERS: verify checks every family of
+the potential that terminates at l and compares each with its partner
+family at -l - 5.  The shooting oracle lives in its own module.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ import numpy as np
 
 from .exceptions import ArgumentError, NoRootError
 from .heun_core import (
+    FAMILY_PARTNERS,
     ExpansionFamily,
     FamilyGroup,
-    PotentialKind,
     PotentialSpec,
     potential_value,
 )
@@ -37,16 +38,6 @@ DEFAULT_MARGIN = 0.12
 COMPARE_POINTS = 32
 
 
-@dataclass
-class ResidualReport:
-    """Finite-difference residual of one solution on an interior grid."""
-
-    grid: np.ndarray
-    max_rel_residual: float
-    l2_rel_residual: float
-    excluded_margin: float
-
-
 def residual_grid(spec: PotentialSpec, n_grid: int = DEFAULT_GRID,
                   margin: float = DEFAULT_MARGIN) -> np.ndarray:
     """Interior evaluation grid (margin*K, (1-margin)*K).
@@ -60,8 +51,9 @@ def residual_grid(spec: PotentialSpec, n_grid: int = DEFAULT_GRID,
 
 
 def ode_residual(sol: SeriesSolution, n_grid: int = DEFAULT_GRID,
-                 margin: float = DEFAULT_MARGIN) -> ResidualReport:
-    """Five-point-stencil residual of psi'' + (E - V) psi.
+                 margin: float = DEFAULT_MARGIN) -> float:
+    """Largest five-point-stencil residual of psi'' + (E - V) psi on the
+    residual grid, relative to max|psi| (1 + |E| + max|V|).
 
     The stencil step is span/(8*n_grid), well below the grid spacing,
     so the discretization error sits near 1e-10 relative while an
@@ -82,15 +74,9 @@ def ode_residual(sol: SeriesSolution, n_grid: int = DEFAULT_GRID,
     r = d2 + (sol.E - V) * psi
     peak = float(np.max(np.abs(psi)))
     if peak == 0.0:
-        return ResidualReport(grid=us, max_rel_residual=0.0,
-                              l2_rel_residual=0.0, excluded_margin=margin)
+        return 0.0
     scale = peak * (1.0 + abs(sol.E) + float(np.max(np.abs(V))))
-    return ResidualReport(
-        grid=us,
-        max_rel_residual=float(np.max(np.abs(r))) / scale,
-        l2_rel_residual=float(np.sqrt(np.mean(r * r))) / scale,
-        excluded_margin=margin,
-    )
+    return float(np.max(np.abs(r))) / scale
 
 
 @dataclass
@@ -102,73 +88,54 @@ class EquivalenceRecord:
     note: str = ""
 
 
-_POWER_PARTNER = {
-    PotentialKind.V1: {5: 1, 1: 5, 6: 2, 2: 6},
-    PotentialKind.V2: {5: 1, 1: 5, 7: 3, 3: 7},
-}
-_HYPER_PARTNER = {
-    PotentialKind.V1: {1: 6, 6: 1, 2: 5, 5: 2},
-    PotentialKind.V2: {1: 7, 7: 1, 3: 5, 5: 3},
-}
-
-
-def _normalized(vals: np.ndarray) -> np.ndarray:
-    anchor = int(np.argmax(np.abs(vals)))
-    return vals / vals[anchor]
+def _eigenfunction_dev(spec: PotentialSpec, pairs) -> float:
+    """Largest gap between the two eigenfunctions of each pair, each
+    scaled to 1 at its largest sample on a grid of COMPARE_POINTS."""
+    us = residual_grid(spec, n_grid=COMPARE_POINTS, margin=0.05)
+    devs = []
+    for pair in pairs:
+        fa, fb = (vals / vals[int(np.argmax(np.abs(vals)))]
+                  for vals in (evaluate_grid(sol, us) for sol in pair))
+        devs.append(np.max(np.abs(fa - fb)))
+    return float(np.max(devs))
 
 
 def _compare_pair(spec_a: PotentialSpec, fam_a: ExpansionFamily,
                   spec_b: PotentialSpec, fam_b: ExpansionFamily) -> list[EquivalenceRecord]:
     """Spectra and normalized eigenfunctions of two partner families."""
-    out = []
     ra = finite_spectrum(spec_a, fam_a)
     rb = finite_spectrum(spec_b, fam_b)
     tag = (f"{spec_a.kind.value} {fam_a.selector}(l={spec_a.l:g}) vs "
            f"{fam_b.selector}(l={spec_b.l:g})")
     if len(ra.energies) != len(rb.energies):
-        out.append(EquivalenceRecord(name=f"{tag} spectra", max_dev=np.inf,
-                                     note="real eigenvalue counts differ"))
-        return out
+        return [EquivalenceRecord(name=f"{tag} spectra", max_dev=np.inf,
+                                  note="real eigenvalue counts differ")]
     if not ra.energies:
-        out.append(EquivalenceRecord(name=f"{tag} spectra", max_dev=0.0,
-                                     note="both spectra empty of real roots"))
-        return out
+        return [EquivalenceRecord(name=f"{tag} spectra", max_dev=0.0,
+                                  note="both spectra empty of real roots")]
     dev_e = max(abs(x - y) for x, y in zip(ra.energies, rb.energies))
-    out.append(EquivalenceRecord(name=f"{tag} spectra", max_dev=dev_e))
-    us = residual_grid(spec_a, n_grid=COMPARE_POINTS, margin=0.05)
-    dev_f = 0.0
-    for sa, sb in zip(ra.solutions, rb.solutions):
-        fa = _normalized(evaluate_grid(sa, us))
-        fb = _normalized(evaluate_grid(sb, us))
-        dev_f = max(dev_f, float(np.max(np.abs(fa - fb))))
-    out.append(EquivalenceRecord(name=f"{tag} eigenfunctions", max_dev=dev_f))
-    return out
+    dev_f = _eigenfunction_dev(spec_a, list(zip(ra.solutions, rb.solutions)))
+    return [EquivalenceRecord(name=f"{tag} spectra", max_dev=dev_e),
+            EquivalenceRecord(name=f"{tag} eigenfunctions", max_dev=dev_f)]
 
 
 def equivalence_suite(spec: PotentialSpec) -> list[EquivalenceRecord]:
     """All partner-identity checks applicable to this spec.
 
-    For terminating families the spectra and normalized eigenfunctions
-    of (family, l) and (partner family, -l-5) are compared; when no
-    family terminates, the lowest infinite-series level of the
-    index-5 expansion is located and the index-1 expansion is compared
-    pointwise at the same energy.
+    For each family of FAMILY_PARTNERS that terminates at l or whose
+    partner terminates at -l-5, the spectra and normalized
+    eigenfunctions of (family, l) and (partner family, -l-5) are
+    compared; when no family terminates, the lowest infinite-series
+    level of the index-5 expansion is located and the index-1 expansion
+    is compared pointwise at the same energy.
     """
     partner = symmetry_partner(spec)
     records: list[EquivalenceRecord] = []
     any_finite = False
-    for group, table in ((FamilyGroup.POWER, _POWER_PARTNER),
-                         (FamilyGroup.HYPER_BAR, _HYPER_PARTNER),
-                         (FamilyGroup.HYPER_BOLD, _HYPER_PARTNER)):
-        for idx, idx_b in table[spec.kind].items():
-            try:
-                fam_a = ExpansionFamily(group, idx)
-                fam_b = ExpansionFamily(group, idx_b)
-            except ArgumentError:
-                continue
-            if not (fam_a.supported_for(spec.kind)
-                    and fam_b.supported_for(spec.kind)):
-                continue
+    for group, partners in FAMILY_PARTNERS[spec.kind].items():
+        for idx, idx_b in partners.items():
+            fam_a = ExpansionFamily(group, idx)
+            fam_b = ExpansionFamily(group, idx_b)
             na = truncation_order(spec, fam_a)
             nb = truncation_order(partner, fam_b)
             if na is None and nb is None:
@@ -181,7 +148,7 @@ def equivalence_suite(spec: PotentialSpec) -> list[EquivalenceRecord]:
                 continue
             records.extend(_compare_pair(spec, fam_a, partner, fam_b))
             any_finite = True
-    if not any_finite and spec.kind in _POWER_PARTNER:
+    if not any_finite:
         rec = _infinite_record(spec)
         if rec is not None:
             records.append(rec)
@@ -200,11 +167,7 @@ def _infinite_record(spec: PotentialSpec) -> Optional[EquivalenceRecord]:
     sol5 = levels[0]
     sol1 = SeriesSolution(spec, fam1, sol5.E, solve_coeffs_infinite(
         spec, fam1, sol5.E, n_max=len(sol5.coeffs) - 1))
-    us = residual_grid(spec, n_grid=COMPARE_POINTS, margin=0.05)
-    f5 = _normalized(evaluate_grid(sol5, us))
-    f1 = _normalized(evaluate_grid(sol1, us))
-    dev = float(np.max(np.abs(f5 - f1)))
     return EquivalenceRecord(
         name=f"{spec.kind.value} ring1 vs ring5 infinite (l={spec.l:g}, "
              f"E={sol5.E:.12g})",
-        max_dev=dev)
+        max_dev=_eigenfunction_dev(spec, [(sol5, sol1)]))

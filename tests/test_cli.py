@@ -225,6 +225,21 @@ def test_polish_tests_signs_without_products(capsys):
         "potential": "v2", "truncation_N": 1}
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kind,l,k2,family", [("v1", "2.5", "1e-200", "ring5"),
+                                              ("v2", "2", "1e-300", "bar5")])
+def test_tiny_k2_spectrum_is_warning_clean(capsys, kind, l, k2, family):
+    # the continuant's D_N and D'_N passed float64 in their cast, and the
+    # polish divided inf by inf; they now shrink by a power of two first
+    code, out, err = run_cli(capsys, "spectrum", "--potential", kind,
+                             f"--l={l}", "--k2", k2, "--family", family)
+    if code == 0:
+        assert err == ""
+    else:
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_spectrum_two_sided_non_terminating_is_domain_error(capsys):
     code, out, err = run_cli(capsys, "spectrum", "--potential", "v1",
                              "--l", "-0.3", "--k2", "0.5", "--family", "bold5")
@@ -316,6 +331,45 @@ def test_verify_passes_and_validates(capsys):
     assert kinds == {"residual", "oracle", "equivalence"}
     skipped = [c for c in payload["checks"] if c.get("skipped")]
     assert skipped and "kink" in skipped[0]["note"]
+    # both bar spectra are complex pairs here: the partner checks pass
+    # with value 0.0 and say why
+    code, out, _ = run_cli(capsys, "verify", "--potential", "v2",
+                           "--l", "-0.5", "--k2", "0.5")
+    assert code == 0
+    payload = json.loads(out)
+    jsonschema.validate(payload, load_schema("verify"))
+    assert [(c["kind"], c["value"], c["note"]) for c in payload["checks"]] \
+        == [("equivalence", 0.0, "both spectra empty of real roots")] * 2
+
+
+def _verify_summary(capsys, kind, l):
+    """Exit code, numbers of residual, oracle and skipped oracle checks,
+    and the sorted residual energies of verify at k2 = 0.5."""
+    code, out, _ = run_cli(capsys, "verify", "--potential", kind,
+                           "--l", l, "--k2", "0.5")
+    checks = json.loads(out)["checks"]
+    counts = [sum(c["kind"] == "residual" for c in checks),
+              sum(c["kind"] == "oracle" and not c.get("skipped")
+                  for c in checks),
+              sum(bool(c.get("skipped")) for c in checks)]
+    energies = sorted(float(c["name"].split("(E=")[1][:-1]) for c in checks
+                      if c["kind"] == "residual")
+    return code, counts, energies
+
+
+@pytest.mark.parametrize("kind,l,mirror", [("v1", "3", "-8"),
+                                           ("v1", "0.5", "-5.5"),
+                                           ("v2", "2", "-7")])
+def test_verify_checks_the_same_levels_at_the_mirror_l(capsys, kind, l,
+                                                       mirror):
+    # l and -l - 5 give the same potential; verify once checked no level
+    # at l <= -7/2, where only the index-1/2/3 families terminate
+    code, counts, energies = _verify_summary(capsys, kind, l)
+    code_m, counts_m, energies_m = _verify_summary(capsys, kind, mirror)
+    assert (code_m, counts_m) == (code, counts)
+    assert counts[0] > 0
+    assert all(abs(a - b) <= 1e-9 * max(1.0, abs(a))
+               for a, b in zip(energies, energies_m))
 
 
 def test_verify_detects_detuned_energy(capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from heunspec.exceptions import ArgumentError, DomainError, SingularPointError
 from heunspec.heun_core import (
+    FAMILY_PARTNERS,
     ExpansionFamily,
     FamilyGroup,
     HeunParams,
@@ -177,6 +178,37 @@ def test_family_support_table():
                       (v2, "bold5"), (v1, "ring4")):
         with pytest.raises(ArgumentError):
             require_supported(spec, ExpansionFamily.from_selector(sel))
+
+
+def test_family_partner_table():
+    # on both potentials each family's partner has it as its own partner,
+    # in the same group; ExpansionFamily accepts exactly the indices some
+    # potential's table names, and require_supported follows the table
+    assert set(FAMILY_PARTNERS) == set(PotentialKind)
+    named = {group: set() for group in FamilyGroup}
+    for kind, groups in FAMILY_PARTNERS.items():
+        for group, partners in groups.items():
+            named[group] |= set(partners)
+            for i, j in partners.items():
+                assert partners[j] == i, (kind, group, i)
+    for group in FamilyGroup:
+        accepted = set()
+        for i in range(-1, 10):
+            try:
+                ExpansionFamily(group, i)
+            except ArgumentError:
+                continue
+            accepted.add(i)
+        assert accepted == named[group], group
+    for spec in (vspec(0.0), wspec(0.0)):
+        for group in FamilyGroup:
+            for i in named[group]:
+                fam = ExpansionFamily(group, i)
+                if i in FAMILY_PARTNERS[spec.kind].get(group, {}):
+                    require_supported(spec, fam)
+                else:
+                    with pytest.raises(ArgumentError):
+                        require_supported(spec, fam)
 
 
 def test_prefactor_table_power():

@@ -9,11 +9,10 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import strategies as st  # noqa: E402
 
 from heunspec.cli import EQUIV_TOL  # noqa: E402
-from heunspec.heun_core import ExpansionFamily, FamilyGroup  # noqa: E402
+from heunspec.heun_core import FAMILY_PARTNERS, ExpansionFamily  # noqa: E402
 from heunspec.series_engine import (  # noqa: E402
     FINITE_TOL, coefficients, truncation_order)
 from heunspec.spectrum import finite_spectrum, symmetry_partner  # noqa: E402
-from heunspec.verify import _HYPER_PARTNER, _POWER_PARTNER  # noqa: E402
 
 from conftest import characteristic_det, make_spec, relative_rows  # noqa: E402
 
@@ -66,10 +65,10 @@ def test_finite_series_properties(case):
         # every row but the join row, which the residual above measures
         assert np.sort(relative_rows(spec, fam, E, b))[:-1].max(
             initial=0.0) <= 1e-12
-    table = _POWER_PARTNER if fam.group is FamilyGroup.POWER else _HYPER_PARTNER
     partner = finite_spectrum(
         symmetry_partner(spec),
-        ExpansionFamily(fam.group, table[spec.kind][fam.index]))
+        ExpansionFamily(fam.group,
+                        FAMILY_PARTNERS[spec.kind][fam.group][fam.index]))
     assert len(partner.energies) == len(res.energies)
     for e_a, e_b in zip(res.energies, partner.energies):
         assert abs(e_a - e_b) <= EQUIV_TOL

@@ -7,6 +7,7 @@ import pytest
 
 from heunspec.exceptions import ArgumentError, ConsistencyError, ConvergenceError
 from heunspec.heun_core import (
+    FAMILY_PARTNERS,
     ExpansionFamily,
     FamilyGroup,
     PotentialKind,
@@ -28,7 +29,6 @@ from heunspec.series_engine import (
 )
 from heunspec.special_functions import _tilde_f_rows, complete_K, jacobi
 from heunspec.spectrum import finite_spectrum, symmetry_partner
-from heunspec.verify import _HYPER_PARTNER
 
 from conftest import evaluate, make_spec, relative_rows, series_solution
 
@@ -219,8 +219,9 @@ def test_two_sided_coefficients_at_large_l(kind, sel, l, k2):
         assert np.array_equal(b, sol.coeffs)
         assert residual <= FINITE_TOL
         assert np.max(relative_rows(spec, fam(sel), sol.E, b)) <= 1e-12
-    partner_fam = ExpansionFamily(fam(sel).group,
-                                  _HYPER_PARTNER[spec.kind][fam(sel).index])
+    group = fam(sel).group
+    partner_fam = ExpansionFamily(
+        group, FAMILY_PARTNERS[spec.kind][group][fam(sel).index])
     partner = finite_spectrum(symmetry_partner(spec), partner_fam)
     assert len(partner.energies) == len(res.energies)
     assert np.max(np.abs(np.subtract(partner.energies, res.energies))) \

@@ -1,7 +1,8 @@
 """Tooling guards: the benchmark's tracer finds every function it wraps,
 the package imports no scipy root finder or integrator, every function
-defined in the package is used in it or listed with a reason, and the
-README's library quickstart runs and prints what its comments say."""
+defined in the package is used in it or listed with a reason, every
+dataclass field is read in it, and the README's library quickstart runs
+and prints what its comments say."""
 
 import ast
 import contextlib
@@ -81,6 +82,34 @@ def test_every_function_is_referenced_in_src():
     unreferenced = {name for name in defined
                     if name.rpartition(".")[2] not in named}
     assert unreferenced == set(UNREFERENCED)
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if (isinstance(target, ast.Name) and target.id == "dataclass") or (
+                isinstance(target, ast.Attribute)
+                and target.attr == "dataclass"):
+            return True
+    return False
+
+
+def test_every_dataclass_field_is_read_in_src():
+    # every field of a dataclass defined in the package is read as an
+    # attribute (obj.field, not an assignment) somewhere in its code
+    fields, read = [], set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields += [f"{path.stem}.{node.name}.{stmt.target.id}"
+                           for stmt in node.body
+                           if isinstance(stmt, ast.AnnAssign)
+                           and isinstance(stmt.target, ast.Name)]
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                read.add(node.attr)
+    assert fields
+    assert [f for f in fields if f.rpartition(".")[2] not in read] == []
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
