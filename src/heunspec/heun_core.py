@@ -8,9 +8,13 @@ equation
 
 under x = sn^2(u).  This module holds the parameter containers, the
 potential evaluators, the map from (potential, l, E) to Heun parameters,
-the eight elementary-prefactor transformations that permute the local
-exponents, and the fractional transformation that swaps the
-singularities x = 0 and x = 1.
+the elementary-prefactor index maps that permute the local exponents,
+and the fractional transformation that swaps the singularities x = 0
+and x = 1.  The index maps are the identity 1, the involutions 2, 3 and
+5 at x = 0, 1 and a, and their products (Maier, Math. Comp. 76, 2007).
+Six are used: maps 4 = 2 o 3 and 8 = 2 o 3 o 5 flip the exponents at
+both x = 0 and x = 1, so also at the wall (x = 1 for v1, x = 0 for v2),
+where a flipped exponent makes the solution blow up.
 """
 
 from __future__ import annotations
@@ -24,18 +28,14 @@ import numpy as np
 from .exceptions import ArgumentError, DomainError, SingularPointError
 from .special_functions import EllipticModulus, jacobi
 
-_EPS_TOL = 1.0e-12
 _POLE_TOL = 1.0e-14
 
 
 @dataclass(frozen=True)
 class HeunParams:
-    """Parameters (a, q, alpha, beta, gamma, delta, epsilon).
-
-    epsilon is determined by the Fuchs relation
-    epsilon = alpha + beta + 1 - gamma - delta and is revalidated on
-    construction.  The singular point a must avoid 0 and 1.
-    """
+    """Parameters (a, q, alpha, beta, gamma, delta) of Heun's equation;
+    the exponent epsilon at x = a follows from the Fuchs relation
+    gamma + delta + epsilon = alpha + beta + 1."""
 
     a: float
     q: float
@@ -43,24 +43,10 @@ class HeunParams:
     beta: float
     gamma: float
     delta: float
-    epsilon: float
 
-    def __post_init__(self):
-        expect = self.alpha + self.beta + 1.0 - self.gamma - self.delta
-        scale = 1.0 + abs(self.alpha) + abs(self.beta) + abs(self.gamma) + abs(self.delta)
-        if abs(self.epsilon - expect) > _EPS_TOL * scale:
-            raise ArgumentError(
-                f"epsilon = {self.epsilon} violates the exponent sum rule "
-                f"(expected {expect})")
-        if abs(self.a) < _POLE_TOL or abs(self.a - 1.0) < _POLE_TOL:
-            raise ArgumentError(f"singular location a = {self.a} collides with 0 or 1")
-
-    @classmethod
-    def make(cls, a: float, q: float, alpha: float, beta: float,
-             gamma: float, delta: float) -> "HeunParams":
-        eps = alpha + beta + 1.0 - gamma - delta
-        return cls(a=a, q=q, alpha=alpha, beta=beta, gamma=gamma,
-                   delta=delta, epsilon=eps)
+    @property
+    def epsilon(self) -> float:
+        return self.alpha + self.beta + 1.0 - self.gamma - self.delta
 
 
 class PotentialKind(enum.Enum):
@@ -175,12 +161,11 @@ def darboux_params(spec: PotentialSpec, E: float) -> HeunParams:
     else:
         gamma, delta = 2.5, 0.5
         q = (l + 5.0) ** 2 / 4.0 - (E + 2.0 + l * l + 5.0 * l) / (4.0 * k2)
-    return HeunParams.make(a=a, q=q, alpha=alpha, beta=beta,
-                           gamma=gamma, delta=delta)
+    return HeunParams(a, q, alpha, beta, gamma, delta)
 
 
 def homotopic(i: int, p: HeunParams) -> tuple[HeunParams, tuple[float, float, float]]:
-    """Apply index transformation i in 1..8 to a Heun parameter set.
+    """Apply index map i in {1, 2, 3, 5, 6, 7} to a Heun parameter set.
 
     Returns the transformed parameters together with the prefactor
     increment (d_sn, d_cn, d_dn) in the elliptic variable: a factor
@@ -189,48 +174,37 @@ def homotopic(i: int, p: HeunParams) -> tuple[HeunParams, tuple[float, float, fl
     """
     a, q = p.a, p.q
     al, be, ga, de, ep = p.alpha, p.beta, p.gamma, p.delta, p.epsilon
+    if i not in (1, 2, 3, 5, 6, 7):
+        raise ArgumentError(f"index map must be 1, 2, 3, 5, 6 or 7, got {i}")
+    # 2 and 6 flip the exponent at x = 0, 3 and 7 at x = 1, 5..7 at x = a
+    ex = 1.0 - ga if i in (2, 6) else 0.0
+    exm = 1.0 - de if i in (3, 7) else 0.0
+    exa = 1.0 - ep if i >= 5 else 0.0
     if i == 1:
         out = p
-        ex = exm = exa = 0.0
     elif i == 2:
-        out = HeunParams.make(a, q - (ga - 1.0) * (de * a + ep),
-                              be - ga + 1.0, al - ga + 1.0, 2.0 - ga, de)
-        ex, exm, exa = 1.0 - ga, 0.0, 0.0
+        out = HeunParams(a, q - (ga - 1.0) * (de * a + ep),
+                         be - ga + 1.0, al - ga + 1.0, 2.0 - ga, de)
     elif i == 3:
-        out = HeunParams.make(a, q - (de - 1.0) * ga * a,
-                              be - de + 1.0, al - de + 1.0, ga, 2.0 - de)
-        ex, exm, exa = 0.0, 1.0 - de, 0.0
-    elif i == 4:
-        out = HeunParams.make(a, q - (ga + de - 2.0) * a - (ga - 1.0) * ep,
-                              al - ga - de + 2.0, be - ga - de + 2.0,
-                              2.0 - ga, 2.0 - de)
-        ex, exm, exa = 1.0 - ga, 1.0 - de, 0.0
+        out = HeunParams(a, q - (de - 1.0) * ga * a,
+                         be - de + 1.0, al - de + 1.0, ga, 2.0 - de)
     elif i == 5:
-        out = HeunParams.make(a, q - ga * (al + be - ga - de),
-                              -al + ga + de, -be + ga + de, ga, de)
-        ex, exm, exa = 0.0, 0.0, 1.0 - ep
+        out = HeunParams(a, q - ga * (al + be - ga - de),
+                         -al + ga + de, -be + ga + de, ga, de)
     elif i == 6:
-        out = HeunParams.make(a, q - de * (ga - 1.0) * a - al - be + de + 1.0,
-                              -be + de + 1.0, -al + de + 1.0, 2.0 - ga, de)
-        ex, exm, exa = 1.0 - ga, 0.0, 1.0 - ep
-    elif i == 7:
-        out = HeunParams.make(a, q - ga * ((de - 1.0) * a + al + be - ga - de),
-                              -be + ga + 1.0, -al + ga + 1.0, ga, 2.0 - de)
-        ex, exm, exa = 0.0, 1.0 - de, 1.0 - ep
-    elif i == 8:
-        out = HeunParams.make(a, q - (ga + de - 2.0) * a - al - be + de + 1.0,
-                              2.0 - al, 2.0 - be, 2.0 - ga, 2.0 - de)
-        ex, exm, exa = 1.0 - ga, 1.0 - de, 1.0 - ep
+        out = HeunParams(a, q - de * (ga - 1.0) * a - al - be + de + 1.0,
+                         -be + de + 1.0, -al + de + 1.0, 2.0 - ga, de)
     else:
-        raise ArgumentError(f"index transformation must be 1..8, got {i}")
+        out = HeunParams(a, q - ga * ((de - 1.0) * a + al + be - ga - de),
+                         -be + ga + 1.0, -al + ga + 1.0, ga, 2.0 - de)
     return out, (2.0 * ex, 2.0 * exm, 2.0 * exa)
 
 
 def fractional_m49(p: HeunParams) -> HeunParams:
     """Swap the singular points x = 0 and x = 1 (x -> 1 - x)."""
-    return HeunParams.make(a=1.0 - p.a, q=-p.q + p.alpha * p.beta,
-                           alpha=p.alpha, beta=p.beta,
-                           gamma=p.delta, delta=p.gamma)
+    return HeunParams(a=1.0 - p.a, q=-p.q + p.alpha * p.beta,
+                      alpha=p.alpha, beta=p.beta,
+                      gamma=p.delta, delta=p.gamma)
 
 
 class FamilyGroup(enum.Enum):
@@ -256,7 +230,7 @@ FAMILY_PARTNERS = {
 
 @dataclass(frozen=True)
 class ExpansionFamily:
-    """One series family: expansion kernel group plus index 1..8."""
+    """One series family: kernel group plus an index FAMILY_PARTNERS lists."""
 
     group: FamilyGroup
     index: int
@@ -282,12 +256,9 @@ class ExpansionFamily:
                 return cls(group, int(t[len(tag):]))
         raise ArgumentError(f"unrecognized family selector {text!r}")
 
-    def supported_for(self, kind: PotentialKind) -> bool:
-        return self.index in FAMILY_PARTNERS[kind].get(self.group, ())
-
 
 def require_supported(spec: PotentialSpec, fam: ExpansionFamily) -> None:
-    if not fam.supported_for(spec.kind):
+    if fam.index not in FAMILY_PARTNERS[spec.kind].get(fam.group, ()):
         raise ArgumentError(
             f"family {fam.selector} is not defined for potential "
             f"{spec.kind.value}")
@@ -317,12 +288,37 @@ def transformed_params(spec: PotentialSpec, fam: ExpansionFamily,
     pre = base_prefactor(spec).shifted(d_sn, d_cn, d_dn)
     if fam.group is FamilyGroup.HYPER_BOLD:
         p2 = fractional_m49(p2)
-    if fam.group is not FamilyGroup.POWER and abs(p2.delta - 1.5) < 1.0e-9:
+    if fam.group is not FamilyGroup.POWER and _euler_rewritten(p2):
         if fam.group is FamilyGroup.HYPER_BAR:
             pre = pre.shifted(0.0, -1.0, 0.0)
         else:
             pre = pre.shifted(-1.0, 0.0, 0.0)
     return p2, pre
+
+
+def _euler_rewritten(p2: HeunParams) -> bool:
+    """delta = 3/2: a hypergeometric family's kernels take the Euler rewrite."""
+    return abs(p2.delta - 1.5) < 1.0e-9
+
+
+def hyper_eval_args(spec: PotentialSpec,
+                    fam: ExpansionFamily) -> tuple[float, float, float]:
+    """(A0, B, C0) with term n evaluating 2F1-tilde(n+A0, B; n+C0; z).
+
+    When the transformed equation has delta = 3/2 the raw kernel carries
+    exponent difference C - A - B = -1/2 and diverges at z = 1; an Euler
+    rewrite swaps in the pair (C - B, C - A), after which the exponent
+    difference is +1/2 for every family in scope.
+    """
+    if fam.group is FamilyGroup.POWER:
+        raise ArgumentError("power families have no hypergeometric kernel")
+    p2, _ = transformed_params(spec, fam, 0.0)
+    A0 = p2.alpha
+    B = p2.gamma + p2.delta - p2.alpha - 1.0
+    C0 = p2.gamma
+    if _euler_rewritten(p2):
+        A0, B = C0 - B, C0 - A0
+    return A0, B, C0
 
 
 def family_prefactor(spec: PotentialSpec, fam: ExpansionFamily) -> Prefactor:

@@ -57,6 +57,7 @@ from .heun_core import (
     HeunParams,
     PotentialSpec,
     family_prefactor,
+    hyper_eval_args,
     transformed_params,
 )
 from .special_functions import _tilde_f_sum, jacobi
@@ -237,7 +238,9 @@ def coefficients(spec: PotentialSpec, fam: ExpansionFamily, E: float,
     series follow this one rule and differ only in top.  Both passes
     rescale past 1e250, the forward one by powers of two so that every
     b_n that fits comes back exactly; where the join is finite but the
-    b_0 = 1 vector overflows float64, DomainError is raised.
+    b_0 = 1 vector overflows float64, DomainError is raised, and so it is
+    where no row joins at a finite E because a pass left float64 range
+    (a value overflowed, or one of the backward pass fell to zero).
     finite = True (False) demands a terminating (infinite) family.
     """
     N = last = top = truncation_order(spec, fam)
@@ -287,6 +290,12 @@ def coefficients(spec: PotentialSpec, fam: ExpansionFamily, E: float,
         m = int(np.argmin(rows))
         b = np.ldexp(fwd[1:], shift[1:])
         b[m:] = back[m:last + 1] / back[m] * b[m]
+    if not np.isfinite(rows[m]) and math.isfinite(E) and not (
+            np.isfinite(back).all() and back[:top + 1].all()
+            and np.isfinite(fwd).all()):
+        raise DomainError(
+            f"the recursion of family {fam.selector} overflows or "
+            f"underflows float64 at E = {E}, l = {spec.l}")
     if np.isfinite(rows[m]) and not np.isfinite(b).all():
         raise DomainError(
             f"coefficients b_0..b_{last} of family {fam.selector} with "
@@ -331,26 +340,6 @@ class SeriesSolution:
     family: ExpansionFamily
     E: float
     coeffs: np.ndarray
-
-
-def hyper_eval_args(spec: PotentialSpec,
-                    fam: ExpansionFamily) -> tuple[float, float, float]:
-    """(A0, B, C0) with term n evaluating 2F1-tilde(n+A0, B; n+C0; z).
-
-    When the transformed equation has delta = 3/2 the raw kernel carries
-    exponent difference C - A - B = -1/2 and diverges at z = 1; an Euler
-    rewrite swaps in the pair (C - B, C - A), after which the exponent
-    difference is +1/2 for every family in scope.
-    """
-    if fam.group is FamilyGroup.POWER:
-        raise ArgumentError("power families have no hypergeometric kernel")
-    p2, _ = transformed_params(spec, fam, 0.0)
-    A0 = p2.alpha
-    B = p2.gamma + p2.delta - p2.alpha - 1.0
-    C0 = p2.gamma
-    if abs(p2.delta - 1.5) < _INT_TOL:
-        A0, B = C0 - B, C0 - A0
-    return A0, B, C0
 
 
 def evaluate_grid(sol: SeriesSolution, us) -> np.ndarray:

@@ -47,7 +47,7 @@ class EllipticModulus:
     """Squared modulus k2 with its derived quantities.
 
     The field a is the Heun singularity location 1/k2.  Values must
-    satisfy 0 < k2 < 1 (the degenerate endpoints are rejected).
+    satisfy 0 < k2 < 1, with a neither infinite nor within 1e-14 of 1.
     """
 
     k2: float
@@ -58,9 +58,12 @@ class EllipticModulus:
     def from_k2(cls, k2: float) -> "EllipticModulus":
         if not (0.0 < k2 < 1.0):
             raise DomainError(f"k2 must lie strictly inside (0, 1), got {k2}")
-        if not math.isfinite(1.0 / k2):
+        a = 1.0 / float(k2)
+        if not math.isfinite(a):
             raise DomainError(f"k2 = {k2} is so small that 1/k2 overflows")
-        return cls(k2=float(k2), k=math.sqrt(k2), a=1.0 / float(k2))
+        if abs(a - 1.0) < 1.0e-14:
+            raise DomainError(f"k2 = {k2} puts a = 1/k2 within 1e-14 of x = 1")
+        return cls(k2=float(k2), k=math.sqrt(k2), a=a)
 
 
 class _Ladder(NamedTuple):
@@ -186,7 +189,8 @@ def _is_nonpositive_int(x: float) -> bool:
 
 
 def gamma_fn(x: float) -> float:
-    """Gamma function on the real line, poles rejected explicitly."""
+    """Gamma function on the real line, poles rejected explicitly.  Past
+    x ~ 142 the Lanczos power overflows, and DomainError is raised."""
     if _is_nonpositive_int(x):
         raise PoleError(f"gamma pole at x = {x}")
     if x < 0.5:
@@ -197,7 +201,12 @@ def gamma_fn(x: float) -> float:
     for i in range(1, len(_LANCZOS)):
         acc += _LANCZOS[i] / (xs + i)
     t = xs + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (xs + 0.5) * math.exp(-t) * acc
+    try:
+        power = t ** (xs + 0.5)
+    except OverflowError:
+        raise DomainError(f"gamma at x = {x}: the power t^(x - 1/2) of its "
+                          "Lanczos form overflows float64") from None
+    return math.sqrt(2.0 * math.pi) * power * math.exp(-t) * acc
 
 
 def _rgamma(x: float) -> float:

@@ -609,6 +609,28 @@ HOSTILE_SECTIONS = (
     (["spectrum", "--potential", "v1", "--l=1e154", "--k2", "0.5",
       "--family", "ring1"], "overflow float64 at l = 1e+154, k2 = 0.5"),
 )
+# Gamma of a kernel argument past 142 overflows the Lanczos form; at
+# l = 1e20 and 1e60 the two-sided recursion leaves float64; a k2 near 1
+# puts the singular point a = 1/k2 within 1e-14 of x = 1
+NEAR_ONE = "0.999999999999999"
+NEAR_ONE_ERROR = f"k2 = {NEAR_ONE} puts a = 1/k2 within 1e-14 of x = 1"
+HOSTILE_RANGES = (
+    (["eigenfunction", "--potential", "v1", "--l", "139.5", "--k2", "0.5",
+      "--family", "bold5"], "gamma at x = 142.5"),
+    (["eigenfunction", "--potential", "v1", "--l", "138.5", "--k2", "0.5",
+      "--family", "bold6"], "gamma at x = 142.5"),
+    (["spectrum", "--potential", "v1", "--l=1e20", "--k2", "0.5",
+      "--family", "ring1"], "recursion of family ring1 overflows or "
+     "underflows float64 at E = -5e+39, l = 1e+20"),
+    (["spectrum", "--potential", "v1", "--l=1e60", "--k2", "0.5",
+      "--family", "ring1"], "recursion of family ring1 overflows or "
+     "underflows float64 at E = -4.999999999999999e+119, l = 1e+60"),
+    *[(["spectrum", "--potential", "v1", "--l", "2", "--k2", NEAR_ONE,
+        "--family", family], NEAR_ONE_ERROR)
+      for family in ("ring5", "bold5")],
+    (["sweep", "--potential", "v1", "--l", "2", "--k2-list",
+      f"0.5,{NEAR_ONE}", "--family", "ring5"], NEAR_ONE_ERROR),
+)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -619,6 +641,7 @@ HOSTILE_SECTIONS = (
        "cannot write output to ") for command in COMMANDS
       for target in ("MISSING", "DIR")],
     *HOSTILE_SECTIONS,
+    *HOSTILE_RANGES,
 ])
 def test_hostile_inputs_exit_2_with_one_error_line(capsys, tmp_path, argv,
                                                     message):
@@ -633,6 +656,14 @@ def test_hostile_inputs_exit_2_with_one_error_line(capsys, tmp_path, argv,
     assert message in err
     if "--output" in argv:
         assert err.startswith(f"error: cannot write output to {argv[-1]}: ")
+
+
+def test_k2_just_outside_the_a_guard_answers(capsys):
+    # a = 1/k2 lies 1e-13 from x = 1, outside the 1e-14 guard
+    code, out, _ = run_cli(capsys, "spectrum", "--potential", "v1", "--l",
+                           "2", "--k2", "0.9999999999999", "--family",
+                           "ring5")
+    assert code == 0 and len(json.loads(out)["energies"]) == 2
 
 
 @pytest.mark.parametrize("kind,l,family", [("v1", "2", "ring5"),

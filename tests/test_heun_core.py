@@ -20,7 +20,7 @@ from heunspec.heun_core import (
     potential_value,
     require_supported,
 )
-from heunspec.special_functions import complete_K
+from heunspec.special_functions import EllipticModulus, complete_K
 
 
 def vspec(l, k2=0.5):
@@ -98,7 +98,8 @@ def test_modulus_domain():
 def test_darboux_params_v1():
     p = darboux_params(vspec(0.0, 0.5), 0.0)
     assert p == HeunParams(a=2.0, q=0.75, alpha=3.0, beta=2.5,
-                           gamma=0.5, delta=2.5, epsilon=3.5)
+                           gamma=0.5, delta=2.5)
+    assert p.epsilon == 3.5
 
 
 def test_darboux_params_v2():
@@ -110,19 +111,27 @@ def test_darboux_params_v2():
 
 
 def test_heun_params_exponent_sum_guard():
-    with pytest.raises(ArgumentError):
+    # epsilon is not a field, so no set can break the Fuchs relation;
+    # the singular point a = 1/k2 is kept off x = 1 where k2 enters
+    with pytest.raises(TypeError):
         HeunParams(a=2.0, q=1.0, alpha=1.0, beta=1.0, gamma=0.5,
                    delta=0.5, epsilon=99.0)
-    with pytest.raises(ArgumentError):
-        HeunParams.make(a=1.0, q=1.0, alpha=1.0, beta=1.0, gamma=0.5,
-                        delta=0.5)
+    p = HeunParams(a=2.0, q=1.0, alpha=1.0, beta=1.0, gamma=0.5, delta=0.5)
+    assert p.epsilon == 2.0
+    for k2 in (0.999999999999999, 0.9999999999999999):
+        with pytest.raises(DomainError, match="within 1e-14 of x = 1"):
+            EllipticModulus.from_k2(k2)
+        with pytest.raises(DomainError, match="within 1e-14 of x = 1"):
+            PotentialSpec.from_k2(PotentialKind.V1, 2.0, k2)
+    assert abs(EllipticModulus.from_k2(0.9999999999999).a - 1.0) > 1e-14
 
 
 def test_index_transform_two():
     p = darboux_params(vspec(0.0, 0.5), 0.0)
     p2, deltas = homotopic(2, p)
     assert p2 == HeunParams(a=2.0, q=5.0, alpha=3.0, beta=3.5,
-                            gamma=1.5, delta=2.5, epsilon=3.5)
+                            gamma=1.5, delta=2.5)
+    assert p2.epsilon == 3.5
     assert deltas == (1.0, 0.0, 0.0)
     # applying the transform twice restores the parameters
     back, _ = homotopic(2, p2)
@@ -131,21 +140,38 @@ def test_index_transform_two():
 
 def test_index_transform_compositions():
     p = darboux_params(vspec(1.0, 0.25), -0.7)
-    assert homotopic(4, p)[0] == homotopic(2, homotopic(3, p)[0])[0]
     assert homotopic(6, p)[0] == homotopic(2, homotopic(5, p)[0])[0]
     assert homotopic(7, p)[0] == homotopic(3, homotopic(5, p)[0])[0]
-    assert homotopic(8, p)[0] == homotopic(2, homotopic(3,
-                                           homotopic(5, p)[0])[0])[0]
 
 
-def test_index_transform_validates_exponent_sum():
-    # constructing each transformed set revalidates the sum rule, so
-    # reaching here means all eight stay consistent
-    p = darboux_params(wspec(0.3, 0.6), 1.1)
-    for i in range(1, 9):
-        q, _ = homotopic(i, p)
-        assert q.epsilon == pytest.approx(
-            q.alpha + q.beta + 1.0 - q.gamma - q.delta, abs=1e-12)
+def test_index_maps_are_involutions():
+    # each map applied twice returns the parameters, to rounding, and the
+    # prefactor increments of the two steps cancel
+    for spec, E in ((vspec(0.3, 0.6), 1.1), (wspec(-2.7, 0.35), -4.2)):
+        p = darboux_params(spec, E)
+        for i in (1, 2, 3, 5, 6, 7):
+            once, d1 = homotopic(i, p)
+            twice, d2 = homotopic(i, once)
+            for name in ("a", "q", "alpha", "beta", "gamma", "delta"):
+                assert getattr(twice, name) == pytest.approx(
+                    getattr(p, name), rel=1e-14, abs=1e-14), (i, name)
+            assert [x + y for x, y in zip(d1, d2)] == pytest.approx(
+                [0.0, 0.0, 0.0], abs=1e-14), i
+
+
+def test_index_maps_are_the_family_indices():
+    # homotopic accepts exactly the indices some family uses
+    p = darboux_params(vspec(0.3, 0.6), 1.1)
+    accepted = set()
+    for i in range(-1, 12):
+        try:
+            homotopic(i, p)
+        except ArgumentError:
+            continue
+        accepted.add(i)
+    used = {i for groups in FAMILY_PARTNERS.values()
+            for partners in groups.values() for i in partners}
+    assert accepted == used == {1, 2, 3, 5, 6, 7}
 
 
 def test_fractional_transform():

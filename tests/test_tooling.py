@@ -1,8 +1,8 @@
 """Tooling guards: the benchmark's tracer finds every function it wraps,
 the package imports no scipy root finder or integrator, every function
 defined in the package is used in it or listed with a reason, every
-dataclass field is read in it, and the README's library quickstart runs
-and prints what its comments say."""
+dataclass field and module constant is read in it, and the README's
+library quickstart runs and prints what its comments say."""
 
 import ast
 import contextlib
@@ -110,6 +110,32 @@ def test_every_dataclass_field_is_read_in_src():
                 read.add(node.attr)
     assert fields
     assert [f for f in fields if f.rpartition(".")[2] not in read] == []
+
+
+def test_every_module_constant_is_read_in_src():
+    # every name a module of the package assigns at top level is read
+    # (loaded as a name or an attribute) somewhere in its code
+    assigned, read = [], set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for stmt in tree.body:
+            if isinstance(stmt, ast.Assign):
+                targets = stmt.targets
+            elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
+                targets = [stmt.target]
+            else:
+                continue
+            assigned += [f"{path.stem}.{node.id}" for target in targets
+                         for node in ast.walk(target)
+                         if isinstance(node, ast.Name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                read.add(node.attr)
+    assert assigned
+    assert [a for a in assigned if a.rpartition(".")[2] not in read] == []
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
