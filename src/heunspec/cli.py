@@ -115,6 +115,9 @@ def _spec_from_args(args) -> PotentialSpec:
 def _family_energies(spec: PotentialSpec, fam: ExpansionFamily,
                      max_energies: int) -> tuple[list[float], Optional[int], Optional[bool], list]:
     """Energies plus truncation metadata for finite or infinite families."""
+    if max_energies < 0:
+        raise DomainError(
+            f"--max-energies must be nonnegative, got {max_energies}")
     N = truncation_order(spec, fam)
     if N is not None:
         res = finite_spectrum(spec, fam)
@@ -249,13 +252,25 @@ def _parity_for(spec: PotentialSpec, fam: ExpansionFamily) -> str:
     return "odd" if round(flag) % 2 else "even"
 
 
+def _check(name: str, kind: str, value: Optional[float], tolerance: float,
+           note: str = "") -> dict:
+    """One verify check.  It passes when its value is finite and below
+    its tolerance; a value that is not finite, or None where the oracle
+    found no root, is reported as null."""
+    finite = value is not None and math.isfinite(value)
+    return {"name": name, "kind": kind,
+            "passed": bool(finite and value < tolerance),
+            "value": value if finite else None, "tolerance": tolerance,
+            **({"note": note} if note else {})}
+
+
 def cmd_verify(args) -> int:
     from .shooting import shooting_match_table
     spec = _spec_from_args(args)
     override = args.energy_override
     if override is not None and not math.isfinite(override):
         raise DomainError(f"--energy-override must be finite, got {override}")
-    if args.family:  # verify checks terminating families
+    if args.family:  # restricts the residual and oracle checks
         families = [ExpansionFamily.from_selector(args.family)]
         finite_order(spec, families[0])
     else:
@@ -265,65 +280,40 @@ def cmd_verify(args) -> int:
         families = [f for f in families if truncation_order(spec, f) is not None]
     checks = []
     for fam in families:
-        if args.energy_override is not None:
+        if override is not None:
             # the join residual is left unchecked, so that a detuned
             # energy reaches the residual check
-            E = args.energy_override
-            sols = [SeriesSolution(spec, fam, E, coefficients(spec, fam, E)[0])]
+            sols = [SeriesSolution(spec, fam, override,
+                                   coefficients(spec, fam, override)[0])]
         else:
             sols = finite_spectrum(spec, fam).solutions
-        for i, sol in enumerate(sols):
-            residual = ode_residual(sol)
-            checks.append({
-                "name": f"residual {fam.selector} level {i} "
-                        f"(E={sol.E:.12g})",
-                "kind": "residual",
-                "passed": residual < RESIDUAL_TOL,
-                "value": residual,
-                "tolerance": RESIDUAL_TOL,
-            })
-        if args.energy_override is not None:
+        checks += [_check(f"residual {fam.selector} level {i} "
+                          f"(E={sol.E:.12g})", "residual", ode_residual(sol),
+                          RESIDUAL_TOL) for i, sol in enumerate(sols)]
+        if override is not None:
             continue
         targets = [s.E for s in sols]
+        names = [f"shooting {fam.selector} E={E:.12g}" for E in targets]
         if fam.group is FamilyGroup.POWER:
-            parity = _parity_for(spec, fam)
-            found = shooting_match_table(spec, parity, targets)
-            for E, root in zip(targets, found):
-                ok = root is not None and abs(root - E) < ORACLE_TOL
-                checks.append({
-                    "name": f"shooting {fam.selector} E={E:.12g}",
-                    "kind": "oracle",
-                    "passed": bool(ok),
-                    "value": None if root is None else abs(root - E),
-                    "tolerance": ORACLE_TOL,
-                })
-        else:
-            if abs(spec.l - round(spec.l)) < 1.0e-9:
-                note = ("series reduces to a polynomial at integer l and "
-                        "duplicates a power-family level; the shooting "
-                        "cross-check runs on the power families")
-            else:
-                note = ("series eigenfunction has an interior derivative "
-                        "kink; it satisfies a mixed interior condition, "
-                        "not a parity condition, so the parity-class "
-                        "oracle has no partner eigenvalue")
-            for E in targets:
-                checks.append({
-                    "name": f"shooting {fam.selector} E={E:.12g}",
-                    "kind": "oracle",
-                    "skipped": True,
-                    "note": note,
-                })
-    if args.energy_override is None:
-        for rec in equivalence_suite(spec):
-            checks.append({
-                "name": rec.name,
-                "kind": "equivalence",
-                "passed": bool(rec.max_dev < EQUIV_TOL),
-                "value": None if not np.isfinite(rec.max_dev) else rec.max_dev,
-                "tolerance": EQUIV_TOL,
-                **({"note": rec.note} if rec.note else {}),
-            })
+            found = shooting_match_table(spec, _parity_for(spec, fam), targets)
+            checks += [_check(name, "oracle",
+                              None if root is None else abs(root - E),
+                              ORACLE_TOL)
+                       for name, E, root in zip(names, targets, found)]
+            continue
+        note = ("series reduces to a polynomial at integer l and "
+                "duplicates a power-family level; the shooting "
+                "cross-check runs on the power families"
+                if abs(spec.l - round(spec.l)) < 1.0e-9 else
+                "series eigenfunction has an interior derivative "
+                "kink; it satisfies a mixed interior condition, "
+                "not a parity condition, so the parity-class "
+                "oracle has no partner eigenvalue")
+        checks += [{"name": name, "kind": "oracle", "skipped": True,
+                    "note": note} for name in names]
+    if override is None:
+        checks += [_check(rec.name, "equivalence", rec.max_dev, EQUIV_TOL,
+                          rec.note) for rec in equivalence_suite(spec)]
     all_passed = all(c.get("passed", True) for c in checks)
     payload = {
         "potential": spec.kind.value,
@@ -338,6 +328,8 @@ def cmd_verify(args) -> int:
 
 
 def _parse_k2_values(args) -> list[float]:
+    if args.k2_list is not None and args.k2_range is not None:
+        raise ArgumentError("give --k2-list or --k2-range, not both")
     try:
         if args.k2_list:
             return [float(t) for t in args.k2_list.split(",") if t.strip()]
@@ -395,11 +387,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="coupling parameter l")
     common.add_argument("--output", default=None,
                         help="write output to this file instead of stdout")
-    common.add_argument("--max-energies", type=int, default=4,
+    capped = argparse.ArgumentParser(add_help=False)
+    capped.add_argument("--max-energies", type=int, default=4,
                         help="lowest levels in the default window to "
                              "report for non-terminating families")
 
-    p = sub.add_parser("spectrum", parents=[common],
+    p = sub.add_parser("spectrum", parents=[common, capped],
                        help="eigenvalues of one series family as JSON")
     p.add_argument("--k2", required=True, type=float,
                    help="squared elliptic modulus, 0 < k2 < 1")
@@ -420,13 +413,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="residual, oracle, and symmetry checks as JSON")
     p.add_argument("--k2", required=True, type=float)
     p.add_argument("--family", default=None,
-                   help="restrict checks to one terminating family")
+                   help="restrict the residual and oracle checks to one "
+                        "terminating family; partner checks cover every "
+                        "family")
     p.add_argument("--energy-override", type=float, default=None,
                    help="run the residual check at this energy instead of "
                         "the computed eigenvalues")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("sweep", parents=[common],
+    p = sub.add_parser("sweep", parents=[common, capped],
                        help="energies over a set of k2 values as CSV")
     p.add_argument("--family", required=True)
     p.add_argument("--k2-list", default=None,
@@ -441,9 +436,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.max_energies < 0:
-            raise DomainError(
-                f"--max-energies must be nonnegative, got {args.max_energies}")
         return args.func(args)
     except HeunspecError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -519,21 +519,18 @@ def _illinois_batch(fun, lo: np.ndarray, flo: np.ndarray, hi: np.ndarray,
         c = hi[act] - fhi[act] * (hi[act] - lo[act]) / (fhi[act] - flo[act])
         fc = np.asarray(fun(c))
         x[act] = c
-        to_hi = np.sign(fc) == np.sign(fhi[act])
         idx = np.flatnonzero(act)
-        for i, up, ci, fi in zip(idx, to_hi, c, fc):
-            if fi == 0.0:
-                lo[i] = hi[i] = ci
-            elif up:
-                hi[i], fhi[i] = ci, fi
-                if kept[i] < 0:
-                    flo[i] *= 0.5
-                kept[i] = -1
-            else:
-                lo[i], flo[i] = ci, fi
-                if kept[i] > 0:
-                    fhi[i] *= 0.5
-                kept[i] = 1
+        zero = fc == 0.0
+        up = ~zero & (np.sign(fc) == np.sign(fhi[act]))
+        down = ~zero & ~up
+        lo[idx[zero]] = hi[idx[zero]] = c[zero]
+        i, j = idx[up], idx[down]
+        hi[i], fhi[i] = c[up], fc[up]
+        flo[i[kept[i] < 0]] *= 0.5
+        kept[i] = -1
+        lo[j], flo[j] = c[down], fc[down]
+        fhi[j[kept[j] > 0]] *= 0.5
+        kept[j] = 1
     width = np.where(still_open(), np.abs(hi - lo), 0.0)
     if width.any():
         i = int(np.argmax(width))

@@ -342,6 +342,37 @@ def test_verify_passes_and_validates(capsys):
         == [("equivalence", 0.0, "both spectra empty of real roots")] * 2
 
 
+@pytest.mark.parametrize("kind,l", [("v1", "-3"), ("v2", "0.3")])
+def test_verify_without_a_terminating_family(capsys, kind, l):
+    # no family terminates: verify compares the lowest ring5 level of the
+    # infinite series with the ring1 series at the same energy
+    code, out, _ = run_cli(capsys, "verify", "--potential", kind,
+                           f"--l={l}", "--k2", "0.5")
+    assert code == 0
+    payload = json.loads(out)
+    jsonschema.validate(payload, load_schema("verify"))
+    [check] = payload["checks"]
+    assert check["kind"] == "equivalence"
+    assert "ring1 vs ring5 infinite" in check["name"]
+    assert check["passed"] is True
+    assert check["value"] <= 1e-12
+
+
+def test_verify_non_finite_value_fails_as_null(capsys, monkeypatch):
+    # a check passes only on a finite value below its tolerance, and a
+    # value that is not finite is written as null, never as NaN
+    monkeypatch.setattr(heunspec.cli, "ode_residual", lambda sol: math.nan)
+    code, out, _ = run_cli(capsys, *VERIFY_RING)
+    assert code == 1
+    payload = json.loads(out)
+    jsonschema.validate(payload, load_schema("verify"))
+    residuals = [c for c in payload["checks"] if c["kind"] == "residual"]
+    assert len(residuals) == 2
+    assert all(c["value"] is None and c["passed"] is False
+               for c in residuals)
+    assert payload["all_passed"] is False
+
+
 def _verify_summary(capsys, kind, l):
     """Exit code, numbers of residual, oracle and skipped oracle checks,
     and the sorted residual energies of verify at k2 = 0.5."""
@@ -503,12 +534,33 @@ def test_byte_determinism(tmp_path):
      "--family", "bold5"],
     ["verify", "--potential", "v1", "--l", "-3", "--k2", "0.5",
      "--family", "ring5"],
+    ["sweep", "--potential", "v1", "--l", "2", "--family", "ring5",
+     "--k2-list", "0.25,0.5", "--k2-range", "0.1:0.2:3"],
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_max_energies_only_where_it_is_read(capsys):
+    # eigenfunction and verify never read --max-energies, so argparse
+    # refuses it there; spectrum and sweep still check its sign
+    for argv in (["eigenfunction", "--potential", "v1", "--l", "2", "--k2",
+                  "0.5", "--family", "ring5"],
+                 ["verify", "--potential", "v1", "--l", "2", "--k2", "0.5"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--max-energies", "2"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --max-energies 2" in captured.err
+    code, out, err = run_cli(capsys, "spectrum", "--potential", "v1", "--l",
+                             "-3", "--k2", "0.5", "--family", "ring5",
+                             "--max-energies", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: --max-energies must be nonnegative, got -1\n"
 
 
 def test_section_order_past_cap_exits_2_without_allocating(capsys):

@@ -1,9 +1,11 @@
 """Tooling guards: the benchmark's tracer finds every function it wraps,
 the package imports no scipy root finder or integrator, every function
 defined in the package is used in it or listed with a reason, every
-dataclass field and module constant is read in it, and the README's
+dataclass field and module constant is read in it, every subcommand
+option is read by the command line, and the README's
 library quickstart runs and prints what its comments say."""
 
+import argparse
 import ast
 import contextlib
 import importlib
@@ -136,6 +138,39 @@ def test_every_module_constant_is_read_in_src():
                 read.add(node.attr)
     assert assigned
     assert [a for a in assigned if a.rpartition(".")[2] not in read] == []
+
+
+def _args_read(func: ast.FunctionDef) -> set[str]:
+    """Names read as args.<name> in func."""
+    return {node.attr for node in ast.walk(func)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "args"
+            and isinstance(node.ctx, ast.Load)}
+
+
+def test_no_subcommand_accepts_an_option_it_ignores():
+    # every option of a subcommand (but --help) is read as args.<dest> by
+    # its handler, or by a cli function the handler passes args to
+    from heunspec.cli import build_parser
+    funcs = {node.name: node
+             for node in ast.parse((SRC / "cli.py").read_text()).body
+             if isinstance(node, ast.FunctionDef)}
+    [subparsers] = [action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction)]
+    ignored = []
+    for name, sub in subparsers.choices.items():
+        handler = funcs[sub.get_default("func").__name__]
+        helpers = {node.func.id for node in ast.walk(handler)
+                   if isinstance(node, ast.Call)
+                   and isinstance(node.func, ast.Name)
+                   and node.func.id in funcs
+                   and any(isinstance(arg, ast.Name) and arg.id == "args"
+                           for arg in node.args)}
+        read = _args_read(handler).union(*(_args_read(funcs[h])
+                                           for h in helpers))
+        ignored += [f"{name}/{action.dest}" for action in sub._actions
+                    if action.dest != "help" and action.dest not in read]
+    assert ignored == []
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
