@@ -6,8 +6,8 @@ verify (residual, oracle, and symmetry checks as JSON), and sweep
 (energies over a modulus grid as CSV).  All output is deterministic:
 rerunning a command produces byte-identical bytes.
 
-Only verify runs the shooting oracle, so it loads the oracle on first
-use; importing this module does not.  The oracle integrates, and the
+Only verify runs the shooting oracle, which heunspec.verify loads on
+first use; importing this module does not.  The oracle integrates, and the
 spectra polish their roots, with numpy alone, so no subcommand loads
 scipy.integrate or scipy.optimize.
 
@@ -29,23 +29,15 @@ import numpy as np
 from . import __version__
 from .exceptions import ArgumentError, DomainError, HeunspecError
 from .heun_core import (
-    FAMILY_PARTNERS,
     ExpansionFamily,
     FamilyGroup,
     PotentialKind,
     PotentialSpec,
     default_window,
-    family_prefactor,
 )
-from .series_engine import (
-    SeriesSolution,
-    coefficients,
-    evaluate_grid,
-    finite_order,
-    truncation_order,
-)
+from .series_engine import evaluate_grid, truncation_order
 from .spectrum import finite_spectrum, infinite_levels
-from .verify import equivalence_suite, ode_residual
+from .verify import verify_checks
 from .special_functions import complete_K
 
 EXIT_OK = 0
@@ -55,9 +47,6 @@ EXIT_RANGE = 3
 
 PLOT_POINTS = 256
 PLOT_MARGIN = 1.0e-3
-RESIDUAL_TOL = 1.0e-7
-ORACLE_TOL = 1.0e-6
-EQUIV_TOL = 1.0e-9
 
 
 def _fmt(x: float) -> str:
@@ -245,75 +234,11 @@ def cmd_eigenfunction(args) -> int:
     return EXIT_OK
 
 
-def _parity_for(spec: PotentialSpec, fam: ExpansionFamily) -> str:
-    """Symmetry class of the family's evaluation representation."""
-    pre = family_prefactor(spec, fam)
-    flag = pre.p_sn if spec.kind is PotentialKind.V1 else pre.p_cn
-    return "odd" if round(flag) % 2 else "even"
-
-
-def _check(name: str, kind: str, value: Optional[float], tolerance: float,
-           note: str = "") -> dict:
-    """One verify check.  It passes when its value is finite and below
-    its tolerance; a value that is not finite, or None where the oracle
-    found no root, is reported as null."""
-    finite = value is not None and math.isfinite(value)
-    return {"name": name, "kind": kind,
-            "passed": bool(finite and value < tolerance),
-            "value": value if finite else None, "tolerance": tolerance,
-            **({"note": note} if note else {})}
-
-
 def cmd_verify(args) -> int:
-    from .shooting import shooting_match_table
     spec = _spec_from_args(args)
-    override = args.energy_override
-    if override is not None and not math.isfinite(override):
-        raise DomainError(f"--energy-override must be finite, got {override}")
-    if args.family:  # restricts the residual and oracle checks
-        families = [ExpansionFamily.from_selector(args.family)]
-        finite_order(spec, families[0])
-    else:
-        families = [ExpansionFamily(group, i) for group, partners
-                    in FAMILY_PARTNERS[spec.kind].items()
-                    for i in sorted(partners)]
-        families = [f for f in families if truncation_order(spec, f) is not None]
-    checks = []
-    for fam in families:
-        if override is not None:
-            # the join residual is left unchecked, so that a detuned
-            # energy reaches the residual check
-            sols = [SeriesSolution(spec, fam, override,
-                                   coefficients(spec, fam, override)[0])]
-        else:
-            sols = finite_spectrum(spec, fam).solutions
-        checks += [_check(f"residual {fam.selector} level {i} "
-                          f"(E={sol.E:.12g})", "residual", ode_residual(sol),
-                          RESIDUAL_TOL) for i, sol in enumerate(sols)]
-        if override is not None:
-            continue
-        targets = [s.E for s in sols]
-        names = [f"shooting {fam.selector} E={E:.12g}" for E in targets]
-        if fam.group is FamilyGroup.POWER:
-            found = shooting_match_table(spec, _parity_for(spec, fam), targets)
-            checks += [_check(name, "oracle",
-                              None if root is None else abs(root - E),
-                              ORACLE_TOL)
-                       for name, E, root in zip(names, targets, found)]
-            continue
-        note = ("series reduces to a polynomial at integer l and "
-                "duplicates a power-family level; the shooting "
-                "cross-check runs on the power families"
-                if abs(spec.l - round(spec.l)) < 1.0e-9 else
-                "series eigenfunction has an interior derivative "
-                "kink; it satisfies a mixed interior condition, "
-                "not a parity condition, so the parity-class "
-                "oracle has no partner eigenvalue")
-        checks += [{"name": name, "kind": "oracle", "skipped": True,
-                    "note": note} for name in names]
-    if override is None:
-        checks += [_check(rec.name, "equivalence", rec.max_dev, EQUIV_TOL,
-                          rec.note) for rec in equivalence_suite(spec)]
+    family = (ExpansionFamily.from_selector(args.family) if args.family
+              else None)
+    checks = verify_checks(spec, family, args.energy_override)
     all_passed = all(c.get("passed", True) for c in checks)
     payload = {
         "potential": spec.kind.value,

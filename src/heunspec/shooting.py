@@ -76,6 +76,7 @@ STAGE_BLOCK = 1 << 13
 MONODROMY_TOL = 1.0e-8
 ROOT_XTOL = 1.0e-10
 ILLINOIS_MAX_ITER = 60
+MATCH_RADIUS = 0.8  # widest probe around a target (_nearest_roots)
 
 # The explicit 12-stage Runge-Kutta method of order 8 inside DOP853
 # (Hairer, Norsett & Wanner, Solving Ordinary Differential Equations I,
@@ -389,21 +390,22 @@ def _probe_brackets(values, targets: Sequence[float], pending: list[int],
             for r, i in zip(rows, cols)]
 
 
-def _nearest_roots(values, targets: Sequence[float], accept=None,
-                   max_radius: float = 0.8) -> list[Optional[float]]:
+def _nearest_roots(values, targets: Sequence[float],
+                   accept=None) -> list[Optional[float]]:
     """Root of values() nearest to each target, or None.
 
     Probes +-0.05 around each pending target, tripling the radius while
     no root is found, and refines every sign change in one
     _illinois_batch.  A root counts where accept(roots) allows it
     (always, if accept is None), and each target keeps the accepted
-    root nearest to it.  None means no accepted root within max_radius.
+    root nearest to it.  None means no accepted root within
+    MATCH_RADIUS.
     """
     targets = [float(t) for t in targets]
     out: list[Optional[float]] = [None] * len(targets)
     pending = list(range(len(targets)))
     r = 0.05
-    while pending and r <= max_radius:
+    while pending and r <= MATCH_RADIUS:
         brackets = _probe_brackets(values, targets, pending, r)
         if brackets:
             owners, lo, flo, hi, fhi = zip(*brackets)
@@ -421,17 +423,16 @@ def _nearest_roots(values, targets: Sequence[float], accept=None,
 
 
 def shooting_match_table(spec: PotentialSpec, parity: str,
-                         targets: Sequence[float],
-                         max_radius: float = 0.8) -> list[Optional[float]]:
+                         targets: Sequence[float]) -> list[Optional[float]]:
     """The shooting eigenvalue of one symmetry class nearest to each
     target, or None where the matching function has no sign change
-    within max_radius: the oracle then has no eigenvalue of this class
+    within MATCH_RADIUS: the oracle then has no eigenvalue of this class
     near the target.  All targets of one spec are batched, and every
     integration of the match reuses the step polynomials of a mesh
     already integrated in it (_one_match)."""
     with _one_match():
         return _nearest_roots(lambda E: matching_values(spec, parity, E),
-                              targets, max_radius=max_radius)
+                              targets)
 
 
 def monodromy_defect(spec: PotentialSpec,
@@ -541,15 +542,15 @@ def _illinois_batch(fun, lo: np.ndarray, flo: np.ndarray, hi: np.ndarray,
     return x
 
 
-def monodromy_match_table(spec: PotentialSpec, targets: Sequence[float],
-                          max_radius: float = 0.8) -> list[Optional[float]]:
+def monodromy_match_table(spec: PotentialSpec,
+                          targets: Sequence[float]) -> list[Optional[float]]:
     """Nearest energy to each target at which x = 1/k2 is apparent.
 
     The log coefficient is matched by _nearest_roots; a root counts
     only if the full defect |M / lambda - I| (Frobenius norm) is below
     MONODROMY_TOL there, since sign changes also occur where M is not
     scalar (integer or generic l).  None means no such energy within
-    max_radius.  As in shooting_match_table, the integrations of the
+    MATCH_RADIUS.  As in shooting_match_table, the integrations of the
     match share their meshes' step polynomials.
     """
     def log_coeff(E):
@@ -560,5 +561,4 @@ def monodromy_match_table(spec: PotentialSpec, targets: Sequence[float],
         return np.linalg.norm(defect, axis=(1, 2)) < MONODROMY_TOL
 
     with _one_match():
-        return _nearest_roots(log_coeff, targets, accept=apparent,
-                              max_radius=max_radius)
+        return _nearest_roots(log_coeff, targets, accept=apparent)

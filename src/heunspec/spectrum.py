@@ -46,8 +46,6 @@ POLISH_MAX_STEPS = 100  # Newton-bisection steps of one root (_polish)
 class SpectrumResult:
     """Finite spectrum of one family."""
 
-    spec: PotentialSpec
-    family: ExpansionFamily
     energies: list[float]
     solutions: list[SeriesSolution]
     arscott_ok: bool
@@ -76,9 +74,8 @@ def finite_spectrum(spec: PotentialSpec, fam: ExpansionFamily) -> SpectrumResult
                   if abs(energies[i] - energies[j]) <= 1.0e-9 * (1.0 + abs(energies[i]))]
     solutions = [SeriesSolution(spec, fam, E, solve_coeffs_finite(spec, fam, E))
                  for E in energies]
-    return SpectrumResult(spec=spec, family=fam, energies=energies,
-                          solutions=solutions, arscott_ok=symmetric,
-                          degenerate_pairs=degenerate)
+    return SpectrumResult(energies=energies, solutions=solutions,
+                          arscott_ok=symmetric, degenerate_pairs=degenerate)
 
 
 def _section_levels(tri: Recurrence, N: int,

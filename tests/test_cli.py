@@ -12,9 +12,11 @@ import jsonschema
 import pytest
 
 import heunspec.cli
+import heunspec.verify
 from heunspec.cli import main
-from heunspec.heun_core import PotentialKind, PotentialSpec
+from heunspec.heun_core import ExpansionFamily, PotentialKind, PotentialSpec
 from heunspec.shooting import shooting_match_table
+from heunspec.verify import RESIDUAL_TOL, verify_checks
 
 RING5_V1_L2_E = [-9.316624790355399849115, -2.683375209644600150885]
 CF_L3_E0 = 2.428437037356383979258
@@ -361,7 +363,7 @@ def test_verify_without_a_terminating_family(capsys, kind, l):
 def test_verify_non_finite_value_fails_as_null(capsys, monkeypatch):
     # a check passes only on a finite value below its tolerance, and a
     # value that is not finite is written as null, never as NaN
-    monkeypatch.setattr(heunspec.cli, "ode_residual", lambda sol: math.nan)
+    monkeypatch.setattr(heunspec.verify, "ode_residual", lambda sol: math.nan)
     code, out, _ = run_cli(capsys, *VERIFY_RING)
     assert code == 1
     payload = json.loads(out)
@@ -371,6 +373,20 @@ def test_verify_non_finite_value_fails_as_null(capsys, monkeypatch):
     assert all(c["value"] is None and c["passed"] is False
                for c in residuals)
     assert payload["all_passed"] is False
+
+
+@pytest.mark.parametrize("extra,family,energy", [
+    ([], None, None),
+    (["--family", "ring5"], "ring5", None),
+    (["--family", "ring5", "--energy-override", "-9.3"], "ring5", -9.3),
+])
+def test_verify_prints_the_library_checks(capsys, extra, family, energy):
+    # verify prints exactly the list heunspec.verify.verify_checks returns
+    _, out, _ = run_cli(capsys, "verify", "--potential", "v1", "--l", "2",
+                        "--k2", "0.5", *extra)
+    spec = PotentialSpec.from_k2(PotentialKind.V1, 2.0, 0.5)
+    fam = None if family is None else ExpansionFamily.from_selector(family)
+    assert json.loads(out)["checks"] == verify_checks(spec, fam, energy)
 
 
 def _verify_summary(capsys, kind, l):
@@ -418,7 +434,6 @@ def test_verify_two_sided_residuals_at_integer_l(capsys):
     # from the 1 - z connection above z = 1/2; summed directly up to
     # z = 0.97, bar5 levels 3-5 and bar7 levels 3-4 failed here with
     # residuals of 3.0e-7 to 4.2e-6
-    from heunspec.cli import RESIDUAL_TOL
     _, out, _ = run_cli(capsys, "verify", "--potential", "v2",
                         "--l", "10", "--k2", "0.75")
     residuals = {c["name"].split(" (")[0]: c["value"]
@@ -450,7 +465,6 @@ def test_verify_residuals_at_high_half_odd_l(capsys, l, k2, levels):
     # these residuals (3.3e-8 to 8.3e-8) rose to 1.1e-7 to 3.2e-7 when
     # every early term of a row was rounded on its own rather than
     # formed from the last one
-    from heunspec.cli import RESIDUAL_TOL
     _, out, _ = run_cli(capsys, "verify", "--potential", "v2",
                         "--l", l, "--k2", k2)
     residuals = {c["name"].split(" (")[0]: c["value"]

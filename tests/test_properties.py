@@ -8,11 +8,11 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import strategies as st  # noqa: E402
 
-from heunspec.cli import EQUIV_TOL  # noqa: E402
 from heunspec.heun_core import FAMILY_PARTNERS, ExpansionFamily  # noqa: E402
 from heunspec.series_engine import (  # noqa: E402
     FINITE_TOL, coefficients, truncation_order)
 from heunspec.spectrum import finite_spectrum, symmetry_partner  # noqa: E402
+from heunspec.verify import EQUIV_TOL  # noqa: E402
 
 from conftest import characteristic_det, make_spec, relative_rows  # noqa: E402
 

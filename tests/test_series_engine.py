@@ -15,7 +15,6 @@ from heunspec.heun_core import (
     family_prefactor,
     transformed_params,
 )
-from heunspec.cli import EQUIV_TOL
 from heunspec.series_engine import (
     FINITE_TOL,
     _power_sum,
@@ -29,6 +28,7 @@ from heunspec.series_engine import (
 )
 from heunspec.special_functions import _tilde_f_rows, complete_K, jacobi
 from heunspec.spectrum import finite_spectrum, symmetry_partner
+from heunspec.verify import EQUIV_TOL
 
 from conftest import evaluate, make_spec, relative_rows, series_solution
 

@@ -17,7 +17,6 @@ from heunspec.heun_core import (
 from heunspec import spectrum
 from heunspec.series_engine import (recurrence, solve_coeffs_infinite,
                                     truncation_order)
-from heunspec.cli import RESIDUAL_TOL
 from heunspec.shooting import shooting_match_table
 from heunspec.spectrum import (
     default_window,
@@ -31,7 +30,7 @@ from heunspec.spectrum import (
     _section_levels,
     _sign_violations,
 )
-from heunspec.verify import ode_residual
+from heunspec.verify import RESIDUAL_TOL, ode_residual
 
 from conftest import brentq_real_roots, characteristic_det, shooting_spectrum
 

@@ -1,8 +1,9 @@
 """Tooling guards: the benchmark's tracer finds every function it wraps,
 the package imports no scipy root finder or integrator, every function
 defined in the package is used in it or listed with a reason, every
-dataclass field and module constant is read in it, every subcommand
-option is read by the command line, and the README's
+dataclass field and module constant is read in it, every parameter
+default is overridden by some call in it, every subcommand option is
+read by the command line, and the README's
 library quickstart runs and prints what its comments say."""
 
 import argparse
@@ -11,6 +12,7 @@ import contextlib
 import importlib
 import importlib.util
 import io
+import math
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -138,6 +140,51 @@ def test_every_module_constant_is_read_in_src():
                 read.add(node.attr)
     assert assigned
     assert [a for a in assigned if a.rpartition(".")[2] not in read] == []
+
+
+# Parameters with a default that no call in src passes, each with the
+# reason the default stays.
+DEFAULTS_UNSET = {
+    "cli.main.argv": "the entry point; tests and the benchmark pass argv",
+    "spectrum.infinite_energy.bracket": "infinite_energy stands on "
+                                        "UNREFERENCED",
+}
+
+
+def test_every_parameter_default_is_set_in_src():
+    # every parameter with a default, of every function in the package,
+    # is passed by some call of that name in its code (by keyword, by
+    # position, or through * or **), or stands on DEFAULTS_UNSET; a
+    # default that no caller changes is a constant, not a parameter
+    defaulted, calls = [], {}
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                positional = a.posonlyargs + a.args
+                # a method's call sites do not pass self or cls
+                skip = int(bool(positional)
+                           and positional[0].arg in ("self", "cls"))
+                first = len(positional) - len(a.defaults)
+                defaulted += [(path.stem, node.name, arg.arg, i - skip)
+                              for i, arg in enumerate(positional)
+                              if i >= first]
+                defaulted += [(path.stem, node.name, arg.arg, None)
+                              for arg, default in zip(a.kwonlyargs,
+                                                      a.kw_defaults)
+                              if default is not None]
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                starred = any(isinstance(x, ast.Starred) for x in node.args)
+                keywords = {kw.arg for kw in node.keywords}
+                calls.setdefault(name, []).append(
+                    (math.inf if starred else len(node.args), keywords))
+    unset = {f"{mod}.{fn}.{arg}" for mod, fn, arg, pos in defaulted
+             if not any(arg in kws or None in kws
+                        or (pos is not None and n > pos)
+                        for n, kws in calls.get(fn, ()))}
+    assert unset == set(DEFAULTS_UNSET)
 
 
 def _args_read(func: ast.FunctionDef) -> set[str]:

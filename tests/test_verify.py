@@ -9,6 +9,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import heunspec.shooting
+import heunspec.verify
 from heunspec.exceptions import ArgumentError, ConvergenceError
 from heunspec.heun_core import (FAMILY_PARTNERS, ExpansionFamily,
                                 PotentialKind, default_window,
@@ -27,10 +28,10 @@ from heunspec.shooting import (
     shooting_match_table,
 )
 from heunspec.verify import (
-    EquivalenceRecord,
     equivalence_suite,
     ode_residual,
     residual_grid,
+    verify_checks,
 )
 
 from conftest import make_spec, march_by_stages, shooting_spectrum
@@ -64,10 +65,12 @@ def test_residual_detects_detuned_energy():
     assert ode_residual(sol) > 1e-4
 
 
-def test_residual_shrinks_under_stencil_refinement():
+def test_residual_shrinks_under_stencil_refinement(monkeypatch):
     sol = bold5_ground()
-    coarse = ode_residual(sol, n_grid=16)
-    fine = ode_residual(sol, n_grid=32)
+    monkeypatch.setattr(heunspec.verify, "DEFAULT_GRID", 16)
+    coarse = ode_residual(sol)
+    monkeypatch.setattr(heunspec.verify, "DEFAULT_GRID", 32)
+    fine = ode_residual(sol)
     assert coarse / fine > 3.0
 
 
@@ -84,11 +87,6 @@ def test_residual_grid_stays_interior():
     K = complete_K(0.5)
     assert us[0] == pytest.approx(0.1 * K)
     assert us[-1] == pytest.approx(0.9 * K)
-
-
-def test_residual_rejects_tiny_grid():
-    with pytest.raises(ArgumentError):
-        ode_residual(bold5_ground(), n_grid=8)
 
 
 def test_shooting_matches_power_eigenvalues():
@@ -195,7 +193,7 @@ def test_monodromy_confirms_hyper_level():
     assert abs(got[0] - 0.0625) < 1e-8
 
 
-def test_monodromy_oracle_rejects_non_apparent_points():
+def test_monodromy_oracle_rejects_non_apparent_points(monkeypatch):
     def norms(spec, energies):
         return np.linalg.norm(monodromy_defect(spec, energies), axis=(1, 2))
 
@@ -211,7 +209,9 @@ def test_monodromy_oracle_rejects_non_apparent_points():
     # generic-l case below
     spec = make_spec("v2", -1.5, 0.25)
     assert norms(spec, [0.3625])[0] > 1e3 * MONODROMY_TOL
-    assert monodromy_match_table(spec, [0.3625], max_radius=0.2) == [None]
+    with monkeypatch.context() as patch:
+        patch.setattr(heunspec.shooting, "MATCH_RADIUS", 0.2)
+        assert monodromy_match_table(spec, [0.3625]) == [None]
     assert monodromy_match_table(spec, [0.3625])[0] == pytest.approx(
         0.0625, abs=1e-8)
     # generic l: the log-coefficient projection changes sign, but the
@@ -493,25 +493,42 @@ def test_matching_values_rejects_bad_parity():
 
 
 def test_equivalence_suite_power_and_hyper():
-    records = equivalence_suite(make_spec("v1", 1.0, 0.5))
+    records = equivalence_suite(make_spec("v1", 1.0, 0.5), {})
     assert len(records) == 8
-    assert all(r.max_dev < 1e-12 for r in records)
-    names = " ".join(r.name for r in records)
+    assert all(r["value"] < 1e-12 for r in records)
+    names = " ".join(r["name"] for r in records)
     assert "ring5(l=1) vs ring1(l=-6)" in names
     assert "bold5(l=1) vs bold2(l=-6)" in names
 
 
 def test_equivalence_suite_half_odd():
-    records = equivalence_suite(make_spec("v2", -1.5, 0.25))
+    records = equivalence_suite(make_spec("v2", -1.5, 0.25), {})
     assert len(records) == 4
-    assert all(r.max_dev < 1e-12 for r in records)
-    names = " ".join(r.name for r in records)
+    assert all(r["value"] < 1e-12 for r in records)
+    names = " ".join(r["name"] for r in records)
     assert "bar5(l=-1.5) vs bar3(l=-3.5)" in names
 
 
-def partner_coefficient_record(spec, fam, E, n_terms=40):
-    """Termwise identity check: coefficients of (fam, l) at E match the
-    partner family at l -> -l-5 with the same E, term by term."""
+@pytest.mark.parametrize("kind,l", [("v1", 6.0), ("v2", 5.0)])
+def test_verify_checks_solves_each_spectrum_once(monkeypatch, kind, l):
+    # four families terminate at l and four partners at -l - 5: the
+    # residual, oracle and partner checks share one spectrum per family
+    calls = []
+
+    def counted(spec, family):
+        calls.append((spec.l, family.selector))
+        return finite_spectrum(spec, family)
+    monkeypatch.setattr(heunspec.verify, "finite_spectrum", counted)
+    checks = verify_checks(make_spec(kind, l, 0.5))
+    assert len(calls) == 8
+    assert len(set(calls)) == 8
+    assert all(c.get("passed", True) for c in checks)
+
+
+def partner_coefficient_dev(spec, fam, E, n_terms=40):
+    """Termwise identity check: largest relative gap between the
+    coefficients of (fam, l) at E and those of the partner family at
+    l -> -l-5 with the same E."""
     fam_b = ExpansionFamily(
         fam.group, FAMILY_PARTNERS[spec.kind][fam.group][fam.index])
     partner = symmetry_partner(spec)
@@ -519,22 +536,17 @@ def partner_coefficient_record(spec, fam, E, n_terms=40):
     cb, _ = coefficients(partner, fam_b, E, n_terms)
     n = min(len(ca), len(cb))
     scale = np.maximum(np.abs(ca[:n]), 1.0e-300)
-    dev = float(np.max(np.abs(ca[:n] - cb[:n]) / scale))
-    return EquivalenceRecord(
-        name=f"coefficients {fam.selector}(l={spec.l:g}) vs "
-             f"{fam_b.selector}(l={partner.l:g})",
-        max_dev=dev)
+    return float(np.max(np.abs(ca[:n] - cb[:n]) / scale))
 
 
 def test_partner_coefficients_match_termwise():
     spec = make_spec("v1", 2.0, 0.5)
     res = finite_spectrum(spec, fam("ring5"))
-    rec = partner_coefficient_record(spec, fam("ring5"), res.energies[0])
-    assert rec.max_dev < 1e-12
+    assert partner_coefficient_dev(spec, fam("ring5"), res.energies[0]) \
+        < 1e-12
     # same identity along the non-terminating branch
-    rec2 = partner_coefficient_record(make_spec("v1", -3.0, 0.5),
-                                      fam("ring5"), CF_L3_E0)
-    assert rec2.max_dev < 1e-12
+    assert partner_coefficient_dev(make_spec("v1", -3.0, 0.5),
+                                   fam("ring5"), CF_L3_E0) < 1e-12
 
 
 def test_shooting_module_is_independent():
