@@ -4,7 +4,10 @@ Four subcommands cover the workflow: spectrum (eigenvalues of one
 family as JSON), eigenfunction (sampled eigenfunction as text or JSON),
 verify (residual, oracle, and symmetry checks as JSON), and sweep
 (energies over a modulus grid as CSV).  All output is deterministic:
-rerunning a command produces byte-identical bytes.
+rerunning a command produces byte-identical bytes.  The subcommands
+only print: spectrum, eigenfunction and sweep take a family's levels
+from spectrum.family_levels, and verify its checks from
+verify.verify_checks.
 
 Only verify runs the shooting oracle, which heunspec.verify loads on
 first use; importing this module does not.  The oracle integrates, and the
@@ -35,8 +38,8 @@ from .heun_core import (
     PotentialSpec,
     default_window,
 )
-from .series_engine import evaluate_grid, truncation_order
-from .spectrum import finite_spectrum, infinite_levels
+from .series_engine import evaluate_grid
+from .spectrum import family_levels
 from .verify import verify_checks
 from .special_functions import complete_K
 
@@ -101,20 +104,6 @@ def _spec_from_args(args) -> PotentialSpec:
     return PotentialSpec.from_k2(kind, args.l, args.k2)
 
 
-def _family_energies(spec: PotentialSpec, fam: ExpansionFamily,
-                     max_energies: int) -> tuple[list[float], Optional[int], Optional[bool], list]:
-    """Energies plus truncation metadata for finite or infinite families."""
-    if max_energies < 0:
-        raise DomainError(
-            f"--max-energies must be nonnegative, got {max_energies}")
-    N = truncation_order(spec, fam)
-    if N is not None:
-        res = finite_spectrum(spec, fam)
-        return res.energies, N, res.arscott_ok, res.degenerate_pairs
-    return ([sol.E for sol in infinite_levels(spec, fam, max_energies)],
-            None, None, [])
-
-
 def _write_output(text: str, path: Optional[str]) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -150,8 +139,8 @@ def _json_dump(payload: dict) -> str:
 def cmd_spectrum(args) -> int:
     spec = _spec_from_args(args)
     fam = ExpansionFamily.from_selector(args.family)
-    energies, N, arscott, pairs = _family_energies(spec, fam,
-                                                   args.max_energies)
+    res = family_levels(spec, fam, args.max_energies)
+    energies, N = res.energies, res.order
     closed = closed_form_energies(spec, fam)
     if closed is not None:
         expected = closed["expected"]
@@ -167,9 +156,9 @@ def cmd_spectrum(args) -> int:
         "k2": spec.k.k2,
         "family": fam.selector,
         "truncation_N": N,
-        "arscott_ok": arscott,
+        "arscott_ok": res.arscott_ok,
         "energies": energies,
-        "degenerate_pairs": [list(p) for p in pairs],
+        "degenerate_pairs": [list(p) for p in res.degenerate_pairs],
         "closed_form_match": closed,
         "meta": {
             "version": __version__,
@@ -194,20 +183,18 @@ def _plot_grid(spec: PotentialSpec) -> np.ndarray:
 def cmd_eigenfunction(args) -> int:
     spec = _spec_from_args(args)
     fam = ExpansionFamily.from_selector(args.family)
-    N = truncation_order(spec, fam)
     if args.index < 0:
         sys.stderr.write(f"index {args.index} out of range: level indices "
                          "start at 0\n")
         return EXIT_RANGE
-    levels = (finite_spectrum(spec, fam).solutions if N is not None
-              else infinite_levels(spec, fam, args.index + 1))
-    if args.index >= len(levels):
-        where = "here" if N is not None else "in the default window"
+    res = family_levels(spec, fam, args.index + 1)
+    if args.index >= len(res.solutions):
+        where = "here" if res.order is not None else "in the default window"
         sys.stderr.write(f"index {args.index} out of range: family "
-                         f"{fam.selector} has {len(levels)} real "
+                         f"{fam.selector} has {len(res.solutions)} real "
                          f"level(s) {where}\n")
         return EXIT_RANGE
-    sol = levels[args.index]
+    sol = res.solutions[args.index]
     us = _plot_grid(spec)
     vals = evaluate_grid(sol, us)
     if args.format == "json":
@@ -283,9 +270,8 @@ def cmd_sweep(args) -> int:
     rows = []
     for k2 in k2_values:
         spec = PotentialSpec.from_k2(kind, args.l, k2)
-        energies, _, _, _ = _family_energies(spec, fam, args.max_energies)
-        for idx, E in enumerate(energies):
-            rows.append((float(k2), idx, E))
+        rows += [(float(k2), idx, E) for idx, E in enumerate(
+            family_levels(spec, fam, args.max_energies).energies)]
     rows.sort(key=lambda r: (r[0], r[1]))
     lines = ["k2,l,family,index,energy"]
     for k2, idx, E in rows:

@@ -283,17 +283,21 @@ def _propagate(mesh, coefficients, E: np.ndarray, y0: np.ndarray,
     the same key reuses the step polynomials formed before, and calls
     mesh and coefficients only for a halving not formed before.
     """
+    def rungs(first, last):
+        # the step polynomials of nodes halved first..last times, with
+        # the coefficients at the stage points of all from one call
+        meshes = [mesh()]
+        for _ in range(last):
+            meshes.append(_halved(meshes[-1]))
+        h, pts = zip(*map(_stage_points, meshes[first:]))
+        A0, A1 = (np.split(A, np.cumsum([x.size for x in h[:-1]]), axis=-1)
+                  for A in coefficients(np.concatenate(pts, axis=1)))
+        return list(map(_step_polynomials, A0, A1, h))
+
     store = _meshes.get()
     ladder = [] if store is None else store.setdefault(key, [])
     if not ladder:  # the step polynomials of nodes halved 0, 1, ... times
-        nodes = mesh()
-        fine = _halved(nodes)
-        h, pts = _stage_points(nodes)
-        h_fine, pts_fine = _stage_points(fine)
-        A0, A1 = coefficients(np.concatenate((pts, pts_fine), axis=1))
-        n = h.size
-        ladder += [_step_polynomials(A0[..., :n], A1[..., :n], h),
-                   _step_polynomials(A0[..., n:], A1[..., n:], h_fine)]
+        ladder += rungs(0, 1)
     coarse = _mul(_march(ladder[0], E), y0)
     P = _march(ladder[1], E)
     out = np.empty((2,) + y0.shape[1:], dtype=P.dtype)
@@ -319,11 +323,7 @@ def _propagate(mesh, coefficients, E: np.ndarray, y0: np.ndarray,
                 f"by {rel[i]:.3g}")
         halvings += 1
         if len(ladder) == halvings:
-            fine = mesh()
-            for _ in range(halvings):
-                fine = _halved(fine)
-            h, pts = _stage_points(fine)
-            ladder.append(_step_polynomials(*coefficients(pts), h))
+            ladder += rungs(halvings, halvings)
         P = _march(ladder[halvings], E[todo])
 
 

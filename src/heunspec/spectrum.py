@@ -1,5 +1,7 @@
 """Eigenvalue computation for terminating and infinite series.
 
+One entry, family_levels, gives the levels of either kind of family.
+
 Every level is an eigenvalue of a finite section (rows 0..N) of one
 three-term recurrence, series_engine.Recurrence, whose energy enters
 only the diagonal, affinely: one tridiagonal eigenproblem
@@ -44,12 +46,17 @@ POLISH_MAX_STEPS = 100  # Newton-bisection steps of one root (_polish)
 
 @dataclass
 class SpectrumResult:
-    """Finite spectrum of one family."""
+    """Levels of one family, ascending, as series solutions; order (the
+    truncation order) and arscott_ok are None if it does not terminate."""
 
-    energies: list[float]
     solutions: list[SeriesSolution]
-    arscott_ok: bool
+    order: Optional[int]
+    arscott_ok: Optional[bool]
     degenerate_pairs: list[tuple[int, int]]
+
+    @property
+    def energies(self) -> list[float]:
+        return [sol.E for sol in self.solutions]
 
 
 def _sign_violations(ag: np.ndarray) -> list[int]:
@@ -74,8 +81,8 @@ def finite_spectrum(spec: PotentialSpec, fam: ExpansionFamily) -> SpectrumResult
                   if abs(energies[i] - energies[j]) <= 1.0e-9 * (1.0 + abs(energies[i]))]
     solutions = [SeriesSolution(spec, fam, E, solve_coeffs_finite(spec, fam, E))
                  for E in energies]
-    return SpectrumResult(energies=energies, solutions=solutions,
-                          arscott_ok=symmetric, degenerate_pairs=degenerate)
+    return SpectrumResult(solutions=solutions, order=N, arscott_ok=symmetric,
+                          degenerate_pairs=degenerate)
 
 
 def _section_levels(tri: Recurrence, N: int,
@@ -210,12 +217,13 @@ def _polish(tri: Recurrence, N: int, E: np.ndarray) -> np.ndarray:
     return E
 
 
-def infinite_levels(spec: PotentialSpec, fam: ExpansionFamily,
-                    count: Optional[int],
-                    window: Optional[tuple[float, float]] = None
-                    ) -> list[SeriesSolution]:
-    """Series solutions at the levels of a non-terminating family inside
-    the window: of the lowest count (all, if None), ascending.  The
+def family_levels(spec: PotentialSpec, fam: ExpansionFamily,
+                  count: Optional[int],
+                  window: Optional[tuple[float, float]] = None
+                  ) -> SpectrumResult:
+    """The levels of a family: all of a terminating one's
+    (finite_spectrum), else those inside the window, of the lowest count
+    (all, if None); a negative count raises DomainError first.  The
     default window, default_window(spec), starts below the potential's
     minimum, so no level lies below it.
 
@@ -226,19 +234,19 @@ def infinite_levels(spec: PotentialSpec, fam: ExpansionFamily,
     level check: a join residual above FINITE_TOL raises
     ConsistencyError, as for a terminating family.  An order past the
     cap (SECTION_MAX_ORDER, or DENSE_MAX_ORDER for a section without the
-    sign condition) raises ConvergenceError.  Two-sided families raise
-    DomainError before any recursion.
+    sign condition) raises ConvergenceError.  Non-terminating two-sided
+    families raise DomainError before any recursion.
     """
+    if count is not None and count < 0:
+        raise DomainError(f"--max-energies must be nonnegative, got {count}")
     if truncation_order(spec, fam) is not None:
-        raise ArgumentError(
-            f"family {fam.selector} terminates at l = {spec.l}; "
-            "use finite_spectrum")
+        return finite_spectrum(spec, fam)
     if fam.group is not FamilyGroup.POWER:
         raise DomainError(
             f"family {fam.selector} does not terminate at l = {spec.l}; a "
             "non-terminating two-sided series has no minimal solution")
-    if count is not None and count <= 0:
-        return []
+    if count == 0:
+        return SpectrumResult([], None, None, [])
     window = window or default_window(spec)
     tri = recurrence(spec, fam, 0.0)
     N = math.ceil(30.0 / -math.log10(spec.k.k2))
@@ -265,16 +273,19 @@ def infinite_levels(spec: PotentialSpec, fam: ExpansionFamily,
             [abs(a - b) / max(1.0, abs(a)) for a, b in zip(new, levels)],
             default=0.0)
         levels = new
-    return [SeriesSolution(spec, fam, E,
-                           solve_coeffs_infinite(spec, fam, E, n_max=N))
-            for E in levels]
+    return SpectrumResult([SeriesSolution(spec, fam, E, solve_coeffs_infinite(
+        spec, fam, E, n_max=N)) for E in levels], None, None, [])
 
 
 def infinite_energy(spec: PotentialSpec, fam: ExpansionFamily,
                     bracket: Optional[tuple[float, float]] = None) -> float:
     """The lowest level of a non-terminating family in bracket (the
     default window if None); NoRootError if it holds none."""
-    levels = infinite_levels(spec, fam, None if bracket else 1, bracket)
+    if truncation_order(spec, fam) is not None:
+        raise ArgumentError(f"family {fam.selector} terminates at l = "
+                            f"{spec.l}; use finite_spectrum")
+    levels = family_levels(spec, fam, None if bracket else 1,
+                           bracket).solutions
     if not levels:
         lo, hi = bracket or default_window(spec)
         raise NoRootError(

@@ -37,7 +37,7 @@ from .series_engine import (
     solve_coeffs_infinite,
     truncation_order,
 )
-from .spectrum import (SpectrumResult, finite_spectrum, infinite_levels,
+from .spectrum import (SpectrumResult, family_levels, finite_spectrum,
                        symmetry_partner)
 from .special_functions import complete_K
 
@@ -234,7 +234,7 @@ def _infinite_record(spec: PotentialSpec) -> list[dict]:
     fam1 = ExpansionFamily(FamilyGroup.POWER, 1)
     if truncation_order(spec, fam5) is not None:
         return []
-    levels = infinite_levels(spec, fam5, 1)
+    levels = family_levels(spec, fam5, 1).solutions
     if not levels:
         raise NoRootError(f"no level of family {fam5.selector} in the "
                           "default window")

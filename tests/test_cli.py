@@ -311,8 +311,7 @@ def test_eigenfunction_negative_index_out_of_range(capsys, monkeypatch):
     # non-terminating (l = -3) branch alike, before any level is solved
     def no_solve(*args):
         raise AssertionError("a solver ran")
-    monkeypatch.setattr(heunspec.cli, "finite_spectrum", no_solve)
-    monkeypatch.setattr(heunspec.cli, "infinite_levels", no_solve)
+    monkeypatch.setattr(heunspec.cli, "family_levels", no_solve)
     for l in ("2", "-3"):
         code, out, err = run_cli(capsys, "eigenfunction", "--potential",
                                  "v1", "--l", l, "--k2", "0.5", "--family",
@@ -767,6 +766,24 @@ def test_cli_imports_no_private_names():
             dunder = name.startswith("__") and name.endswith("__")
             assert dunder or not name.startswith("_"), \
                 f"cli imports {name} from {node.module}"
+
+
+# the only names the command line takes from the solver modules: its
+# subcommands print what these compute and decide nothing themselves
+CLI_SOLVER_IMPORTS = {"heunspec.spectrum": {"family_levels"},
+                      "heunspec.series_engine": {"evaluate_grid"}}
+
+
+def test_cli_imports_one_entry_per_solver_module():
+    tree = ast.parse(open(heunspec.cli.__file__).read())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = ("heunspec." if node.level else "") + (node.module or "")
+            imported.setdefault(module, set()).update(
+                alias.name for alias in node.names)
+    for module, allowed in CLI_SOLVER_IMPORTS.items():
+        assert imported.get(module, set()) <= allowed, module
 
 
 SPECTRUM_CF = ["spectrum", "--potential", "v1", "--l", "-3", "--k2", "0.5",

@@ -20,9 +20,9 @@ from heunspec.series_engine import (recurrence, solve_coeffs_infinite,
 from heunspec.shooting import shooting_match_table
 from heunspec.spectrum import (
     default_window,
+    family_levels,
     finite_spectrum,
     infinite_energy,
-    infinite_levels,
     symmetry_partner,
     _cf_value,
     _companion_real_roots,
@@ -174,7 +174,8 @@ def test_characteristic_det_keeps_sign_at_large_order():
     # unscaled, D_N overflows near N = 90; scaled by powers of two it
     # stays finite and changes sign across each level
     spec, f = vspec(-3.0), fam("ring5")
-    E = np.array([[s.E - 1e-4, s.E + 1e-4] for s in infinite_levels(spec, f, 3)])
+    E = np.array([[s.E - 1e-4, s.E + 1e-4]
+                  for s in family_levels(spec, f, 3).solutions])
     vals = characteristic_det(spec, f, E, N=400)
     assert np.all(np.isfinite(vals))
     assert np.all(vals[:, 0] * vals[:, 1] < 0.0)
@@ -366,7 +367,7 @@ def _oracle_even(spec):
     (wspec(-3.0, 0.95), 8),    # k2 near 1: N0 = 1347
 ])
 def test_infinite_levels_match_shooting_oracle(spec, count):
-    levels = [s.E for s in infinite_levels(spec, fam("ring5"), 8)]
+    levels = [s.E for s in family_levels(spec, fam("ring5"), 8).solutions]
     oracle = _oracle_even(spec)
     assert len(levels) == count
     assert levels == pytest.approx(oracle[:count], abs=1e-8)
@@ -376,7 +377,7 @@ def test_infinite_levels_upper_solutions_solve_the_ode():
     # dense section (the sign condition fails at l = 2.3); the upper
     # levels' solutions once missed the residual bound (level 6: 8e-7)
     spec = vspec(2.3, 0.9)
-    sols = infinite_levels(spec, fam("ring5"), 8)
+    sols = family_levels(spec, fam("ring5"), 8).solutions
     assert len(sols) == 8
     assert sols[-1].E == pytest.approx(84.8664, abs=1e-4)
     assert ode_residual(sols[6]) < RESIDUAL_TOL
@@ -389,7 +390,7 @@ def test_infinite_levels_near_k2_one():
     # N0 = 69,046: the bisection solve of a very large section; the
     # oracle gives 0.164016 and 1.323637
     spec = vspec(-3.0, 0.999)
-    levels = [s.E for s in infinite_levels(spec, fam("ring5"), 2)]
+    levels = [s.E for s in family_levels(spec, fam("ring5"), 2).solutions]
     oracle = shooting_spectrum(spec, "even", window=(0.0, 2.0)).energies
     assert len(oracle) == 2
     assert levels == pytest.approx(oracle, abs=1e-8)
@@ -411,11 +412,11 @@ def test_section_levels_settle_from_start_order(spec):
 def test_infinite_levels_past_cap_raise():
     # a dense section needs N = 2 * 1347 at k2 = 0.95, past the cap
     with pytest.raises(ConvergenceError, match="N = 1347"):
-        infinite_levels(vspec(0.5, 0.95), fam("ring5"), 4)
+        family_levels(vspec(0.5, 0.95), fam("ring5"), 4).solutions
     # the start order N = 6.9e10 at k2 = 1 - 1e-9 is past the section
     # cap itself, which is checked before an array of length 2N is built
     with pytest.raises(ConvergenceError, match="passes cap 1048576"):
-        infinite_levels(vspec(-3.0, 0.999999999), fam("ring5"), 1)
+        family_levels(vspec(-3.0, 0.999999999), fam("ring5"), 1).solutions
 
 
 def test_finite_dense_section_past_cap_raises(monkeypatch):
@@ -436,7 +437,44 @@ def test_finite_dense_section_past_cap_raises(monkeypatch):
 def test_two_sided_non_terminating_rejected():
     for spec, sel in ((vspec(-0.3), "bold5"), (wspec(0.7, 0.3), "bar5")):
         with pytest.raises(DomainError, match="two-sided"):
-            infinite_levels(spec, fam(sel), 4)
+            family_levels(spec, fam(sel), 4).solutions
+
+
+@pytest.mark.parametrize("spec, sel", [
+    (vspec(2.0), "ring5"),       # symmetric section
+    (wspec(2.5), "bar5"),        # a complex pair: the sign condition fails
+    (vspec(-0.5, 0.75), "bold5"),
+])
+def test_family_levels_of_a_terminating_family_are_its_finite_spectrum(
+        spec, sel):
+    # count and window do not apply to a terminating family
+    got = family_levels(spec, fam(sel), 1, (100.0, 200.0))
+    ref = finite_spectrum(spec, fam(sel))
+    assert got.energies == ref.energies
+    assert len(got.solutions) == len(ref.solutions) > 0
+    for a, b in zip(got.solutions, ref.solutions):
+        assert a.coeffs.tobytes() == b.coeffs.tobytes()
+    assert got.order == ref.order == truncation_order(spec, fam(sel))
+    assert got.arscott_ok is ref.arscott_ok
+    assert got.degenerate_pairs == ref.degenerate_pairs
+
+
+def test_family_levels_of_a_non_terminating_family():
+    res = family_levels(vspec(-3.0), fam("ring5"), 2)
+    assert len(res.solutions) == 2
+    assert res.energies == [sol.E for sol in res.solutions]
+    assert res.order is None and res.arscott_ok is None
+    assert res.degenerate_pairs == []
+    none = family_levels(vspec(-3.0), fam("ring5"), 0)
+    assert none.solutions == [] and none.energies == []
+    assert none.order is None and none.arscott_ok is None
+
+
+def test_family_levels_reject_a_negative_count():
+    for l in (2.0, -3.0):  # a terminating family, then a non-terminating one
+        with pytest.raises(DomainError,
+                           match="--max-energies must be nonnegative, got -1"):
+            family_levels(vspec(l), fam("ring5"), -1)
 
 
 def test_default_window_contains_reference_levels():
