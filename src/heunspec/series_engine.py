@@ -39,6 +39,9 @@ a finite section.
 A SeriesSolution is a family's coefficients at one energy and nothing
 more: its prefactor sn^p cn^q dn^r (family_prefactor) and whether it
 terminates (truncation_order) depend on the spec and the family only.
+So the levels of a family share all but their energies: coefficients
+takes an array of energies, and evaluate_grid a sequence of solutions,
+and each does its shared work once.
 """
 
 from __future__ import annotations
@@ -222,13 +225,15 @@ def finite_order(spec: PotentialSpec, fam: ExpansionFamily) -> int:
     return N
 
 
-def coefficients(spec: PotentialSpec, fam: ExpansionFamily, E: float,
-                 n_max: int = DEFAULT_N_MAX, finite: Optional[bool] = None
-                 ) -> tuple[np.ndarray, float]:
-    """Coefficients b_0..b_last (b_0 = 1) of a family's series at energy E
-    by two-sided recursion (Oliver, Numer. Math. 11, 1968), and the join
-    row's energy backward error |alpha_m b_{m+1} + beta_m b_m +
-    gamma_m b_{m-1}| / (|beta_slope| |b_m| max(1, |E|)).
+def coefficients(spec: PotentialSpec, fam: ExpansionFamily, E,
+                 n_max: int = DEFAULT_N_MAX, finite: Optional[bool] = None,
+                 tol: Optional[float] = None) -> tuple:
+    """Coefficients b_0..b_last (b_0 = 1) of a family's series at an energy
+    E, or at each of an array of energies, by two-sided recursion (Oliver,
+    Numer. Math. 11, 1968), and the join row's energy backward error
+    |alpha_m b_{m+1} + beta_m b_m + gamma_m b_{m-1}| / (|beta_slope| |b_m|
+    max(1, |E|)): a vector and a float for a float E, else one row of
+    coefficients and one residual per energy.
 
     last is the truncation order N of a terminating family, else n_max.
     The backward pass runs down from b_{top+1} = 0, b_top = 1 (top = N,
@@ -241,91 +246,119 @@ def coefficients(spec: PotentialSpec, fam: ExpansionFamily, E: float,
     b_0 = 1 vector overflows float64, DomainError is raised, and so it is
     where no row joins at a finite E because a pass left float64 range
     (a value overflowed, or one of the backward pass fell to zero).
+    With tol, a join residual above it raises ConsistencyError.
     finite = True (False) demands a terminating (infinite) family.
+
+    One truncation_order, one recurrence and one rows(top) serve every
+    energy, and the join rows of all energies are one array; each
+    energy's passes run in plain floats (_passes), so it gets, bit for
+    bit, what it gets alone.  Errors are raised for the energies in the
+    order given: the first energy that fails raises its own.
     """
     N = last = top = truncation_order(spec, fam)
     if finite is not None and finite != (N is not None):
         raise ArgumentError(f"family {fam.selector} at l = {spec.l} "
                             + ("does not terminate" if finite else "terminates"))
-    tri = recurrence(spec, fam, E)
     if N is None:
         # The start index sits far enough above n_max that dominant-
         # solution contamination, which decays like k2 per step of the
         # downward recursion, is below 1e-12 at n_max.
         last = n_max
         top = n_max + int(math.ceil(12.5 / -math.log10(spec.k.k2))) + 10
+    energies = np.atleast_1d(np.asarray(E, dtype=float))
+    if not energies.size:
+        return np.empty((0, last + 1)), np.empty(0)
+    tri = recurrence(spec, fam, energies)
     alpha, beta, gamma = tri.rows(top)
-    al, be, ga = alpha.tolist(), beta.tolist(), gamma.tolist()
-    back = [0.0] * (top + 2)
-    back[top] = 1.0
-    for n in range(top, 0, -1):
-        if ga[n] == 0.0:
-            raise ArgumentError(
-                f"gamma_{n} vanishes; family {fam.selector} admits no "
-                "infinite minimal series here")
-        back[n - 1] = -(be[n] * back[n] + al[n] * back[n + 1]) / ga[n]
-        if abs(back[n - 1]) > 1.0e250:
-            scale = abs(back[n - 1])
-            back[n - 1:] = [x / scale for x in back[n - 1:]]
+    if not gamma[1:].all():
+        n = int(np.flatnonzero(gamma[1:] == 0.0)[-1]) + 1
+        raise ArgumentError(
+            f"gamma_{n} vanishes; family {fam.selector} admits no "
+            "infinite minimal series here")
+    # one row per energy: back[j, 0..top+1], fwd[j, 0..last+1], shift[j]
+    al, ga = alpha.tolist(), gamma.tolist()
+    back, fwd, shift = map(np.array, zip(*(
+        _passes(al, be, ga, top, last) for be in beta.T.tolist())))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rows = np.abs(alpha[:last + 1] * back[:, 1:last + 2]
+                      / back[:, :last + 1] + beta[:last + 1].T
+                      + np.ldexp(gamma[:last + 1] * fwd[:, :-1] / fwd[:, 1:],
+                                 shift[:, :-1] - shift[:, 1:]))
+        rows[np.isnan(rows)] = np.inf
+        b = np.ldexp(fwd[:, 1:], shift[:, 1:])
+        residuals = []
+        for j, (e, m) in enumerate(zip(energies.tolist(),
+                                       np.argmin(rows, axis=1).tolist())):
+            b[j, m:] = back[j, m:last + 1] / back[j, m] * b[j, m]
+            join = float(rows[j, m])
+            if not math.isfinite(join) and math.isfinite(e) and not (
+                    np.isfinite(back[j]).all() and back[j, :top + 1].all()
+                    and np.isfinite(fwd[j]).all()):
+                raise DomainError(
+                    f"the recursion of family {fam.selector} overflows or "
+                    f"underflows float64 at E = {e}, l = {spec.l}")
+            if math.isfinite(join) and not np.isfinite(b[j]).all():
+                raise DomainError(
+                    f"coefficients b_0..b_{last} of family {fam.selector} "
+                    f"with b_0 = 1 overflow float64 at E = {e}, l = {spec.l}")
+            residuals.append(join / (abs(tri.beta_slope) * max(1.0, abs(e))))
+            if tol is not None and residuals[-1] > tol:
+                raise ConsistencyError(
+                    f"join residual {residuals[-1]:.3e} at E = {e}; "
+                    "not an eigenvalue of this family")
+    if np.ndim(E) == 0:
+        return b[0], residuals[0]
+    return b, np.array(residuals)
+
+
+def _passes(al: list, be: list, ga: list, top: int, last: int):
+    """The two passes of coefficients at one energy, with the rows'
+    alpha_n, beta_n and gamma_n as lists of floats: the backward values
+    back[0..top+1], and fwd[0..last+1] with the powers of two shift of
+    the forward ones.  Each pass carries its last two values."""
+    back = [0.0, 1.0]  # b_{top+1}, b_top, ..., b_0 until reversed
+    x2, x1 = 0.0, 1.0
+    for a, b, g in zip(al[top:0:-1], be[top:0:-1], ga[top:0:-1]):
+        x0 = -(b * x1 + a * x2) / g
+        back.append(x0)
+        if x0 > 1.0e250 or x0 < -1.0e250:  # abs(x0) > 1e250, without a call
+            scale = abs(x0)
+            back = [x / scale for x in back]
+            x0, x1 = back[-1], back[-2]
+        x2, x1 = x1, x0
+    back.reverse()
     # fwd[n + 1] = b_n / 2^shift[n + 1], fwd[0] = b_{-1} = 0: the pass
     # shrinks by powers of two past 1e250, so a b_n that fits comes back
     # exactly
-    fwd = [0.0] * (last + 2)
-    fwd[1] = 1.0
+    fwd = [0.0, 1.0]
+    y2, y1 = 0.0, 1.0
     shift = np.zeros(last + 2, dtype=int)
-    for n in range(last):
-        fwd[n + 2] = -(be[n] * fwd[n + 1] + ga[n] * fwd[n]) / al[n]
-        if abs(fwd[n + 2]) > 1.0e250:
-            e = math.frexp(fwd[n + 2])[1]
-            fwd[n + 1] = math.ldexp(fwd[n + 1], -e)
-            fwd[n + 2] = math.ldexp(fwd[n + 2], -e)
-            shift[n + 1:] += e
-    back, fwd = np.array(back), np.array(fwd)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        rows = np.abs(alpha[:last + 1] * back[1:last + 2] / back[:last + 1]
-                      + beta[:last + 1]
-                      + np.ldexp(gamma[:last + 1] * fwd[:-1] / fwd[1:],
-                                 shift[:-1] - shift[1:]))
-        rows[np.isnan(rows)] = np.inf
-        m = int(np.argmin(rows))
-        b = np.ldexp(fwd[1:], shift[1:])
-        b[m:] = back[m:last + 1] / back[m] * b[m]
-    if not np.isfinite(rows[m]) and math.isfinite(E) and not (
-            np.isfinite(back).all() and back[:top + 1].all()
-            and np.isfinite(fwd).all()):
-        raise DomainError(
-            f"the recursion of family {fam.selector} overflows or "
-            f"underflows float64 at E = {E}, l = {spec.l}")
-    if np.isfinite(rows[m]) and not np.isfinite(b).all():
-        raise DomainError(
-            f"coefficients b_0..b_{last} of family {fam.selector} with "
-            f"b_0 = 1 overflow float64 at E = {E}, l = {spec.l}")
-    return b, float(rows[m]) / (abs(tri.beta_slope) * max(1.0, abs(E)))
-
-
-def _checked(spec: PotentialSpec, fam: ExpansionFamily, E: float,
-             finite: bool, n_max: int = DEFAULT_N_MAX) -> np.ndarray:
-    b, residual = coefficients(spec, fam, E, n_max, finite)
-    if residual > FINITE_TOL:
-        raise ConsistencyError(
-            f"join residual {residual:.3e} at E = {E}; "
-            "not an eigenvalue of this family")
-    return b
+    for a, b, g in zip(al[:last], be[:last], ga[:last]):
+        y0 = -(b * y1 + g * y2) / a
+        if y0 > 1.0e250 or y0 < -1.0e250:
+            e = math.frexp(y0)[1]
+            y1 = fwd[-1] = math.ldexp(y1, -e)
+            y0 = math.ldexp(y0, -e)
+            shift[len(fwd) - 1:] += e
+        fwd.append(y0)
+        y2, y1 = y1, y0
+    return back, fwd, shift
 
 
 def solve_coeffs_finite(spec: PotentialSpec, fam: ExpansionFamily,
-                        E: float) -> np.ndarray:
-    """Coefficients b_0..b_N of a terminating series at an eigenvalue E;
-    a join residual (coefficients()) above FINITE_TOL raises ConsistencyError."""
-    return _checked(spec, fam, E, finite=True)
+                        E) -> np.ndarray:
+    """Coefficients b_0..b_N of a terminating series at an eigenvalue E,
+    or one row per eigenvalue of an array; a join residual
+    (coefficients()) above FINITE_TOL raises ConsistencyError."""
+    return coefficients(spec, fam, E, finite=True, tol=FINITE_TOL)[0]
 
 
-def solve_coeffs_infinite(spec: PotentialSpec, fam: ExpansionFamily, E: float,
+def solve_coeffs_infinite(spec: PotentialSpec, fam: ExpansionFamily, E,
                           n_max: int = DEFAULT_N_MAX) -> np.ndarray:
     """Coefficients b_0..b_{n_max} of an infinite series at an eigenvalue
-    E, under the same bound: a join residual above FINITE_TOL raises
-    ConsistencyError."""
-    return _checked(spec, fam, E, finite=False, n_max=n_max)
+    E, or one row per eigenvalue of an array, under the same bound: a
+    join residual above FINITE_TOL raises ConsistencyError."""
+    return coefficients(spec, fam, E, n_max, finite=False, tol=FINITE_TOL)[0]
 
 
 @dataclass(frozen=True)
@@ -342,35 +375,46 @@ class SeriesSolution:
     coeffs: np.ndarray
 
 
-def evaluate_grid(sol: SeriesSolution, us) -> np.ndarray:
-    """Values of a series solution on a grid of positions.
+def evaluate_grid(sols, us) -> np.ndarray:
+    """Values of a series solution on a grid of positions, or of each of a
+    sequence of solutions of one (spec, family), one row per solution.
 
-    sn, cn and dn (one jacobi call), the prefactor and a power series
-    (_power_sum) are evaluated over the whole grid at once.  The kernel
-    sum sum_n b_n z^n 2F1-tilde(n + A0, B; n + C0; z), at every z up to
-    and including 1, is one _tilde_f_sum: below a kernel row's cut its
-    terms fold into one power series in z, whose coefficient runs stop
-    where a term at the largest z below the cut falls under 1e-16 of
-    the run's sum there, and above the cut each row takes the 1 - z
-    connection.  A value that is not finite raises DomainError.
+    sn, cn and dn (one jacobi call) and the prefactor (one call) are
+    evaluated over the whole grid once for all solutions, and a power
+    series (_power_sum) per solution.  The kernel sums
+    sum_n b_n z^n 2F1-tilde(n + A0, B; n + C0; z), at every z up to and
+    including 1, are one _tilde_f_sum over the stacked coefficients:
+    below a kernel row's cut each solution's terms fold into one power
+    series in z, whose coefficient runs stop where a term at the largest
+    z below the cut falls under 1e-16 of the run's sum there, and above
+    the cut each row takes the 1 - z connection, formed once for every
+    solution that has the row.  A row of values is, bit for bit, the
+    values of its solution alone.  A value that is not finite raises
+    DomainError, for the first such solution.
     """
+    group = [sols] if isinstance(sols, SeriesSolution) else list(sols)
     us = np.asarray(us, dtype=float)
-    spec = sol.spec
-    fam = sol.family
+    spec = group[0].spec
+    fam = group[0].family
     sn, cn, dn = jacobi(us, spec.k.k2)
     with np.errstate(over="ignore", invalid="ignore"):
         if fam.group is FamilyGroup.POWER:
-            total = _power_sum(sol, sn * sn)
+            x = sn * sn
+            total = np.array([_power_sum(sol, x) for sol in group])
         else:
             z = sn * sn if fam.group is FamilyGroup.HYPER_BAR else cn * cn
-            total = _tilde_f_sum(sol.coeffs, *hyper_eval_args(spec, fam), z)
+            b = np.zeros((len(group), max(sol.coeffs.size for sol in group)))
+            for row, sol in zip(b, group):
+                row[:sol.coeffs.size] = sol.coeffs
+            total = _tilde_f_sum(b, *hyper_eval_args(spec, fam), z)
         vals = family_prefactor(spec, fam).at(sn, cn, dn) * total
-    bad = np.count_nonzero(~np.isfinite(vals))
-    if bad:
-        raise DomainError(
-            f"eigenfunction of family {fam.selector} at E = {sol.E} is not "
-            f"finite in float64 at {bad} of {vals.size} point(s)")
-    return vals
+    for sol, row in zip(group, vals):
+        bad = np.count_nonzero(~np.isfinite(row))
+        if bad:
+            raise DomainError(
+                f"eigenfunction of family {fam.selector} at E = {sol.E} is "
+                f"not finite in float64 at {bad} of {row.size} point(s)")
+    return vals[0] if isinstance(sols, SeriesSolution) else vals
 
 
 def _power_sum(sol: SeriesSolution, x):

@@ -44,8 +44,11 @@ MESH_HALVINGS times in all, and then raises ConvergenceError.  One
 match call (shooting_match_table, monodromy_match_table) keeps the
 step polynomials of the meshes it integrates until it returns
 (_one_match), so its probes, refinement rounds and acceptance test
-evaluate the coefficients once per mesh; nothing is kept from one
-match call to the next.
+evaluate the coefficients once per mesh.  Match calls inside an outer
+_one_match block share its store: verify runs the matches of all its
+power families in one block, so the even and odd classes, which
+integrate the same equation, form a mesh they share once.  Nothing is
+kept after the outermost block, so nothing outlives a verify.
 Both forms of the potential, in u and in x, come from
 heun_core.potential_from_squares.  Every root, of the matching
 function or of the monodromy projection, is refined from a sign-change
@@ -252,8 +255,13 @@ def _march(C: np.ndarray, E: np.ndarray) -> np.ndarray:
 def _one_match():
     """Keep the step polynomials of every mesh integrated inside the
     block for the rest of the block, so that the probes and refinement
-    rounds of one match integrate each mesh once; nothing is kept after
-    the block."""
+    rounds of one match integrate each mesh once.  A block nested in
+    another shares the outer block's store, so the matches of one verify
+    integrate each mesh once; nothing is kept after the outermost
+    block."""
+    if _meshes.get() is not None:
+        yield
+        return
     token = _meshes.set({})
     try:
         yield

@@ -5,9 +5,9 @@ dn via the arithmetic-geometric mean and a descending Landen ladder (one
 numpy implementation, jacobi, for a point or a grid), a Lanczos gamma
 function, and the Gauss hypergeometric series 2F1 with its regularized
 variant, at one point in plain floats (tilde_F), as numpy rows on a
-grid (_tilde_f_rows) or as one weighted sum of such rows on a grid
-(_tilde_f_sum).  All are deterministic; no module state other than a
-cache of Landen ladders.
+grid (_tilde_f_rows) or as weighted sums of such rows on a grid, one
+per coefficient vector of a stack (_tilde_f_sum).  All are
+deterministic; no module state other than a cache of Landen ladders.
 """
 
 from __future__ import annotations
@@ -502,41 +502,50 @@ def _folded_sum(lead, n, A, B, C, z: np.ndarray) -> np.ndarray:
 
 def _tilde_f_sum(b, A0: float, B: float, C0: float,
                  z: np.ndarray) -> np.ndarray:
-    """sum_n b[n] z^n 2F1-tilde(n + A0, B; n + C0; z) on z in [0, 1].
+    """sum_n b[n] z^n 2F1-tilde(n + A0, B; n + C0; z) on z in [0, 1], for
+    a coefficient vector b or each row of a stack of them (the sums then
+    have the stack's leading shape, followed by z's).
 
-    The rows n with b[n] != 0 are the rows of _tilde_f_rows, with their
-    gamma(C), p and q computed once each.  Below its cut (1/2 for
-    single-piece rows, Z_CONNECT for two-piece ones), sum_n b[n] z^n
-    2F1-tilde(n) of a class is one power series in z whose coefficients
+    The rows n where some vector has b[n] != 0 are the rows of
+    _tilde_f_rows, with their gamma(C), p and q computed once each for
+    the whole stack.  Below its cut (1/2 for single-piece rows,
+    Z_CONNECT for two-piece ones), sum_n b[n] z^n 2F1-tilde(n) of a class
+    is, for each vector, one power series in z whose coefficients
     d_m = sum_{n <= m} b[n] (A0 + n)_(m-n) (B)_(m-n)
-    / ((m - n)! gamma(C0 + m)) are built from each row's scalar
+    / ((m - n)! gamma(C0 + m)) are built from each of its rows' scalar
     coefficient run (_folded_sum), so the grid work there is one
     multiply-add per term and point in place of one per row, term and
     point.  Above its cut a row takes the 1 - z connection of
-    _tilde_f_rows, and those rows are added in ascending n.  A row's
-    run past SERIES_MAX_TERMS terms raises ConvergenceError, an integer
-    C - A - B PoleError.
+    _tilde_f_rows, formed once for every vector, and each vector adds its
+    rows in ascending n.  Every row stops by its own rule, so each
+    vector's sum is, bit for bit, its sum alone.  A row's run past
+    SERIES_MAX_TERMS terms raises ConvergenceError, an integer C - A - B
+    PoleError.
     """
     b = np.asarray(b, dtype=float)
-    n = np.flatnonzero(b)
+    stack = b.reshape(-1, b.shape[-1])
+    n = np.flatnonzero(stack.any(axis=0))
+    own = stack[:, n] != 0.0  # the rows of each vector
     A, C = n + A0, n + C0
     Bs = np.full(n.shape, float(B))
     s, g, p, q = _kernel_factors(A, Bs, C)
-    lead = b[n] / g
-    total = np.zeros(z.shape)
+    total = np.zeros((len(stack),) + z.shape)
     kernels = np.zeros((n.size, z.size))
     for piece, cut in _row_classes(p, q):
         near = z > cut
-        if piece.any() and not near.all():
-            total[~near] += _folded_sum(lead[piece], n[piece], A[piece],
-                                        Bs[piece], C[piece], z[~near])
+        for sums, coeffs, rows in zip(total, stack, own & piece):
+            if rows.any() and not near.all():
+                sums[~near] += _folded_sum(coeffs[n[rows]] / g[rows], n[rows],
+                                           A[rows], Bs[rows], C[rows],
+                                           z[~near])
         kernels[np.ix_(piece, near)] = _connection_rows(
             A[piece], Bs[piece], C[piece], s[piece], p[piece], q[piece],
             1.0 - z[near])
-    kernels = iter(kernels)
     zp = np.ones_like(z)
-    for bn in b.tolist():
-        if bn != 0.0:
-            total += bn * zp * next(kernels)
+    kernel_rows = iter(zip(kernels, own.T))
+    for bn in stack.T:
+        if bn.any():
+            kernel, uses = next(kernel_rows)
+            total[uses] += bn[uses, None] * zp * kernel
         zp *= z
-    return total
+    return total.reshape(b.shape[:-1] + z.shape)

@@ -18,9 +18,10 @@ Appl. 241-243, 1996), so N doubles until they stop moving.  A
 non-terminating two-sided family has no minimal solution: rejected.
 Both kinds of family return the series solutions at their levels:
 each is a SeriesSolution of the coefficients that solve_coeffs_finite
-or solve_coeffs_infinite give under one join-residual bound, and an
-infinite family's coefficients run to the settled section order N.  A
-finite spectrum's sign-condition flag is the section solve's own.
+or solve_coeffs_infinite give, in one call for all the levels, under
+one join-residual bound, and an infinite family's coefficients run to
+the settled section order N.  A finite spectrum's sign-condition flag
+is the section solve's own.
 """
 
 from __future__ import annotations
@@ -79,8 +80,9 @@ def finite_spectrum(spec: PotentialSpec, fam: ExpansionFamily) -> SpectrumResult
     degenerate = [(i, j) for i in range(len(energies))
                   for j in range(i + 1, len(energies))
                   if abs(energies[i] - energies[j]) <= 1.0e-9 * (1.0 + abs(energies[i]))]
-    solutions = [SeriesSolution(spec, fam, E, solve_coeffs_finite(spec, fam, E))
-                 for E in energies]
+    coeffs = solve_coeffs_finite(spec, fam, np.array(energies))
+    solutions = [SeriesSolution(spec, fam, E, b)
+                 for E, b in zip(energies, coeffs)]
     return SpectrumResult(solutions=solutions, order=N, arscott_ok=symmetric,
                           degenerate_pairs=degenerate)
 
@@ -273,8 +275,9 @@ def family_levels(spec: PotentialSpec, fam: ExpansionFamily,
             [abs(a - b) / max(1.0, abs(a)) for a, b in zip(new, levels)],
             default=0.0)
         levels = new
-    return SpectrumResult([SeriesSolution(spec, fam, E, solve_coeffs_infinite(
-        spec, fam, E, n_max=N)) for E in levels], None, None, [])
+    coeffs = solve_coeffs_infinite(spec, fam, np.array(levels), n_max=N)
+    return SpectrumResult([SeriesSolution(spec, fam, E, b)
+                           for E, b in zip(levels, coeffs)], None, None, [])
 
 
 def infinite_energy(spec: PotentialSpec, fam: ExpansionFamily,

@@ -4,7 +4,11 @@ verify_checks builds them all from one spectrum per terminating
 family: finite-difference residuals, the shooting oracle (loaded on
 first use) and the partner comparisons of heun_core.FAMILY_PARTNERS,
 each family at l against its partner family at -l - 5.  A check passes
-when its value is finite and below its tolerance (_check).
+when its value is finite and below its tolerance (_check).  A
+family's residuals, and each side of a partner comparison, evaluate
+all their levels on one grid, and the oracle matches of all power
+families share one store of mesh step polynomials, which is dropped
+before verify_checks returns.
 
 The residual check discretizes psi'' + (E - V) psi on an interior grid
 with a five-point stencil and normalizes by the solution and potential
@@ -14,6 +18,7 @@ tolerance while a detuned energy fails immediately.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from typing import Optional
 
@@ -61,31 +66,38 @@ def residual_grid(spec: PotentialSpec, n_grid: int,
     return np.linspace(margin * K, (1.0 - margin) * K, n_grid)
 
 
-def ode_residual(sol: SeriesSolution) -> float:
+def ode_residual(sols):
     """Largest five-point-stencil residual of psi'' + (E - V) psi on the
     residual grid of DEFAULT_GRID points, relative to
-    max|psi| (1 + |E| + max|V|).
+    max|psi| (1 + |E| + max|V|): a float for one solution, else one per
+    solution of a sequence of one (spec, family), from one evaluate_grid
+    call and one potential_value call.
 
     The stencil step is span/(8*DEFAULT_GRID), well below the grid
     spacing, so the discretization error sits near 1e-10 relative while
     an energy detuning of 1e-2 lifts the measure above 1e-4.
     """
-    spec = sol.spec
+    group = [sols] if isinstance(sols, SeriesSolution) else list(sols)
+    spec = group[0].spec
     us = residual_grid(spec, n_grid=DEFAULT_GRID, margin=DEFAULT_MARGIN)
     h = (us[-1] - us[0]) / (8.0 * DEFAULT_GRID)
     offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * h
     pts = (us[:, None] + offsets[None, :]).ravel()
-    vals = evaluate_grid(sol, pts).reshape(len(us), 5)
-    d2 = (-vals[:, 0] + 16.0 * vals[:, 1] - 30.0 * vals[:, 2]
-          + 16.0 * vals[:, 3] - vals[:, 4]) / (12.0 * h * h)
+    vals = evaluate_grid(group, pts).reshape(len(group), len(us), 5)
+    d2 = (-vals[..., 0] + 16.0 * vals[..., 1] - 30.0 * vals[..., 2]
+          + 16.0 * vals[..., 3] - vals[..., 4]) / (12.0 * h * h)
     V = potential_value(spec, us)
-    psi = vals[:, 2]
-    r = d2 + (sol.E - V) * psi
-    peak = float(np.max(np.abs(psi)))
-    if peak == 0.0:
-        return 0.0
-    scale = peak * (1.0 + abs(sol.E) + float(np.max(np.abs(V))))
-    return float(np.max(np.abs(r))) / scale
+    psi = vals[..., 2]
+    energies = np.array([sol.E for sol in group])
+    r = d2 + (energies[:, None] - V) * psi
+    top_V = float(np.max(np.abs(V)))
+    out = []
+    for E, peak, worst in zip(energies.tolist(),
+                              np.max(np.abs(psi), axis=1).tolist(),
+                              np.max(np.abs(r), axis=1).tolist()):
+        out.append(0.0 if peak == 0.0
+                   else worst / (peak * (1.0 + abs(E) + top_V)))
+    return out[0] if isinstance(sols, SeriesSolution) else out
 
 
 def _check(name: str, kind: str, value: Optional[float], tolerance: float,
@@ -109,9 +121,10 @@ def _parity_for(spec: PotentialSpec, fam: ExpansionFamily) -> str:
 
 def _residual_checks(fam: ExpansionFamily,
                      sols: list[SeriesSolution]) -> list[dict]:
+    values = ode_residual(sols) if sols else []
     return [_check(f"residual {fam.selector} level {i} (E={sol.E:.12g})",
-                   "residual", ode_residual(sol), RESIDUAL_TOL)
-            for i, sol in enumerate(sols)]
+                   "residual", value, RESIDUAL_TOL)
+            for i, (sol, value) in enumerate(zip(sols, values))]
 
 
 def verify_checks(spec: PotentialSpec,
@@ -137,42 +150,57 @@ def verify_checks(spec: PotentialSpec,
             fam, [SeriesSolution(spec, fam, energy,
                                  coefficients(spec, fam, energy)[0])])]
     checks, spectra = [], {}
-    for fam in families:
-        spectra[fam] = finite_spectrum(spec, fam)
-        sols = spectra[fam].solutions
-        checks += _residual_checks(fam, sols)
-        names = [f"shooting {fam.selector} E={sol.E:.12g}" for sol in sols]
-        if fam.group is FamilyGroup.POWER:
-            from .shooting import shooting_match_table
-            found = shooting_match_table(spec, _parity_for(spec, fam),
-                                         [sol.E for sol in sols])
-            checks += [_check(name, "oracle", None if root is None
-                              else abs(root - sol.E), ORACLE_TOL)
-                       for name, sol, root in zip(names, sols, found)]
-            continue
-        note = ("series reduces to a polynomial at integer l and "
-                "duplicates a power-family level; the shooting "
-                "cross-check runs on the power families"
-                if abs(spec.l - round(spec.l)) < 1.0e-9 else
-                "series eigenfunction has an interior derivative "
-                "kink; it satisfies a mixed interior condition, "
-                "not a parity condition, so the parity-class "
-                "oracle has no partner eigenvalue")
-        checks += [{"name": name, "kind": "oracle", "skipped": True,
-                    "note": note} for name in names]
+    with _one_oracle_store(families):
+        for fam in families:
+            spectra[fam] = finite_spectrum(spec, fam)
+            checks += _family_checks(spec, fam, spectra[fam].solutions)
     return checks + equivalence_suite(spec, spectra)
+
+
+def _one_oracle_store(families: list[ExpansionFamily]):
+    """A block in which every power-family match shares one store of mesh
+    step polynomials (shooting._one_match); the even and odd classes
+    integrate the same equation, so a mesh that both reach is formed
+    once.  Without a power family, the oracle is not loaded."""
+    if all(fam.group is not FamilyGroup.POWER for fam in families):
+        return contextlib.nullcontext()
+    from .shooting import _one_match
+    return _one_match()
+
+
+def _family_checks(spec: PotentialSpec, fam: ExpansionFamily,
+                   sols: list[SeriesSolution]) -> list[dict]:
+    """The residual checks of a family's levels, then their oracle
+    checks."""
+    checks = _residual_checks(fam, sols)
+    names = [f"shooting {fam.selector} E={sol.E:.12g}" for sol in sols]
+    if fam.group is FamilyGroup.POWER:
+        from .shooting import shooting_match_table
+        found = shooting_match_table(spec, _parity_for(spec, fam),
+                                     [sol.E for sol in sols])
+        return checks + [_check(name, "oracle", None if root is None
+                                else abs(root - sol.E), ORACLE_TOL)
+                         for name, sol, root in zip(names, sols, found)]
+    note = ("series reduces to a polynomial at integer l and "
+            "duplicates a power-family level; the shooting "
+            "cross-check runs on the power families"
+            if abs(spec.l - round(spec.l)) < 1.0e-9 else
+            "series eigenfunction has an interior derivative "
+            "kink; it satisfies a mixed interior condition, "
+            "not a parity condition, so the parity-class "
+            "oracle has no partner eigenvalue")
+    return checks + [{"name": name, "kind": "oracle", "skipped": True,
+                      "note": note} for name in names]
 
 
 def _eigenfunction_dev(spec: PotentialSpec, pairs) -> float:
     """Largest gap between the two eigenfunctions of each pair, each
     scaled to 1 at its largest sample on a grid of COMPARE_POINTS."""
     us = residual_grid(spec, n_grid=COMPARE_POINTS, margin=0.05)
-    devs = []
-    for pair in pairs:
-        fa, fb = (vals / vals[int(np.argmax(np.abs(vals)))]
-                  for vals in (evaluate_grid(sol, us) for sol in pair))
-        devs.append(np.max(np.abs(fa - fb)))
-    return float(np.max(devs))
+    fa, fb = (vals / vals[np.arange(len(vals)),
+                          np.argmax(np.abs(vals), axis=1), None]
+              for vals in (evaluate_grid(side, us) for side in zip(*pairs)))
+    return float(np.max(np.abs(fa - fb)))
 
 
 def _compare_pair(spec: PotentialSpec, tag: str, ra: SpectrumResult,

@@ -12,6 +12,7 @@ import jsonschema
 import pytest
 
 import heunspec.cli
+import heunspec.shooting
 import heunspec.verify
 from heunspec.cli import main
 from heunspec.heun_core import ExpansionFamily, PotentialKind, PotentialSpec
@@ -362,7 +363,8 @@ def test_verify_without_a_terminating_family(capsys, kind, l):
 def test_verify_non_finite_value_fails_as_null(capsys, monkeypatch):
     # a check passes only on a finite value below its tolerance, and a
     # value that is not finite is written as null, never as NaN
-    monkeypatch.setattr(heunspec.verify, "ode_residual", lambda sol: math.nan)
+    monkeypatch.setattr(heunspec.verify, "ode_residual",
+                        lambda sols: [math.nan] * len(sols))
     code, out, _ = run_cli(capsys, *VERIFY_RING)
     assert code == 1
     payload = json.loads(out)
@@ -372,6 +374,21 @@ def test_verify_non_finite_value_fails_as_null(capsys, monkeypatch):
     assert all(c["value"] is None and c["passed"] is False
                for c in residuals)
     assert payload["all_passed"] is False
+
+
+def test_verify_shares_one_oracle_store_and_keeps_none(capsys, monkeypatch):
+    # the matches of both power families run in one store of mesh step
+    # polynomials, and nothing of it outlives the command
+    stores = []
+    match = heunspec.shooting.shooting_match_table
+    monkeypatch.setattr(heunspec.shooting, "shooting_match_table",
+                        lambda *args: stores.append(
+                            heunspec.shooting._meshes.get()) or match(*args))
+    code, _, _ = run_cli(capsys, "verify", "--potential", "v1", "--l", "4",
+                         "--k2", "0.5")
+    assert code == 0
+    assert len(stores) == 2 and stores[0] is stores[1] is not None
+    assert heunspec.shooting._meshes.get() is None
 
 
 @pytest.mark.parametrize("extra,family,energy", [

@@ -17,6 +17,7 @@ from heunspec.heun_core import (
 )
 from heunspec.series_engine import (
     FINITE_TOL,
+    _passes,
     _power_sum,
     coefficients,
     evaluate_grid,
@@ -27,7 +28,8 @@ from heunspec.series_engine import (
     truncation_order,
 )
 from heunspec.special_functions import _tilde_f_rows, complete_K, jacobi
-from heunspec.spectrum import finite_spectrum, symmetry_partner
+from heunspec.spectrum import (family_levels, finite_spectrum,
+                               symmetry_partner)
 from heunspec.verify import EQUIV_TOL
 
 from conftest import evaluate, make_spec, relative_rows, series_solution
@@ -199,6 +201,80 @@ def test_finite_coefficients_at_eigenvalue():
 def test_finite_coefficients_reject_detuned_energy():
     with pytest.raises(ConsistencyError):
         solve_coeffs_finite(vspec(2.0), fam("ring5"), RING5_V1_L2_E[0] + 0.01)
+
+
+@pytest.mark.parametrize("kind,sel,l,levels", [
+    ("v1", "bold5", 4.5, slice(None)),   # terminating
+    ("v2", "bar7", 4.0, slice(None)),    # terminating, integer l
+    ("v1", "ring5", -3.0, slice(None)),  # infinite: the settled order
+    # levels 388 on pass 1e250 in the forward pass, which shifts them
+    # down by powers of two
+    ("v1", "ring5", 800.0, slice(386, None)),
+])
+def test_coefficients_of_an_array_match_one_call_per_energy(
+        monkeypatch, kind, sel, l, levels):
+    # one recurrence serves every energy, and each row of coefficients
+    # and each join residual is, bit for bit, the one of its energy alone
+    spec = make_spec(kind, l, 0.5)
+    sols = family_levels(spec, fam(sel), 4).solutions[levels]
+    E = np.array([sol.E for sol in sols])
+    n_max = len(sols[0].coeffs) - 1
+    shifted = []
+
+    def passes(*args):
+        back, fwd, shift = _passes(*args)
+        shifted.append(max(shift) > 0)
+        return back, fwd, shift
+
+    monkeypatch.setattr("heunspec.series_engine._passes", passes)
+    b, residuals = coefficients(spec, fam(sel), E, n_max)
+    assert b.shape == (E.size, n_max + 1) and residuals.shape == E.shape
+    assert any(shifted) == (l == 800.0)
+    for sol, row, residual in zip(sols, b, residuals):
+        alone, res_alone = coefficients(spec, fam(sel), sol.E, n_max)
+        assert np.array_equal(row, alone) and np.array_equal(row, sol.coeffs)
+        assert residual == res_alone
+
+
+def test_first_failing_energy_raises():
+    # the energies are checked in the order given: the first one off its
+    # level raises, with the message a call at that energy alone gives
+    spec = vspec(6.0)
+    E = np.array(finite_spectrum(spec, fam("ring5")).energies)
+    E += [0.0, 0.0, 1e-3, 1e-2]
+    alone = []
+    for e in E[2:]:
+        with pytest.raises(ConsistencyError) as err:
+            solve_coeffs_finite(spec, fam("ring5"), e)
+        alone.append(str(err.value))
+    with pytest.raises(ConsistencyError) as err:
+        solve_coeffs_finite(spec, fam("ring5"), E)
+    assert str(err.value) == alone[0] != alone[1]
+
+
+@pytest.mark.parametrize("kind,sel,l", [
+    ("v1", "ring5", 4.0), ("v1", "ring5", -3.0),
+    ("v1", "bold5", 4.5), ("v2", "bar7", 5.5), ("v2", "bar5", 4.0),
+])
+def test_evaluate_grid_of_a_family_matches_one_call_per_level(
+        monkeypatch, kind, sel, l):
+    # one jacobi call serves every level, and each row is, bit for bit,
+    # the values of its level alone; z spans both kernel cuts
+    spec = make_spec(kind, l, 0.5)
+    sols = family_levels(spec, fam(sel), 4).solutions
+    K = complete_K(0.5)
+    us = np.linspace(0.001 * K, 0.999 * K, 64)
+    calls = []
+
+    def counting(u, k2):
+        calls.append(u)
+        return jacobi(u, k2)
+
+    monkeypatch.setattr("heunspec.series_engine.jacobi", counting)
+    vals = evaluate_grid(sols, us)
+    assert len(calls) == 1 and vals.shape == (len(sols), us.size)
+    for sol, row in zip(sols, vals):
+        assert np.array_equal(row, evaluate_grid(sol, us))
 
 
 @pytest.mark.parametrize("kind,sel,l,k2", [

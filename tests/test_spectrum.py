@@ -14,7 +14,7 @@ from heunspec.heun_core import (
     PotentialKind,
     PotentialSpec,
 )
-from heunspec import spectrum
+from heunspec import series_engine, spectrum
 from heunspec.series_engine import (recurrence, solve_coeffs_infinite,
                                     truncation_order)
 from heunspec.shooting import shooting_match_table
@@ -62,6 +62,19 @@ def test_reference_spectrum_first_well():
     assert res.degenerate_pairs == []
     for got, ref in zip(res.energies, RING5_V1_L2_E):
         assert got == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("l,levels", [(6.0, 4), (-3.0, 3)])
+def test_levels_come_from_one_coefficients_call(monkeypatch, l, levels):
+    # a terminating family (finite_spectrum) and an infinite one build
+    # the solutions of all their levels from one call
+    calls = []
+    coefficients = series_engine.coefficients
+    monkeypatch.setattr(series_engine, "coefficients",
+                        lambda *args, **kw: calls.append(args)
+                        or coefficients(*args, **kw))
+    res = family_levels(vspec(l), fam("ring5"), 3)
+    assert len(res.solutions) == levels and len(calls) == 1
 
 
 def test_reference_spectrum_second_well():

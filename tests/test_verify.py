@@ -80,6 +80,20 @@ def test_residual_of_zero_solution_is_zero():
     assert ode_residual(zero) == 0.0
 
 
+def test_residual_of_a_family_makes_one_grid_evaluation(monkeypatch):
+    # every level of a family comes from one evaluate_grid call, and each
+    # residual is, bit for bit, the one of its level alone
+    sols = finite_spectrum(make_spec("v2", 4.5, 0.5), fam("bar7")).solutions
+    alone = [ode_residual(sol) for sol in sols]
+    calls = []
+    evaluate_grid = heunspec.verify.evaluate_grid
+    monkeypatch.setattr(heunspec.verify, "evaluate_grid",
+                        lambda group, us: calls.append(group)
+                        or evaluate_grid(group, us))
+    assert ode_residual(sols) == alone
+    assert len(calls) == 1 and len(alone) == 5
+
+
 def test_residual_grid_stays_interior():
     spec = make_spec("v2", 1.0, 0.5)
     us = residual_grid(spec, n_grid=32, margin=0.1)
@@ -407,6 +421,31 @@ def test_one_match_integrates_each_mesh_once(monkeypatch):
         assert len(points) == len(meshes) < len(calls)
         runs.append(sorted(meshes))
     assert runs[0] == runs[1]
+
+
+def test_matches_in_one_block_share_their_meshes(monkeypatch):
+    # the even and odd classes integrate the same equation: inside one
+    # _one_match block the odd match reuses the step polynomials of the
+    # meshes the even one formed, and finds the same roots; nothing is
+    # kept after the block
+    spec = make_spec("v1", 4.0, 0.5)
+    targets = [finite_spectrum(spec, fam(sel)).energies
+               for sel in ("ring5", "ring6")]
+    formed = []
+    step_polynomials = heunspec.shooting._step_polynomials
+    monkeypatch.setattr(heunspec.shooting, "_step_polynomials",
+                        lambda *args: formed.append(args)
+                        or step_polynomials(*args))
+    apart = [shooting_match_table(spec, parity, E)
+             for parity, E in zip(("even", "odd"), targets)]
+    separate = len(formed)
+    formed.clear()
+    with heunspec.shooting._one_match():
+        together = [shooting_match_table(spec, parity, E)
+                    for parity, E in zip(("even", "odd"), targets)]
+    assert together == apart
+    assert len(formed) < separate
+    assert heunspec.shooting._meshes.get() is None
 
 
 def reference_monodromy(spec, E):
