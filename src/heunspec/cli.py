@@ -196,7 +196,7 @@ def cmd_eigenfunction(args) -> int:
         return EXIT_RANGE
     sol = res.solutions[args.index]
     us = _plot_grid(spec)
-    vals = evaluate_grid(sol, us)
+    vals = evaluate_grid([sol], us)[0]
     if args.format == "json":
         payload = {
             "potential": spec.kind.value,

@@ -24,24 +24,24 @@ Each family of either potential is the generic recurrence evaluated at
 an index-transformed parameter set; the u <-> 2K - u partner families
 additionally swap the singular points 0 and 1 first.
 
-recurrence() holds these coefficients as numpy polynomials in n, and
-Recurrence.rows(N) evaluates rows 0..N at once, B_n over an array of
-energies too: the energy enters only the constant term of B_n, through
-the accessory parameter q(E).  Every section, continuant, recursion
-and continued fraction reads its rows from there.  This one recurrence
-serves every regime: one
-two-sided recursion (coefficients) gives the coefficients of a
-terminating series and the minimal solution of an infinite one, both
-joined where the residual is smallest and both held to one bound on
-that residual, FINITE_TOL; and the continuant's zeros are the levels of
-a finite section.
+Recurrence.rows(N) evaluates these closed forms for rows 0..N at
+once, B_n over an array of energies too: the energy enters only the
+constant term of B_n, through the accessory parameter q(E).  Every
+section, continuant, recursion and continued fraction reads its rows
+from there.  This one recurrence serves every regime: one two-sided
+recursion (coefficients) gives the coefficients of a terminating
+series and the minimal solution of an infinite one, both joined where
+the residual is smallest and both held to one bound on that residual,
+FINITE_TOL; and the continuant's zeros are the levels of a finite
+section.
 
 A SeriesSolution is a family's coefficients at one energy and nothing
 more: its prefactor sn^p cn^q dn^r (family_prefactor) and whether it
 terminates (truncation_order) depend on the spec and the family only.
-So the levels of a family share all but their energies: coefficients
-takes an array of energies, and evaluate_grid a sequence of solutions,
-and each does its shared work once.
+So the levels of a family share all but their energies: recurrence
+maps an array of energies in one Heun-map call, coefficients takes an
+array of energies, and evaluate_grid a sequence of solutions, and each
+does its shared work once per family, never once per level.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ class Recurrence:
     (N + 1,) followed by the shape of the energies.  beta_slope is the
     constant d(beta_n)/dE: the diagonal of the characteristic matrix is
     affine in E with this slope.  params are the transformed Heun
-    parameters of the first energy; beta takes q from const alone.
+    parameters, their q of the energies' shape; beta takes q from const.
     """
 
     spec: PotentialSpec
@@ -153,19 +153,17 @@ class Recurrence:
 def recurrence(spec: PotentialSpec, fam: ExpansionFamily, E) -> Recurrence:
     """Three-term recurrence of one family at a scalar or array energy E.
 
-    Each energy gets its own transformed_params call, so the constant
-    term of beta_n is the accessory parameter q(E) exactly as the Heun
-    parameter map computes it.  Shifting the E = 0 term by beta_slope * E
-    instead rounds differently: it moves eigenfunction samples (by up to
-    5e-13 of max|psi| on the benchmark's operations), and it makes four
-    partner-equivalence checks that fail at l = 12 and l = 100 read
-    exactly 0, because partner families' rows at E = 0 agree to the bit.
+    One transformed_params call maps the whole of E, elementwise, so the
+    constant term of beta_n is at each energy the accessory parameter
+    q(E) exactly as the Heun parameter map computes it.  Shifting the
+    E = 0 term by beta_slope * E instead rounds differently: it moves
+    eigenfunction samples (by up to 5e-13 of max|psi| on the benchmark's
+    operations), and it makes four partner-equivalence checks that fail
+    at l = 12 and l = 100 read exactly 0, because partner families' rows
+    at E = 0 agree to the bit.
     """
-    E = np.asarray(E, dtype=float)
-    params = [transformed_params(spec, fam, e)[0] for e in E.ravel().tolist()]
-    q = np.array([p.q for p in params]).reshape(E.shape)
-    p = params[0]
-    a, al, be, ga, de = p.a, p.alpha, p.beta, p.gamma, p.delta
+    p = transformed_params(spec, fam, E)[0]
+    a, q, al, be, ga, de = p.a, p.q, p.alpha, p.beta, p.gamma, p.delta
     hyper = fam.group is not FamilyGroup.POWER
     if hyper:
         lin = a * (2.0 * al + 1.0 - ga - de) + al + be - de
@@ -228,12 +226,11 @@ def finite_order(spec: PotentialSpec, fam: ExpansionFamily) -> int:
 def coefficients(spec: PotentialSpec, fam: ExpansionFamily, E,
                  n_max: int = DEFAULT_N_MAX, finite: Optional[bool] = None,
                  tol: Optional[float] = None) -> tuple:
-    """Coefficients b_0..b_last (b_0 = 1) of a family's series at an energy
-    E, or at each of an array of energies, by two-sided recursion (Oliver,
-    Numer. Math. 11, 1968), and the join row's energy backward error
-    |alpha_m b_{m+1} + beta_m b_m + gamma_m b_{m-1}| / (|beta_slope| |b_m|
-    max(1, |E|)): a vector and a float for a float E, else one row of
-    coefficients and one residual per energy.
+    """Coefficients b_0..b_last (b_0 = 1) of a family's series at each of
+    an array of energies E, one row per energy, by two-sided recursion
+    (Oliver, Numer. Math. 11, 1968), and one join residual per energy:
+    the join row's energy backward error |alpha_m b_{m+1} + beta_m b_m +
+    gamma_m b_{m-1}| / (|beta_slope| |b_m| max(1, |E|)).
 
     last is the truncation order N of a terminating family, else n_max.
     The backward pass runs down from b_{top+1} = 0, b_top = 1 (top = N,
@@ -265,8 +262,8 @@ def coefficients(spec: PotentialSpec, fam: ExpansionFamily, E,
         # downward recursion, is below 1e-12 at n_max.
         last = n_max
         top = n_max + int(math.ceil(12.5 / -math.log10(spec.k.k2))) + 10
-    energies = np.atleast_1d(np.asarray(E, dtype=float))
-    if not energies.size:
+    energies = np.asarray(E, dtype=float)
+    if not len(energies):
         return np.empty((0, last + 1)), np.empty(0)
     tri = recurrence(spec, fam, energies)
     alpha, beta, gamma = tri.rows(top)
@@ -306,8 +303,6 @@ def coefficients(spec: PotentialSpec, fam: ExpansionFamily, E,
                 raise ConsistencyError(
                     f"join residual {residuals[-1]:.3e} at E = {e}; "
                     "not an eigenvalue of this family")
-    if np.ndim(E) == 0:
-        return b[0], residuals[0]
     return b, np.array(residuals)
 
 
@@ -347,17 +342,17 @@ def _passes(al: list, be: list, ga: list, top: int, last: int):
 
 def solve_coeffs_finite(spec: PotentialSpec, fam: ExpansionFamily,
                         E) -> np.ndarray:
-    """Coefficients b_0..b_N of a terminating series at an eigenvalue E,
-    or one row per eigenvalue of an array; a join residual
-    (coefficients()) above FINITE_TOL raises ConsistencyError."""
+    """Coefficients b_0..b_N of a terminating series, one row per
+    eigenvalue of an array E; a join residual (coefficients()) above
+    FINITE_TOL raises ConsistencyError."""
     return coefficients(spec, fam, E, finite=True, tol=FINITE_TOL)[0]
 
 
 def solve_coeffs_infinite(spec: PotentialSpec, fam: ExpansionFamily, E,
-                          n_max: int = DEFAULT_N_MAX) -> np.ndarray:
-    """Coefficients b_0..b_{n_max} of an infinite series at an eigenvalue
-    E, or one row per eigenvalue of an array, under the same bound: a
-    join residual above FINITE_TOL raises ConsistencyError."""
+                          n_max: int) -> np.ndarray:
+    """Coefficients b_0..b_{n_max} of an infinite series, one row per
+    eigenvalue of an array E, under the same bound: a join residual
+    above FINITE_TOL raises ConsistencyError."""
     return coefficients(spec, fam, E, n_max, finite=False, tol=FINITE_TOL)[0]
 
 
@@ -376,63 +371,60 @@ class SeriesSolution:
 
 
 def evaluate_grid(sols, us) -> np.ndarray:
-    """Values of a series solution on a grid of positions, or of each of a
-    sequence of solutions of one (spec, family), one row per solution.
+    """Values of a sequence of series solutions of one (spec, family) on a
+    grid of positions, one row per solution.
 
     sn, cn and dn (one jacobi call) and the prefactor (one call) are
-    evaluated over the whole grid once for all solutions, and a power
-    series (_power_sum) per solution.  The kernel sums
-    sum_n b_n z^n 2F1-tilde(n + A0, B; n + C0; z), at every z up to and
-    including 1, are one _tilde_f_sum over the stacked coefficients:
-    below a kernel row's cut each solution's terms fold into one power
-    series in z, whose coefficient runs stop where a term at the largest
-    z below the cut falls under 1e-16 of the run's sum there, and above
+    evaluated over the whole grid once for all solutions, and their
+    coefficients are stacked once.  One truncation_order call decides
+    whether a power family terminates: then its series are polynomials,
+    summed in one polyval call, else one _power_sum per solution.  The
+    kernel sums sum_n b_n z^n 2F1-tilde(n + A0, B; n + C0; z), at every
+    z up to and including 1, are one _tilde_f_sum over the stack: below
+    a kernel row's cut each solution's terms fold into one power series
+    in z, whose coefficient runs stop where a term at the largest z
+    below the cut falls under 1e-16 of the run's sum there, and above
     the cut each row takes the 1 - z connection, formed once for every
     solution that has the row.  A row of values is, bit for bit, the
-    values of its solution alone.  A value that is not finite raises
-    DomainError, for the first such solution.
+    values of its solution in a one-element sequence.  A value that is
+    not finite raises DomainError, for the first such solution.
     """
-    group = [sols] if isinstance(sols, SeriesSolution) else list(sols)
-    us = np.asarray(us, dtype=float)
-    spec = group[0].spec
-    fam = group[0].family
-    sn, cn, dn = jacobi(us, spec.k.k2)
+    spec, fam = sols[0].spec, sols[0].family
+    sn, cn, dn = jacobi(np.asarray(us, dtype=float), spec.k.k2)
+    b = np.array([sol.coeffs for sol in sols])
     with np.errstate(over="ignore", invalid="ignore"):
-        if fam.group is FamilyGroup.POWER:
-            x = sn * sn
-            total = np.array([_power_sum(sol, x) for sol in group])
-        else:
+        if fam.group is not FamilyGroup.POWER:
             z = sn * sn if fam.group is FamilyGroup.HYPER_BAR else cn * cn
-            b = np.zeros((len(group), max(sol.coeffs.size for sol in group)))
-            for row, sol in zip(b, group):
-                row[:sol.coeffs.size] = sol.coeffs
             total = _tilde_f_sum(b, *hyper_eval_args(spec, fam), z)
+        else:
+            x = sn * sn
+            if truncation_order(spec, fam) is None:
+                total = np.array([_power_sum(sol, x) for sol in sols])
+            else:
+                total = np.polynomial.polynomial.polyval(x, b.T)
         vals = family_prefactor(spec, fam).at(sn, cn, dn) * total
-    for sol, row in zip(group, vals):
+    for sol, row in zip(sols, vals):
         bad = np.count_nonzero(~np.isfinite(row))
         if bad:
             raise DomainError(
                 f"eigenfunction of family {fam.selector} at E = {sol.E} is "
                 f"not finite in float64 at {bad} of {row.size} point(s)")
-    return vals[0] if isinstance(sols, SeriesSolution) else vals
+    return vals
 
 
 def _power_sum(sol: SeriesSolution, x):
-    """Power series sum_n b_n x^n at a point or an array of points x.
+    """Power series sum_n b_n x^n of an infinite series at a point or an
+    array of points x.
 
-    The series of a terminating family is a polynomial.  An infinite one
-    is summed over its coefficients, all points at once, and each
+    It is summed over the coefficients, all points at once, and each
     point's truncation is checked with a geometric tail estimate:
     successive terms shrink like k2 * x.  The first failing point raises
     ConvergenceError.
     """
-    coeffs = sol.coeffs
-    if truncation_order(sol.spec, sol.family) is not None:
-        return np.polynomial.polynomial.polyval(x, coeffs)
     x = np.asarray(x, dtype=float)
     total = np.zeros_like(x)
     xp = np.ones_like(x)
-    for bn in coeffs:
+    for bn in sol.coeffs:
         t = bn * xp
         total += t
         xp *= x

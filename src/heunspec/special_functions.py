@@ -502,9 +502,9 @@ def _folded_sum(lead, n, A, B, C, z: np.ndarray) -> np.ndarray:
 
 def _tilde_f_sum(b, A0: float, B: float, C0: float,
                  z: np.ndarray) -> np.ndarray:
-    """sum_n b[n] z^n 2F1-tilde(n + A0, B; n + C0; z) on z in [0, 1], for
-    a coefficient vector b or each row of a stack of them (the sums then
-    have the stack's leading shape, followed by z's).
+    """sum_n b[v, n] z^n 2F1-tilde(n + A0, B; n + C0; z) on z in [0, 1],
+    for each coefficient vector b[v] of a 2-D stack b: one row of sums
+    per vector.
 
     The rows n where some vector has b[n] != 0 are the rows of
     _tilde_f_rows, with their gamma(C), p and q computed once each for
@@ -522,18 +522,16 @@ def _tilde_f_sum(b, A0: float, B: float, C0: float,
     SERIES_MAX_TERMS terms raises ConvergenceError, an integer C - A - B
     PoleError.
     """
-    b = np.asarray(b, dtype=float)
-    stack = b.reshape(-1, b.shape[-1])
-    n = np.flatnonzero(stack.any(axis=0))
-    own = stack[:, n] != 0.0  # the rows of each vector
+    n = np.flatnonzero(b.any(axis=0))
+    own = b[:, n] != 0.0  # the rows of each vector
     A, C = n + A0, n + C0
     Bs = np.full(n.shape, float(B))
     s, g, p, q = _kernel_factors(A, Bs, C)
-    total = np.zeros((len(stack),) + z.shape)
+    total = np.zeros((len(b),) + z.shape)
     kernels = np.zeros((n.size, z.size))
     for piece, cut in _row_classes(p, q):
         near = z > cut
-        for sums, coeffs, rows in zip(total, stack, own & piece):
+        for sums, coeffs, rows in zip(total, b, own & piece):
             if rows.any() and not near.all():
                 sums[~near] += _folded_sum(coeffs[n[rows]] / g[rows], n[rows],
                                            A[rows], Bs[rows], C[rows],
@@ -543,9 +541,9 @@ def _tilde_f_sum(b, A0: float, B: float, C0: float,
             1.0 - z[near])
     zp = np.ones_like(z)
     kernel_rows = iter(zip(kernels, own.T))
-    for bn in stack.T:
+    for bn in b.T:
         if bn.any():
             kernel, uses = next(kernel_rows)
             total[uses] += bn[uses, None] * zp * kernel
         zp *= z
-    return total.reshape(b.shape[:-1] + z.shape)
+    return total

@@ -286,7 +286,7 @@ def infinite_energy(spec: PotentialSpec, fam: ExpansionFamily,
     default window if None); NoRootError if it holds none."""
     if truncation_order(spec, fam) is not None:
         raise ArgumentError(f"family {fam.selector} terminates at l = "
-                            f"{spec.l}; use finite_spectrum")
+                            f"{spec.l}; use family_levels")
     levels = family_levels(spec, fam, None if bracket else 1,
                            bracket).solutions
     if not levels:

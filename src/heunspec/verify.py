@@ -69,35 +69,31 @@ def residual_grid(spec: PotentialSpec, n_grid: int,
 def ode_residual(sols):
     """Largest five-point-stencil residual of psi'' + (E - V) psi on the
     residual grid of DEFAULT_GRID points, relative to
-    max|psi| (1 + |E| + max|V|): a float for one solution, else one per
-    solution of a sequence of one (spec, family), from one evaluate_grid
-    call and one potential_value call.
+    max|psi| (1 + |E| + max|V|): one per solution of a sequence of one
+    (spec, family), from one evaluate_grid call and one potential_value
+    call.
 
     The stencil step is span/(8*DEFAULT_GRID), well below the grid
     spacing, so the discretization error sits near 1e-10 relative while
     an energy detuning of 1e-2 lifts the measure above 1e-4.
     """
-    group = [sols] if isinstance(sols, SeriesSolution) else list(sols)
-    spec = group[0].spec
+    spec = sols[0].spec
     us = residual_grid(spec, n_grid=DEFAULT_GRID, margin=DEFAULT_MARGIN)
     h = (us[-1] - us[0]) / (8.0 * DEFAULT_GRID)
     offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * h
     pts = (us[:, None] + offsets[None, :]).ravel()
-    vals = evaluate_grid(group, pts).reshape(len(group), len(us), 5)
+    vals = evaluate_grid(sols, pts).reshape(len(sols), len(us), 5)
     d2 = (-vals[..., 0] + 16.0 * vals[..., 1] - 30.0 * vals[..., 2]
           + 16.0 * vals[..., 3] - vals[..., 4]) / (12.0 * h * h)
     V = potential_value(spec, us)
     psi = vals[..., 2]
-    energies = np.array([sol.E for sol in group])
+    energies = np.array([sol.E for sol in sols])
     r = d2 + (energies[:, None] - V) * psi
     top_V = float(np.max(np.abs(V)))
-    out = []
-    for E, peak, worst in zip(energies.tolist(),
-                              np.max(np.abs(psi), axis=1).tolist(),
-                              np.max(np.abs(r), axis=1).tolist()):
-        out.append(0.0 if peak == 0.0
-                   else worst / (peak * (1.0 + abs(E) + top_V)))
-    return out[0] if isinstance(sols, SeriesSolution) else out
+    return [0.0 if peak == 0.0 else worst / (peak * (1.0 + abs(E) + top_V))
+            for E, peak, worst in zip(energies.tolist(),
+                                      np.max(np.abs(psi), axis=1).tolist(),
+                                      np.max(np.abs(r), axis=1).tolist())]
 
 
 def _check(name: str, kind: str, value: Optional[float], tolerance: float,
@@ -148,7 +144,7 @@ def verify_checks(spec: PotentialSpec,
         # reaches the residual check
         return [check for fam in families for check in _residual_checks(
             fam, [SeriesSolution(spec, fam, energy,
-                                 coefficients(spec, fam, energy)[0])])]
+                                 coefficients(spec, fam, [energy])[0][0])])]
     checks, spectra = [], {}
     with _one_oracle_store(families):
         for fam in families:
@@ -268,7 +264,7 @@ def _infinite_record(spec: PotentialSpec) -> list[dict]:
                           "default window")
     sol5 = levels[0]
     sol1 = SeriesSolution(spec, fam1, sol5.E, solve_coeffs_infinite(
-        spec, fam1, sol5.E, n_max=len(sol5.coeffs) - 1))
+        spec, fam1, [sol5.E], n_max=len(sol5.coeffs) - 1)[0])
     return [_check(f"{spec.kind.value} ring1 vs ring5 infinite "
                    f"(l={spec.l:g}, E={sol5.E:.12g})", "equivalence",
                    _eigenfunction_dev(spec, [(sol5, sol1)]), EQUIV_TOL)]

@@ -28,9 +28,10 @@ def series_solution(spec: PotentialSpec, fam, E: float,
     """The checked series solution of a family at an eigenvalue E: the
     terminating series, or the infinite one to b_{n_max}."""
     if truncation_order(spec, fam) is not None:
-        return SeriesSolution(spec, fam, E, solve_coeffs_finite(spec, fam, E))
+        return SeriesSolution(spec, fam, E,
+                              solve_coeffs_finite(spec, fam, [E])[0])
     return SeriesSolution(spec, fam, E,
-                          solve_coeffs_infinite(spec, fam, E, n_max=n_max))
+                          solve_coeffs_infinite(spec, fam, [E], n_max=n_max)[0])
 
 
 def evaluate(sol, u: float) -> float:
@@ -41,6 +42,8 @@ def evaluate(sol, u: float) -> float:
     sn, cn, dn = jacobi(u, k2)
     pre = family_prefactor(sol.spec, fam).at(sn, cn, dn)
     if fam.group is FamilyGroup.POWER:
+        if truncation_order(sol.spec, fam) is not None:
+            return pre * np.polynomial.polynomial.polyval(sn * sn, sol.coeffs)
         return pre * _power_sum(sol, sn * sn)
     z = sn * sn if fam.group is FamilyGroup.HYPER_BAR else cn * cn
     A0, B, C0 = hyper_eval_args(sol.spec, fam)

@@ -146,7 +146,7 @@ def test_criterion_2_ode_residuals():
     assert len(inventory) == 86
     worst = 0.0
     for spec, f, sol, _ in inventory:
-        worst = max(worst, ode_residual(sol))
+        worst = max(worst, ode_residual([sol])[0])
     ok = worst < TOL_RESIDUAL
     report(2, ok, f"max relative residual {worst:.3e} over "
                   f"{len(inventory)} finite eigenfunctions")
@@ -214,8 +214,8 @@ def test_criterion_4_reflection_symmetry():
                                            zip(ra.energies, rb.energies)))
                 us = residual_grid(spec_a, n_grid=32, margin=0.05)
                 for sa, sb in zip(ra.solutions, rb.solutions):
-                    fa = normalized(evaluate_grid(sa, us))
-                    fb = normalized(evaluate_grid(sb, us))
+                    fa = normalized(evaluate_grid([sa], us)[0])
+                    fb = normalized(evaluate_grid([sb], us)[0])
                     worst_f = max(worst_f, float(np.max(np.abs(fa - fb))))
                 pairs += 1
     ok = worst_e < TOL_SPECTRA and worst_f < TOL_EIGFN
@@ -286,8 +286,8 @@ def test_criterion_6_infinite_family_equivalence():
         E = infinite_energy(spec, fam5, bracket=(E_ref - 0.5, E_ref + 0.5))
         assert abs(E - E_ref) < 1e-6
         us = residual_grid(spec, n_grid=32, margin=0.05)
-        f5 = normalized(evaluate_grid(series_solution(spec, fam5, E), us))
-        f1 = normalized(evaluate_grid(series_solution(spec, fam1, E), us))
+        f5 = normalized(evaluate_grid([series_solution(spec, fam5, E)], us)[0])
+        f1 = normalized(evaluate_grid([series_solution(spec, fam1, E)], us)[0])
         worst = max(worst, float(np.max(np.abs(f5 - f1))))
         lo, hi = E_ref - 0.3, E_ref + 0.3
         roots = []
@@ -350,14 +350,14 @@ def test_criterion_8_degeneracy_structure():
         assert sa.coeffs.shape == sb.coeffs.shape
         coeff_gap = min(coeff_gap,
                         float(np.max(np.abs(sa.coeffs - sb.coeffs))))
-        fa = normalized(evaluate_grid(sa, us))
-        fb = normalized(evaluate_grid(sb, us))
+        fa = normalized(evaluate_grid([sa], us)[0])
+        fb = normalized(evaluate_grid([sb], us)[0])
         same = max(same, float(np.max(np.abs(fa - fb))))
     spec_one = mk("v1", -1.5, K2_MAIN)
     ga = finite_spectrum(spec_one, fam("bold5")).solutions[0]
     gb = finite_spectrum(spec_one, fam("bold6")).solutions[0]
-    prop = float(np.max(np.abs(normalized(evaluate_grid(ga, us))
-                               - normalized(evaluate_grid(gb, us)))))
+    prop = float(np.max(np.abs(normalized(evaluate_grid([ga], us)[0])
+                               - normalized(evaluate_grid([gb], us)[0]))))
     ok = (de < TOL_PAIR and prop < TOL_PROP and coeff_gap > DISTINCT_MIN
           and same < TOL_PROP)
     report(8, ok, f"shared E pair deviates {de:.3e}; l=-3/2 pair "

@@ -60,7 +60,7 @@ def test_finite_series_properties(case):
                              np.stack([levels - width, levels + width]))
     assert np.all(det[0] * det[1] < 0.0)
     for E in res.energies:
-        b, residual = coefficients(spec, fam, E)
+        [b], [residual] = coefficients(spec, fam, [E])
         assert residual < FINITE_TOL
         # every row but the join row, which the residual above measures
         assert np.sort(relative_rows(spec, fam, E, b))[:-1].max(

@@ -191,7 +191,7 @@ def test_truncation_negative_l_first_families():
 
 def test_finite_coefficients_at_eigenvalue():
     spec = vspec(2.0)
-    b = solve_coeffs_finite(spec, fam("ring5"), RING5_V1_L2_E[0])
+    [b] = solve_coeffs_finite(spec, fam("ring5"), [RING5_V1_L2_E[0]])
     assert b.shape == (2,)
     assert b[0] == 1.0
     alpha, beta, _ = recurrence(spec, fam("ring5"), RING5_V1_L2_E[0]).rows(0)
@@ -200,7 +200,7 @@ def test_finite_coefficients_at_eigenvalue():
 
 def test_finite_coefficients_reject_detuned_energy():
     with pytest.raises(ConsistencyError):
-        solve_coeffs_finite(vspec(2.0), fam("ring5"), RING5_V1_L2_E[0] + 0.01)
+        solve_coeffs_finite(vspec(2.0), fam("ring5"), [RING5_V1_L2_E[0] + 0.01])
 
 
 @pytest.mark.parametrize("kind,sel,l,levels", [
@@ -213,27 +213,44 @@ def test_finite_coefficients_reject_detuned_energy():
 ])
 def test_coefficients_of_an_array_match_one_call_per_energy(
         monkeypatch, kind, sel, l, levels):
-    # one recurrence serves every energy, and each row of coefficients
-    # and each join residual is, bit for bit, the one of its energy alone
+    # one recurrence, from one Heun-map call, serves every energy, and
+    # each row of coefficients and each join residual is, bit for bit,
+    # the one of its energy in a one-element batch
     spec = make_spec(kind, l, 0.5)
     sols = family_levels(spec, fam(sel), 4).solutions[levels]
     E = np.array([sol.E for sol in sols])
     n_max = len(sols[0].coeffs) - 1
-    shifted = []
+    shifted, mapped, per_recurrence = [], [], []
 
     def passes(*args):
         back, fwd, shift = _passes(*args)
         shifted.append(max(shift) > 0)
         return back, fwd, shift
 
+    def counting_map(*args):
+        mapped.append(args)
+        return transformed_params(*args)
+
+    def counting_recurrence(*args):
+        before = len(mapped)
+        tri = recurrence(*args)
+        per_recurrence.append(len(mapped) - before)
+        return tri
+
     monkeypatch.setattr("heunspec.series_engine._passes", passes)
+    monkeypatch.setattr("heunspec.series_engine.transformed_params",
+                        counting_map)
+    monkeypatch.setattr("heunspec.series_engine.recurrence",
+                        counting_recurrence)
     b, residuals = coefficients(spec, fam(sel), E, n_max)
     assert b.shape == (E.size, n_max + 1) and residuals.shape == E.shape
     assert any(shifted) == (l == 800.0)
+    assert per_recurrence == [1]
     for sol, row, residual in zip(sols, b, residuals):
-        alone, res_alone = coefficients(spec, fam(sel), sol.E, n_max)
+        [alone], [res_alone] = coefficients(spec, fam(sel), [sol.E], n_max)
         assert np.array_equal(row, alone) and np.array_equal(row, sol.coeffs)
         assert residual == res_alone
+    assert per_recurrence == [1] * (1 + len(sols))
 
 
 def test_first_failing_energy_raises():
@@ -245,7 +262,7 @@ def test_first_failing_energy_raises():
     alone = []
     for e in E[2:]:
         with pytest.raises(ConsistencyError) as err:
-            solve_coeffs_finite(spec, fam("ring5"), e)
+            solve_coeffs_finite(spec, fam("ring5"), [e])
         alone.append(str(err.value))
     with pytest.raises(ConsistencyError) as err:
         solve_coeffs_finite(spec, fam("ring5"), E)
@@ -258,23 +275,34 @@ def test_first_failing_energy_raises():
 ])
 def test_evaluate_grid_of_a_family_matches_one_call_per_level(
         monkeypatch, kind, sel, l):
-    # one jacobi call serves every level, and each row is, bit for bit,
-    # the values of its level alone; z spans both kernel cuts
+    # one jacobi call serves every level, and for a power family one
+    # truncation_order call decides whether it terminates; each row is,
+    # bit for bit, the values of its level in a one-element batch; z
+    # spans both kernel cuts
     spec = make_spec(kind, l, 0.5)
     sols = family_levels(spec, fam(sel), 4).solutions
     K = complete_K(0.5)
     us = np.linspace(0.001 * K, 0.999 * K, 64)
-    calls = []
+    calls, orders = [], []
 
     def counting(u, k2):
         calls.append(u)
         return jacobi(u, k2)
 
+    def counting_order(*args):
+        orders.append(args)
+        return truncation_order(*args)
+
     monkeypatch.setattr("heunspec.series_engine.jacobi", counting)
+    monkeypatch.setattr("heunspec.series_engine.truncation_order",
+                        counting_order)
     vals = evaluate_grid(sols, us)
     assert len(calls) == 1 and vals.shape == (len(sols), us.size)
+    power = fam(sel).group is FamilyGroup.POWER
+    assert len(orders) == power
     for sol, row in zip(sols, vals):
-        assert np.array_equal(row, evaluate_grid(sol, us))
+        assert np.array_equal(row, evaluate_grid([sol], us)[0])
+    assert len(orders) == power * (1 + len(sols))
 
 
 @pytest.mark.parametrize("kind,sel,l,k2", [
@@ -291,7 +319,7 @@ def test_two_sided_coefficients_at_large_l(kind, sel, l, k2):
     res = finite_spectrum(spec, fam(sel))
     assert res.energies
     for sol in res.solutions:
-        b, residual = coefficients(spec, fam(sel), sol.E)
+        [b], [residual] = coefficients(spec, fam(sel), [sol.E])
         assert np.array_equal(b, sol.coeffs)
         assert residual <= FINITE_TOL
         assert np.max(relative_rows(spec, fam(sel), sol.E, b)) <= 1e-12
@@ -306,7 +334,7 @@ def test_two_sided_coefficients_at_large_l(kind, sel, l, k2):
 
 def test_backward_recursion_reference_coefficients():
     spec = vspec(-3.0)
-    b = solve_coeffs_infinite(spec, fam("ring5"), CF_L3_E0, n_max=60)
+    [b] = solve_coeffs_infinite(spec, fam("ring5"), [CF_L3_E0], n_max=60)
     assert b[0] == 1.0
     for n, ref in CF_L3_COEFFS.items():
         assert b[n] == pytest.approx(ref, rel=1e-11)
@@ -314,14 +342,14 @@ def test_backward_recursion_reference_coefficients():
 
 def test_backward_recursion_depth_stability():
     spec = vspec(-3.0)
-    b60 = solve_coeffs_infinite(spec, fam("ring5"), CF_L3_E0, n_max=60)
-    b120 = solve_coeffs_infinite(spec, fam("ring5"), CF_L3_E0, n_max=120)
+    [b60] = solve_coeffs_infinite(spec, fam("ring5"), [CF_L3_E0], n_max=60)
+    [b120] = solve_coeffs_infinite(spec, fam("ring5"), [CF_L3_E0], n_max=120)
     assert b60[50] == pytest.approx(b120[50], rel=1e-12)
 
 
 def test_backward_recursion_tail_ratio():
     spec = vspec(-3.0)
-    b = solve_coeffs_infinite(spec, fam("ring5"), CF_L3_E0, n_max=200)
+    [b] = solve_coeffs_infinite(spec, fam("ring5"), [CF_L3_E0], n_max=200)
     ratio = b[200] / b[199]
     eps = transformed_params(spec, fam("ring5"), 0.0)[0].epsilon
     # first-order large-n model of the recessive growth ratio
@@ -331,7 +359,7 @@ def test_backward_recursion_tail_ratio():
 
 def test_backward_recursion_rejects_terminating_family():
     with pytest.raises(ArgumentError):
-        solve_coeffs_infinite(vspec(2.0), fam("ring5"), -9.3)
+        solve_coeffs_infinite(vspec(2.0), fam("ring5"), [-9.3], n_max=500)
 
 
 def test_backward_recursion_detects_dominant_tail():
@@ -341,11 +369,11 @@ def test_backward_recursion_detects_dominant_tail():
     # solver must refuse however few coefficients it keeps
     spec = PotentialSpec.from_k2(PotentialKind.V1, -3.0, 0.9)
     for n_max in (3, 500):
-        _, residual = coefficients(spec, fam("ring5"), 2.4284370373563840,
-                                   n_max)
+        _, [residual] = coefficients(spec, fam("ring5"),
+                                     [2.4284370373563840], n_max)
         assert residual == pytest.approx(1.11, abs=0.01)
         with pytest.raises(ConsistencyError, match="join residual"):
-            solve_coeffs_infinite(spec, fam("ring5"), 2.4284370373563840,
+            solve_coeffs_infinite(spec, fam("ring5"), [2.4284370373563840],
                                   n_max=n_max)
 
 
@@ -353,9 +381,10 @@ def test_nan_energy_fails_the_join_bound():
     # every row is NaN: the join residual counts as infinite, for both
     # kinds of series, instead of slipping past the bound as NaN
     with pytest.raises(ConsistencyError, match="join residual inf"):
-        solve_coeffs_finite(vspec(2.0), fam("ring5"), math.nan)
+        solve_coeffs_finite(vspec(2.0), fam("ring5"), [math.nan])
     with pytest.raises(ConsistencyError, match="join residual inf"):
-        solve_coeffs_infinite(vspec(-3.0), fam("ring5"), math.nan)
+        solve_coeffs_infinite(vspec(-3.0), fam("ring5"), [math.nan],
+                              n_max=500)
 
 
 def test_one_term_even_solution_is_elementary():
@@ -410,7 +439,7 @@ def test_grid_evaluation_matches_scalar(rng):
         us = rng.uniform(0.05 * K, 0.95 * K, size=24)
         if spec.kind is PotentialKind.V2:
             us = us + 0.2 * K
-        grid_vals = evaluate_grid(sol, us)
+        [grid_vals] = evaluate_grid([sol], us)
         for u, gv in zip(us, grid_vals):
             assert gv == pytest.approx(evaluate(sol, float(u)), rel=1e-13)
 
@@ -420,7 +449,7 @@ def test_infinite_grid_evaluation_matches_scalar(rng):
     sol = series_solution(spec, fam("ring5"), CF_L3_E0)
     K = complete_K(0.5)
     us = rng.uniform(0.1 * K, 0.9 * K, size=12)
-    grid_vals = evaluate_grid(sol, us)
+    [grid_vals] = evaluate_grid([sol], us)
     for u, gv in zip(us, grid_vals):
         assert gv == pytest.approx(evaluate(sol, float(u)), rel=1e-12)
 
@@ -486,7 +515,7 @@ def test_grid_evaluation_needs_no_scalar_2f1(monkeypatch):
     # nor does series_engine bind the scalar 2F1 under a name of its own
     assert not hasattr(series_engine, "tilde_F")
     for sol, us, ref in cases:
-        assert evaluate_grid(sol, us) == pytest.approx(ref, rel=1e-13)
+        assert evaluate_grid([sol], us)[0] == pytest.approx(ref, rel=1e-13)
 
 
 # the (potential, family, l) make-up of the hyper_levels benchmark workload
@@ -535,7 +564,7 @@ def test_grid_evaluation_matches_mpmath():
                     pre = family_prefactor(spec, fam(sel))
                     ref = pre.at(sn, cn, dn) * np.array(
                         [float(x) for x in sums])
-                    err = (np.abs(evaluate_grid(sol, us) - ref)
+                    err = (np.abs(evaluate_grid([sol], us)[0] - ref)
                            / np.abs(ref).max())
                     near = z > Z_CONNECT
                     case = (sel, l, k2, i)
@@ -552,10 +581,10 @@ def test_folded_kernel_sum_raises_at_the_term_cap(monkeypatch):
     from heunspec import special_functions
     sol = finite_spectrum(vspec(4.5), fam("bold5")).solutions[0]
     us = np.linspace(0.0, 0.95, 64) * complete_K(0.5)
-    assert np.isfinite(evaluate_grid(sol, us)).all()
+    assert np.isfinite(evaluate_grid([sol], us)).all()
     monkeypatch.setattr(special_functions, "SERIES_MAX_TERMS", 200)
     with pytest.raises(ConvergenceError, match="within 200 terms"):
-        evaluate_grid(sol, us)
+        evaluate_grid([sol], us)
 
 
 def test_connection_rows_need_at_most_60_terms(monkeypatch):
@@ -582,10 +611,10 @@ def test_connection_rows_need_at_most_60_terms(monkeypatch):
             for sel in sels:
                 sols = finite_spectrum(spec, fam(sel)).solutions
                 for sol in (sols[0], sols[len(sols) // 2], sols[-1]):
-                    ref = evaluate_grid(sol, us)
+                    ref = evaluate_grid([sol], us)
                     with monkeypatch.context() as m:
                         m.setattr(special_functions, "_series_rows", capped)
-                        got = evaluate_grid(sol, us)
+                        got = evaluate_grid([sol], us)
                     assert np.array_equal(got, ref), (kind, sel, l, k2, sol.E)
     assert calls
 
@@ -607,7 +636,7 @@ def test_grid_evaluation_makes_one_jacobi_call(monkeypatch):
     monkeypatch.setattr(series_engine, "jacobi", counting)
     for sol in sols:
         calls.clear()
-        evaluate_grid(sol, us)
+        evaluate_grid([sol], us)
         assert calls == [us.shape], sol.family.selector
 
 
@@ -655,7 +684,7 @@ def test_integer_l_hyper_duplicates_power_level():
     assert sb.energies[0] == pytest.approx(sp.energies[0], rel=1e-12)
     K = complete_K(0.5)
     us = np.linspace(0.1 * K, 0.9 * K, 17)
-    vb = evaluate_grid(sb.solutions[0], us)
-    vp = evaluate_grid(sp.solutions[0], us)
+    [vb] = evaluate_grid(sb.solutions, us)
+    [vp] = evaluate_grid(sp.solutions, us)
     ratio = vb[8] / vp[8]
     assert np.max(np.abs(vb - ratio * vp)) < 1e-12 * np.max(np.abs(vb))

@@ -437,7 +437,7 @@ def test_folded_kernel_sum_matches_row_sums(rng):
                                 for j in range(z.size)])
         for b in bs:
             terms = b[:, None] * z ** ns[:, None] * rows
-            got = _tilde_f_sum(b, A0, B, C0, z)
+            [got] = _tilde_f_sum(b[None], A0, B, C0, z)
             bound = FOLD_TOL * eps * np.abs(terms).sum(axis=0)
             assert (np.abs(got - terms.sum(axis=0)) <= bound).all(), (A0, b)
 
@@ -447,7 +447,7 @@ def test_folded_kernel_sum_of_a_stack_matches_one_call_per_vector(
     # rows n <= 3 are polynomials and the rest two-piece (A0 = -3), and
     # the vectors have zeros on different rows: one _kernel_factors call
     # serves the union of their rows, and each vector's sum is, bit for
-    # bit, its sum alone
+    # bit, its sum in a one-vector stack
     z = np.array(SINGLE_PIECE_Z)
     stack = rng.standard_normal((4, 8))
     stack[0, 5] = stack[1, :2] = stack[2, 4:] = stack[3, ::2] = 0.0
@@ -461,7 +461,8 @@ def test_folded_kernel_sum_of_a_stack_matches_one_call_per_vector(
     sums = _tilde_f_sum(stack, -3.0, 1.25, 2.5, z)
     assert len(calls) == 1 and sums.shape == (4, z.size)
     for b, row in zip(stack, sums):
-        assert np.array_equal(row, _tilde_f_sum(b, -3.0, 1.25, 2.5, z))
+        assert np.array_equal(row, _tilde_f_sum(b[None], -3.0, 1.25, 2.5,
+                                                z)[0])
 
 
 def test_single_piece_rows_need_few_terms(monkeypatch):

@@ -341,11 +341,11 @@ def test_continued_fraction_rejects_pole():
 def test_minimal_solution_row_test_rejects_detuned_level():
     # the two-sided recursion closes its join row at the level and not
     # at the level detuned by 1e-6 relative
-    solve_coeffs_infinite(vspec(-3.0), fam("ring5"), CF_L3_E0, n_max=200)
+    solve_coeffs_infinite(vspec(-3.0), fam("ring5"), [CF_L3_E0], n_max=200)
     for sign in (1.0, -1.0):
         with pytest.raises(ConsistencyError, match="join residual"):
             solve_coeffs_infinite(vspec(-3.0), fam("ring5"),
-                                  CF_L3_E0 * (1.0 + sign * 1e-6), n_max=200)
+                                  [CF_L3_E0 * (1.0 + sign * 1e-6)], n_max=200)
 
 
 def test_continued_fraction_array_matches_scalar_calls():
@@ -393,7 +393,7 @@ def test_infinite_levels_upper_solutions_solve_the_ode():
     sols = family_levels(spec, fam("ring5"), 8).solutions
     assert len(sols) == 8
     assert sols[-1].E == pytest.approx(84.8664, abs=1e-4)
-    assert ode_residual(sols[6]) < RESIDUAL_TOL
+    assert ode_residual(sols[6:7])[0] < RESIDUAL_TOL
     levels = [s.E for s in sols]
     assert shooting_match_table(spec, "even", levels) == pytest.approx(
         levels, abs=1e-8)

@@ -1,16 +1,17 @@
-"""Tooling guards: the benchmark's tracer finds every function it wraps,
-the package imports no scipy root finder or integrator, every function
-defined in the package is used in it or listed with a reason, every
-dataclass field and module constant is read in it, every parameter
-default is overridden by some call in it, every subcommand option is
-read by the command line, and the README's
-library quickstart runs and prints what its comments say."""
+"""Tooling guards: the benchmark's tracer finds every function it wraps
+and measures the parameter it names, the package imports no scipy root
+finder or integrator, every function defined in the package is used in
+it or listed with a reason, every dataclass field and module constant
+is read in it, every parameter default is overridden by some call in
+it, every subcommand option is read by the command line, and the
+README's library quickstart runs and prints what its comments say."""
 
 import argparse
 import ast
 import contextlib
 import importlib
 import importlib.util
+import inspect
 import io
 import math
 from pathlib import Path
@@ -18,16 +19,47 @@ from pathlib import Path
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
-def test_tracer_targets_resolve():
+def _tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_tracer_targets_resolve():
     missing = []
-    for mod_name, fn_name, _, _ in tracer.TARGETS:
+    for mod_name, fn_name, _, _ in _tracer().TARGETS:
         mod = importlib.import_module(f"heunspec.{mod_name}")
         if not callable(getattr(mod, fn_name, None)):
             missing.append(f"heunspec.{mod_name}.{fn_name}")
     assert missing == []
+
+
+def test_tracer_measures_read_one_parameter():
+    # a size measure reads its argument as a[i] when the call passed it by
+    # position, else as kw[name]: parameter i of the wrapped function must
+    # be name, or a signature edit makes --trace 1 measure another value
+    [targets] = [node.value for node in ast.parse(TRACER.read_text()).body
+                 if isinstance(node, ast.AnnAssign)
+                 and node.target.id == "TARGETS"]
+    read = []
+    for entry in targets.elts:
+        mod_name, fn_name = (const.value for const in entry.elts[:2])
+        measure = entry.elts[3]
+        if not isinstance(measure, ast.Lambda):
+            continue
+        subscripts = [node for node in ast.walk(measure.body)
+                      if isinstance(node, ast.Subscript)]
+        [pos] = [node.slice.value for node in subscripts
+                 if node.value.id == measure.args.args[0].arg]
+        [name] = [node.slice.value for node in subscripts
+                  if node.value.id == measure.args.args[1].arg]
+        fn = getattr(importlib.import_module(f"heunspec.{mod_name}"), fn_name)
+        read.append((f"{mod_name}.{fn_name}",
+                     list(inspect.signature(fn).parameters)[pos], name))
+    assert len(read) == sum(measure is not None
+                            for *_, measure in _tracer().TARGETS)
+    assert [(fn, at) for fn, at, name in read if at != name] == []
 
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "heunspec"

@@ -55,36 +55,36 @@ def bold5_ground():
 
 
 def test_residual_small_at_eigenvalue():
-    assert ode_residual(bold5_ground()) < 1e-9
+    assert ode_residual([bold5_ground()])[0] < 1e-9
 
 
 def test_residual_detects_detuned_energy():
     # shifting E while keeping the coefficients leaves the function
     # unchanged, so the residual must grow to the size of the shift
     sol = dataclasses.replace(bold5_ground(), E=-1.375 + 0.01)
-    assert ode_residual(sol) > 1e-4
+    assert ode_residual([sol])[0] > 1e-4
 
 
 def test_residual_shrinks_under_stencil_refinement(monkeypatch):
     sol = bold5_ground()
     monkeypatch.setattr(heunspec.verify, "DEFAULT_GRID", 16)
-    coarse = ode_residual(sol)
+    coarse = ode_residual([sol])[0]
     monkeypatch.setattr(heunspec.verify, "DEFAULT_GRID", 32)
-    fine = ode_residual(sol)
+    fine = ode_residual([sol])[0]
     assert coarse / fine > 3.0
 
 
 def test_residual_of_zero_solution_is_zero():
     sol = bold5_ground()
     zero = dataclasses.replace(sol, coeffs=np.zeros_like(sol.coeffs))
-    assert ode_residual(zero) == 0.0
+    assert ode_residual([zero]) == [0.0]
 
 
 def test_residual_of_a_family_makes_one_grid_evaluation(monkeypatch):
     # every level of a family comes from one evaluate_grid call, and each
-    # residual is, bit for bit, the one of its level alone
+    # residual is, bit for bit, the one of its level in a one-element batch
     sols = finite_spectrum(make_spec("v2", 4.5, 0.5), fam("bar7")).solutions
-    alone = [ode_residual(sol) for sol in sols]
+    alone = [ode_residual([sol])[0] for sol in sols]
     calls = []
     evaluate_grid = heunspec.verify.evaluate_grid
     monkeypatch.setattr(heunspec.verify, "evaluate_grid",
@@ -571,8 +571,8 @@ def partner_coefficient_dev(spec, fam, E, n_terms=40):
     fam_b = ExpansionFamily(
         fam.group, FAMILY_PARTNERS[spec.kind][fam.group][fam.index])
     partner = symmetry_partner(spec)
-    ca, _ = coefficients(spec, fam, E, n_terms)
-    cb, _ = coefficients(partner, fam_b, E, n_terms)
+    [ca], _ = coefficients(spec, fam, [E], n_terms)
+    [cb], _ = coefficients(partner, fam_b, [E], n_terms)
     n = min(len(ca), len(cb))
     scale = np.maximum(np.abs(ca[:n]), 1.0e-300)
     return float(np.max(np.abs(ca[:n] - cb[:n]) / scale))
