@@ -255,8 +255,6 @@ def _parse_k2_values(args) -> list[float]:
         raise ArgumentError(f"malformed k2 values: {exc}") from None
     if n <= 0:
         return []
-    if n == 1:
-        return [lo]
     return list(np.linspace(lo, hi, n))
 
 

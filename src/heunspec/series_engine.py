@@ -41,7 +41,9 @@ terminates (truncation_order) depend on the spec and the family only.
 So the levels of a family share all but their energies: recurrence
 maps an array of energies in one Heun-map call, coefficients takes an
 array of energies, and evaluate_grid a sequence of solutions, and each
-does its shared work once per family, never once per level.
+does its shared work once per family, never once per level.  Every
+power series, finite or infinite, is summed by Horner's rule
+(_power_sum); only an infinite one also takes a tail test.
 """
 
 from __future__ import annotations
@@ -65,7 +67,6 @@ from .heun_core import (
 )
 from .special_functions import _tilde_f_sum, jacobi
 
-DEFAULT_N_MAX = 500
 SECTION_MAX_ORDER = 1 << 20  # largest section order, of either kind of family
 FINITE_TOL = 1.0e-9  # join residual of a series at a level
 _INT_TOL = 1.0e-9
@@ -224,7 +225,7 @@ def finite_order(spec: PotentialSpec, fam: ExpansionFamily) -> int:
 
 
 def coefficients(spec: PotentialSpec, fam: ExpansionFamily, E,
-                 n_max: int = DEFAULT_N_MAX, finite: Optional[bool] = None,
+                 n_max: Optional[int] = None, finite: Optional[bool] = None,
                  tol: Optional[float] = None) -> tuple:
     """Coefficients b_0..b_last (b_0 = 1) of a family's series at each of
     an array of energies E, one row per energy, by two-sided recursion
@@ -243,8 +244,9 @@ def coefficients(spec: PotentialSpec, fam: ExpansionFamily, E,
     b_0 = 1 vector overflows float64, DomainError is raised, and so it is
     where no row joins at a finite E because a pass left float64 range
     (a value overflowed, or one of the backward pass fell to zero).
-    With tol, a join residual above it raises ConsistencyError.
-    finite = True (False) demands a terminating (infinite) family.
+    With tol, a join residual above it raises ConsistencyError.  An
+    infinite family needs n_max, and finite = True (False) demands a
+    terminating (infinite) family.
 
     One truncation_order, one recurrence and one rows(top) serve every
     energy, and the join rows of all energies are one array; each
@@ -253,9 +255,11 @@ def coefficients(spec: PotentialSpec, fam: ExpansionFamily, E,
     order given: the first energy that fails raises its own.
     """
     N = last = top = truncation_order(spec, fam)
-    if finite is not None and finite != (N is not None):
+    if (N is None and n_max is None
+            or finite is not None and finite != (N is not None)):
         raise ArgumentError(f"family {fam.selector} at l = {spec.l} "
-                            + ("does not terminate" if finite else "terminates"))
+                            + ("terminates" if N is not None
+                               else "does not terminate"))
     if N is None:
         # The start index sits far enough above n_max that dominant-
         # solution contamination, which decays like k2 per step of the
@@ -376,18 +380,14 @@ def evaluate_grid(sols, us) -> np.ndarray:
 
     sn, cn and dn (one jacobi call) and the prefactor (one call) are
     evaluated over the whole grid once for all solutions, and their
-    coefficients are stacked once.  One truncation_order call decides
-    whether a power family terminates: then its series are polynomials,
-    summed in one polyval call, else one _power_sum per solution.  The
-    kernel sums sum_n b_n z^n 2F1-tilde(n + A0, B; n + C0; z), at every
-    z up to and including 1, are one _tilde_f_sum over the stack: below
-    a kernel row's cut each solution's terms fold into one power series
-    in z, whose coefficient runs stop where a term at the largest z
-    below the cut falls under 1e-16 of the run's sum there, and above
-    the cut each row takes the 1 - z connection, formed once for every
-    solution that has the row.  A row of values is, bit for bit, the
-    values of its solution in a one-element sequence.  A value that is
-    not finite raises DomainError, for the first such solution.
+    coefficients are stacked once.  A power family's series are one
+    _power_sum over the stack, and one truncation_order call says
+    whether its sums take the tail test (_tail_check); the kernel sums
+    sum_n b_n z^n 2F1-tilde(n + A0, B; n + C0; z), at every z up to and
+    including 1, are one _tilde_f_sum over the stack.  A row of values
+    is, bit for bit, the values of its solution in a one-element
+    sequence.  A value that is not finite raises DomainError, for the
+    first such solution.
     """
     spec, fam = sols[0].spec, sols[0].family
     sn, cn, dn = jacobi(np.asarray(us, dtype=float), spec.k.k2)
@@ -398,10 +398,9 @@ def evaluate_grid(sols, us) -> np.ndarray:
             total = _tilde_f_sum(b, *hyper_eval_args(spec, fam), z)
         else:
             x = sn * sn
+            total = _power_sum(b, x)
             if truncation_order(spec, fam) is None:
-                total = np.array([_power_sum(sol, x) for sol in sols])
-            else:
-                total = np.polynomial.polynomial.polyval(x, b.T)
+                _tail_check(b, x, total, spec.k.k2)
         vals = family_prefactor(spec, fam).at(sn, cn, dn) * total
     for sol, row in zip(sols, vals):
         bad = np.count_nonzero(~np.isfinite(row))
@@ -412,23 +411,30 @@ def evaluate_grid(sols, us) -> np.ndarray:
     return vals
 
 
-def _power_sum(sol: SeriesSolution, x):
-    """Power series sum_n b_n x^n of an infinite series at a point or an
-    array of points x.
+def _power_sum(coeffs: np.ndarray, x):
+    """sum_n b[v, n] x^n of each row b[v] of a 2-D coefficient stack at a
+    point or an array of points x, by one in-place Horner pass in numpy
+    polyval's operation order: one error bound, 2 (N + 1) u sum_n
+    |b_n x^n| for unit roundoff u, holds for a finite and a truncated
+    infinite series alike (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., SIAM 2002, sec. 5.1)."""
+    x = np.broadcast_to(x, coeffs.shape[:1] + np.shape(x))
+    b = coeffs.T.reshape(coeffs.shape[::-1] + (1,) * (x.ndim - 1))
+    total = b[-1] + x * 0.0
+    for bn in b[-2::-1]:
+        total *= x
+        total += bn
+    return total
 
-    It is summed over the coefficients, all points at once, and each
-    point's truncation is checked with a geometric tail estimate:
-    successive terms shrink like k2 * x.  The first failing point raises
-    ConvergenceError.
-    """
-    x = np.asarray(x, dtype=float)
-    total = np.zeros_like(x)
-    xp = np.ones_like(x)
-    for bn in sol.coeffs:
-        t = bn * xp
-        total += t
-        xp *= x
-    qhat = sol.spec.k.k2 * np.abs(x)
+
+def _tail_check(coeffs: np.ndarray, x, total: np.ndarray, k2: float) -> None:
+    """ConvergenceError for the first of a stack of infinite series, summed
+    to total at x by _power_sum, whose tail fails at some point, at its
+    first such point: the tail after the last term t = b_N x^N, geometric
+    with ratio k2 x, must stay within 1e-12 of the sum."""
+    t = np.multiply.outer(coeffs[:, -1], x ** (coeffs.shape[1] - 1))
+    x = np.broadcast_to(x, t.shape)
+    qhat = k2 * np.abs(x)
     outside = qhat >= 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
         tail = np.abs(t) * qhat / (1.0 - qhat)
@@ -443,4 +449,3 @@ def _power_sum(sol: SeriesSolution, x):
             f"truncated tail estimate {float(tail.flat[i]):.3e} exceeds "
             f"the error budget at x = {xi} relative to partial sum "
             f"{float(total.flat[i]):.6g}")
-    return total[()]

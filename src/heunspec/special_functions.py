@@ -506,11 +506,11 @@ def _tilde_f_sum(b, A0: float, B: float, C0: float,
     for each coefficient vector b[v] of a 2-D stack b: one row of sums
     per vector.
 
-    The rows n where some vector has b[n] != 0 are the rows of
-    _tilde_f_rows, with their gamma(C), p and q computed once each for
-    the whole stack.  Below its cut (1/2 for single-piece rows,
-    Z_CONNECT for two-piece ones), sum_n b[n] z^n 2F1-tilde(n) of a class
-    is, for each vector, one power series in z whose coefficients
+    Every vector takes every row n = 0..N of _tilde_f_rows, with their
+    gamma(C), p and q computed once each for the whole stack; a zero
+    coefficient adds an exact zero.  Below its cut (1/2 for single-piece
+    rows, Z_CONNECT for two-piece ones), sum_n b[n] z^n 2F1-tilde(n) of a
+    class is, for each vector, one power series in z whose coefficients
     d_m = sum_{n <= m} b[n] (A0 + n)_(m-n) (B)_(m-n)
     / ((m - n)! gamma(C0 + m)) are built from each of its rows' scalar
     coefficient run (_folded_sum), so the grid work there is one
@@ -522,8 +522,7 @@ def _tilde_f_sum(b, A0: float, B: float, C0: float,
     SERIES_MAX_TERMS terms raises ConvergenceError, an integer C - A - B
     PoleError.
     """
-    n = np.flatnonzero(b.any(axis=0))
-    own = b[:, n] != 0.0  # the rows of each vector
+    n = np.arange(b.shape[1])
     A, C = n + A0, n + C0
     Bs = np.full(n.shape, float(B))
     s, g, p, q = _kernel_factors(A, Bs, C)
@@ -531,19 +530,16 @@ def _tilde_f_sum(b, A0: float, B: float, C0: float,
     kernels = np.zeros((n.size, z.size))
     for piece, cut in _row_classes(p, q):
         near = z > cut
-        for sums, coeffs, rows in zip(total, b, own & piece):
-            if rows.any() and not near.all():
-                sums[~near] += _folded_sum(coeffs[n[rows]] / g[rows], n[rows],
-                                           A[rows], Bs[rows], C[rows],
+        if piece.any() and not near.all():
+            for sums, coeffs in zip(total, b):
+                sums[~near] += _folded_sum(coeffs[piece] / g[piece], n[piece],
+                                           A[piece], Bs[piece], C[piece],
                                            z[~near])
         kernels[np.ix_(piece, near)] = _connection_rows(
             A[piece], Bs[piece], C[piece], s[piece], p[piece], q[piece],
             1.0 - z[near])
     zp = np.ones_like(z)
-    kernel_rows = iter(zip(kernels, own.T))
-    for bn in b.T:
-        if bn.any():
-            kernel, uses = next(kernel_rows)
-            total[uses] += bn[uses, None] * zp * kernel
+    for bn, kernel in zip(b.T, kernels):
+        total += bn[:, None] * zp * kernel
         zp *= z
     return total

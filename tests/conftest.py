@@ -7,8 +7,8 @@ import pytest
 from heunspec import shooting
 from heunspec.heun_core import (FamilyGroup, PotentialKind, PotentialSpec,
                                 default_window, family_prefactor)
-from heunspec.series_engine import (DEFAULT_N_MAX, SeriesSolution, _power_sum,
-                                    finite_order, hyper_eval_args, recurrence,
+from heunspec.series_engine import (SeriesSolution, finite_order,
+                                    hyper_eval_args, recurrence,
                                     solve_coeffs_finite, solve_coeffs_infinite,
                                     truncation_order)
 from heunspec.special_functions import jacobi, tilde_F
@@ -24,7 +24,7 @@ def make_spec(kind: str, l: float, k2: float) -> PotentialSpec:
 
 
 def series_solution(spec: PotentialSpec, fam, E: float,
-                    n_max: int = DEFAULT_N_MAX) -> SeriesSolution:
+                    n_max: int = 500) -> SeriesSolution:
     """The checked series solution of a family at an eigenvalue E: the
     terminating series, or the infinite one to b_{n_max}."""
     if truncation_order(spec, fam) is not None:
@@ -35,16 +35,15 @@ def series_solution(spec: PotentialSpec, fam, E: float,
 
 
 def evaluate(sol, u: float) -> float:
-    """Value of a series solution at position u, one scalar tilde_F per
-    kernel term: the pointwise reference for series_engine.evaluate_grid."""
+    """Value of a series solution at position u, numpy's polyval for a
+    power series and one scalar tilde_F per kernel term: the pointwise
+    reference for series_engine.evaluate_grid."""
     fam = sol.family
     k2 = sol.spec.k.k2
     sn, cn, dn = jacobi(u, k2)
     pre = family_prefactor(sol.spec, fam).at(sn, cn, dn)
     if fam.group is FamilyGroup.POWER:
-        if truncation_order(sol.spec, fam) is not None:
-            return pre * np.polynomial.polynomial.polyval(sn * sn, sol.coeffs)
-        return pre * _power_sum(sol, sn * sn)
+        return pre * np.polynomial.polynomial.polyval(sn * sn, sol.coeffs)
     z = sn * sn if fam.group is FamilyGroup.HYPER_BAR else cn * cn
     A0, B, C0 = hyper_eval_args(sol.spec, fam)
     total = 0.0

@@ -510,6 +510,15 @@ def test_sweep_range_matches_list(capsys):
                              "--l", "-1.5", "--family", "bold5",
                              "--k2-list", "0.25,0.5,0.75")
     assert out_range == out_list
+    # a one-value range is its lower end
+    _, out_range, _ = run_cli(capsys, "sweep", "--potential", "v1",
+                              "--l", "-1.5", "--family", "bold5",
+                              "--k2-range", "0.3:0.9:1")
+    _, out_list, _ = run_cli(capsys, "sweep", "--potential", "v1",
+                             "--l", "-1.5", "--family", "bold5",
+                             "--k2-list", "0.3")
+    assert out_range == out_list
+    assert out_range.splitlines()[1:] == ["0.3,-1.5,bold5,0,-1.025"]
 
 
 def test_sweep_consistent_with_spectrum(capsys):

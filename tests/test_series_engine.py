@@ -17,8 +17,10 @@ from heunspec.heun_core import (
 )
 from heunspec.series_engine import (
     FINITE_TOL,
+    SeriesSolution,
     _passes,
     _power_sum,
+    _tail_check,
     coefficients,
     evaluate_grid,
     hyper_eval_args,
@@ -303,6 +305,13 @@ def test_evaluate_grid_of_a_family_matches_one_call_per_level(
     for sol, row in zip(sols, vals):
         assert np.array_equal(row, evaluate_grid([sol], us)[0])
     assert len(orders) == power * (1 + len(sols))
+    if power and truncation_order(spec, fam(sel)) is not None:
+        # a terminating power family's rows are numpy's polyval, to the bit
+        sn, cn, dn = jacobi(us, 0.5)
+        pre = family_prefactor(spec, fam(sel)).at(sn, cn, dn)
+        for sol, row in zip(sols, vals):
+            assert np.array_equal(row, pre * np.polynomial.polynomial.polyval(
+                sn * sn, sol.coeffs))
 
 
 @pytest.mark.parametrize("kind,sel,l,k2", [
@@ -360,6 +369,19 @@ def test_backward_recursion_tail_ratio():
 def test_backward_recursion_rejects_terminating_family():
     with pytest.raises(ArgumentError):
         solve_coeffs_infinite(vspec(2.0), fam("ring5"), [-9.3], n_max=500)
+
+
+def test_infinite_family_needs_an_order(monkeypatch):
+    # a non-terminating family given no n_max is refused before any
+    # recursion; a terminating one ignores n_max
+    def no_recurrence(*args):
+        raise AssertionError("recurrence built")
+    monkeypatch.setattr("heunspec.series_engine.recurrence", no_recurrence)
+    with pytest.raises(ArgumentError, match="does not terminate"):
+        coefficients(vspec(-3.0), fam("ring5"), [CF_L3_E0])
+    monkeypatch.undo()
+    [b], _ = coefficients(vspec(2.0), fam("ring5"), [RING5_V1_L2_E[0]])
+    assert b.size == truncation_order(vspec(2.0), fam("ring5")) + 1
 
 
 def test_backward_recursion_detects_dominant_tail():
@@ -458,8 +480,9 @@ def test_infinite_power_sum_array_matches_scalar_calls():
     spec = vspec(-3.0)
     sol = series_solution(spec, fam("ring5"), CF_L3_E0)
     x = np.linspace(0.0, 1.0, 41)
-    scalar = [_power_sum(sol, float(xi)) for xi in x]
-    assert np.array_equal(_power_sum(sol, x), scalar)
+    b = sol.coeffs[None]
+    scalar = [_power_sum(b, float(xi))[0] for xi in x]
+    assert np.array_equal(_power_sum(b, x)[0], scalar)
 
 
 def test_infinite_power_sum_names_first_failing_point():
@@ -468,14 +491,96 @@ def test_infinite_power_sum_names_first_failing_point():
     # outside the disc of convergence
     spec = vspec(-3.0)
     short = series_solution(spec, fam("ring5"), CF_L3_E0, n_max=10)
+
+    def tail_check(sol, x):
+        b = sol.coeffs[None]
+        _tail_check(b, x, _power_sum(b, x), spec.k.k2)
     with pytest.raises(ConvergenceError,
                        match=r"at x = 0\.9 relative to partial sum 1\.856"):
-        _power_sum(short, np.array([0.1, 0.9, 2.5]))
+        tail_check(short, np.array([0.1, 0.9, 2.5]))
     with pytest.raises(ConvergenceError, match=r"at x = 0\.3 "):
-        _power_sum(short, 0.3)
+        tail_check(short, 0.3)
     sol = series_solution(spec, fam("ring5"), CF_L3_E0)
     with pytest.raises(ConvergenceError, match=r"x = 2\.5 outside"):
-        _power_sum(sol, np.array([0.5, 2.5]))
+        tail_check(sol, np.array([0.5, 2.5]))
+    # a stack raises for its first failing level, at that level's first
+    # failing point: a level whose last coefficient is 0 has no tail and
+    # fails only outside the disc, where every level fails
+    b = np.array([np.append(short.coeffs[:-1], 0.0), short.coeffs])
+    for x, match in (([0.1, 0.9], r"at x = 0\.9 relative to partial sum 1\.856"),
+                     ([0.1, 0.9, 2.5], r"x = 2\.5 outside")):
+        x = np.array(x)
+        with pytest.raises(ConvergenceError, match=match):
+            _tail_check(b, x, _power_sum(b, x), spec.k.k2)
+    # and evaluate_grid raises the second level's own error
+    sols = [SeriesSolution(spec, fam("ring5"), CF_L3_E0, v) for v in b]
+    us = np.linspace(0.0, 0.9 * complete_K(0.5), 16)
+    errors = []
+    for batch in (sols, sols[1:]):
+        with pytest.raises(ConvergenceError) as err:
+            evaluate_grid(batch, us)
+        errors.append(str(err.value))
+    assert errors[0] == errors[1]
+
+
+# (kind, family, l, k2, levels): the continued-fraction workload's
+# inputs (lowest level) at three k2, the cancellation-prone levels of
+# v2 ring7 at l = 12.6, k2 = 0.97 and of v1 ring5 at l = -3, k2 = 0.05,
+# and every terminating ring family at the l of verify's workload
+POWER_SUM_CASES = (
+    [(kind, sel, l, k2, slice(0, 1))
+     for kind, sel, ls in (("v1", "ring5", (-1.0, -4.0)),
+                           ("v1", "ring6", (0.5, -5.5)),
+                           ("v2", "ring5", (-1.3, -3.7)),
+                           ("v2", "ring7", (-2.0, -3.0)))
+     for l in ls for k2 in (0.2, 0.5, 0.75)]
+    + [("v2", "ring7", 12.6, 0.97, slice(0, 6)),
+       ("v1", "ring5", -3.0, 0.05, slice(9, 12))]
+    + [(kind, sel, l, 0.5, slice(None))
+       for kind, sels, ls in (("v1", ("ring5", "ring6", "ring1", "ring2"),
+                               (0.0, 3.0, 6.0)),
+                              ("v2", ("ring5", "ring7", "ring1", "ring3"),
+                               (0.0, 2.0, 5.0)))
+       for sel in sels for l in ls
+       if truncation_order(make_spec(kind, l, 0.5), fam(sel)) is not None])
+
+
+@pytest.mark.parametrize("kind,sel,l,k2,levels", POWER_SUM_CASES)
+def test_power_sums_stay_within_the_horner_bound(kind, sel, l, k2, levels):
+    # at every point of the eigenfunction grid, evaluate_grid is within
+    # 2 (N + 1) u |P| sum_n |b_n x^n| of the prefactor P times the exact
+    # sum of the same float b_n at the same float x = sn^2 (Higham 2002,
+    # sec. 5.1).  The exact sum is a Horner pass in 400-bit fixed point on
+    # Python integers, good to N 2^-400, well past 60 digits; an mpmath
+    # pass at 60 digits over the 4537 coefficients of the l = 12.6 levels
+    # is about 14 times slower
+    from fractions import Fraction
+
+    from heunspec.cli import _plot_grid
+    spec = make_spec(kind, l, k2)
+    sols = family_levels(spec, fam(sel), levels.stop).solutions[levels]
+    assert sols
+    us = _plot_grid(spec)
+    vals = evaluate_grid(sols, us)
+    sn, cn, dn = jacobi(us, k2)
+    pre = family_prefactor(spec, fam(sel)).at(sn, cn, dn)
+    x = sn * sn
+    bits = 400
+
+    def fixed(v):
+        num, den = float(v).as_integer_ratio()
+        return (num << bits) // den
+    xs = np.array([fixed(v) for v in x], dtype=object)
+    for sol, row in zip(sols, vals):
+        exact = np.zeros(x.size, dtype=object)
+        for bn in sol.coeffs[::-1]:
+            exact = ((exact * xs) >> bits) + fixed(bn)
+        N = sol.coeffs.size - 1
+        bound = (2 * (N + 1) * 2.0 ** -53 * np.abs(pre)
+                 * np.polynomial.polynomial.polyval(x, np.abs(sol.coeffs)))
+        gap = [abs(Fraction(v) - Fraction(p) * Fraction(e, 1 << bits))
+               for v, p, e in zip(row.tolist(), pre.tolist(), exact)]
+        assert np.all(np.array(gap, dtype=float) <= bound), sol.E
 
 
 def test_stacked_kernel_rows_match_one_row_sums():

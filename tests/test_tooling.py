@@ -3,8 +3,9 @@ and measures the parameter it names, the package imports no scipy root
 finder or integrator, every function defined in the package is used in
 it or listed with a reason, every dataclass field and module constant
 is read in it, every parameter default is overridden by some call in
-it, every subcommand option is read by the command line, and the
-README's library quickstart runs and prints what its comments say."""
+it, every subcommand option is read by the command line, the README's
+library quickstart runs and prints what its comments say, and its
+command-line examples run."""
 
 import argparse
 import ast
@@ -14,6 +15,7 @@ import importlib.util
 import inspect
 import io
 import math
+import shlex
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -273,3 +275,21 @@ def test_readme_quickstart_runs_as_documented():
     assert len(roots) == 2
     assert all(abs(r - E) <= 1e-6 for r, E in zip(roots, energies))
     assert str(names["E0"]).startswith("2.42843703")
+
+
+def test_readme_cli_examples_run():
+    # each "heunspec ..." command of the "Command line" block, through
+    # cli.main: it exits 0 and prints something
+    from heunspec.cli import main
+    section = README.read_text()
+    section = section[section.index("## Command line"):]
+    start = section.index("```sh\n") + len("```sh\n")
+    block = section[start:section.index("```", start)].replace("\\\n", " ")
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("heunspec ")]
+    assert len(commands) == 4
+    for argv in commands:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        assert code == 0 and out.getvalue(), argv
