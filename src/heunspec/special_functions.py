@@ -5,8 +5,9 @@ dn via the arithmetic-geometric mean and a descending Landen ladder (one
 numpy implementation, jacobi, for a point or a grid), a Lanczos gamma
 function, and the Gauss hypergeometric series 2F1 with its regularized
 variant, at one point in plain floats (tilde_F), as numpy rows on a
-grid (_tilde_f_rows) or as weighted sums of such rows on a grid, one
-per coefficient vector of a stack (_tilde_f_sum).  All are
+grid (_tilde_f_rows, a test reference) or as weighted sums of such rows
+on a grid, one per coefficient vector of a stack (_tilde_f_sum), whose
+series all come from scalar coefficient runs (_runs).  All are
 deterministic; no module state other than a cache of Landen ladders.
 """
 
@@ -29,7 +30,7 @@ from .exceptions import (
 AGM_MAX_ITER = 64
 SERIES_MAX_TERMS = 10_000
 Z_CONNECT = 0.97  # above it gauss_2F1 and two-piece kernel rows use 1 - z
-_BLOCK = 64  # the run and einsum block of _folded_sum
+_BLOCK = 64  # the first block of _runs and the einsum block of _folded_sum
 
 _EPS = 2.220446049250313e-16
 
@@ -327,14 +328,17 @@ def tilde_F(A: float, B: float, C: float, z: float) -> float:
 
 
 def _series_rows(A, B, C, z: np.ndarray) -> np.ndarray:
-    """Plain 2F1(A[r], B[r]; C[r]; z) for every row r, summed at once.
+    """Plain 2F1(A[r], B[r]; C[r]; z) for every row r, summed at once:
+    the direct sum of the reference _tilde_f_rows below each cut.
 
     Each step forms every live row's next term from its last and adds
-    it to the row's total.  A row leaves at its first term with
-    max|term| <= 1e-16 max|total| over its points, and a row still
-    running after SERIES_MAX_TERMS terms raises ConvergenceError.
+    it to the row's total on the whole grid.  A row leaves at its first
+    term with max|term| <= 1e-16 max|total| over its points, and a row
+    still running after SERIES_MAX_TERMS terms raises ConvergenceError.
     Where a series cancels, forming each term from the last carries its
-    rounding into the later ones, where it cancels too.
+    rounding into the later ones, where it cancels too.  No code path
+    of an eigenfunction calls it: its kernel sums take their terms from
+    coefficient runs (_runs).
     """
     total = np.ones((A.size, z.size))
     if not total.size:
@@ -389,12 +393,21 @@ def _row_classes(p, q):
 
 
 def _connection_rows(A, B, C, s, p, q, w: np.ndarray) -> np.ndarray:
-    """Regularized 2F1 of every row at z = 1 - w by the 1 - z connection."""
+    """Regularized 2F1 of every row at z = 1 - w by the 1 - z connection.
+
+    The series F(A, B; 1 - s; w) of the rows with p != 0 and F(C - A,
+    C - B; 1 + s; w) of those with q != 0 are summed together, one
+    coefficient run per series and one grid reduction for all of them
+    (_run_rows); the first series of a row is then scaled by p, the
+    second by w^s q, and the two are added in that order.
+    """
     kernel = np.zeros((A.size, w.size))
     i, j = p != 0.0, q != 0.0
-    kernel[i] = p[i, None] * _series_rows(A[i], B[i], 1.0 - s[i], w)
-    kernel[j] += (w ** s[j, None] * q[j, None]
-                  * _series_rows(C[j] - A[j], C[j] - B[j], 1.0 + s[j], w))
+    sums = _run_rows(np.concatenate([A[i], C[j] - A[j]]),
+                     np.concatenate([B[i], C[j] - B[j]]),
+                     np.concatenate([1.0 - s[i], 1.0 + s[j]]), w)
+    kernel[i] = p[i, None] * sums[:i.sum()]
+    kernel[j] += w ** s[j, None] * q[j, None] * sums[i.sum():]
     return kernel
 
 
@@ -415,8 +428,10 @@ def _tilde_f_rows(A, B, C, z: np.ndarray) -> np.ndarray:
     where the direct series would need hundreds of terms or cancel.  A
     two-piece row's two terms cancel like e^(n w), so it is summed directly
     up to Z_CONNECT, one term at a time by _series_rows (several hundred
-    terms at z near it), and from the connection only above it.  An
-    integer s raises PoleError.  The weighted sum of such rows that an
+    terms at z near it), and from the connection only above it.  Above
+    its cut every row takes _connection_rows, the code _tilde_f_sum
+    runs there.  An integer s raises PoleError.  This is the row
+    reference of the tests: the weighted sum of such rows that an
     eigenfunction needs is _tilde_f_sum, which takes the same pieces but
     folds each class's direct sums into one power series.
     """
@@ -433,27 +448,20 @@ def _tilde_f_rows(A, B, C, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _folded_sum(lead, n, A, B, C, z: np.ndarray) -> np.ndarray:
-    """sum_r z^n[r] sum_k t[r, k] z^k, summed as one power series in z.
+def _runs(lead, A, B, C, top: float) -> list:
+    """The coefficient run of every row r of a 2F1 series in z >= 0.
 
-    Row r's coefficient run is t[r, 0] = lead[r] and t[r, k + 1] =
-    t[r, k] (A[r] + k)(B[r] + k) / ((C[r] + k)(k + 1)), each term formed
-    from the last in numpy longdouble, for all live rows at once in
-    blocks of _BLOCK steps, then twice as many, and so on (the block
-    sizes change no value).  With z_top = max z >= 0, a run stops at its
-    first k >= 1 with |t[r, k]| z_top^k <= 1e-16 |sum_{j <= k} t[r, j]
-    z_top^j|, that term included.  A term is largest over the grid at
-    z_top, so no run stops before _series_rows, the direct sum of
-    _tilde_f_rows, would stop its row; a run still going after
-    SERIES_MAX_TERMS terms raises ConvergenceError.
-    The runs, shifted by n[r] and added in longdouble in the order of n,
-    are the coefficients d_m of the sum, rounded once to float64.  Each
-    block of _BLOCK of them is summed by one einsum against one table of
-    z^0 .. z^(_BLOCK - 1) on the grid, and the blocks are joined by
-    Horner's rule in z^_BLOCK.  Against 40-digit sums, longdouble runs
-    halve the worst error of a float64 fold (v2 bar7, l = 11/2).
+    Row r's run is t[r, 0] = lead[r] and t[r, k + 1] = t[r, k] (A[r] + k)
+    (B[r] + k) / ((C[r] + k)(k + 1)), each term formed from the last in
+    numpy longdouble, for all live rows at once in blocks of _BLOCK
+    steps, then twice as many, and so on (the block sizes change no
+    value).  With z_top = top, the largest z of the grid, a run stops at
+    its first k >= 1 with |t[r, k]| z_top^k <= 1e-16 |sum_{j <= k}
+    t[r, j] z_top^j|, that term included.  A term is largest over the
+    grid at z_top, and the sum there is at most the largest over the
+    grid, so no run stops before _series_rows would stop its row; a run
+    still going after SERIES_MAX_TERMS terms raises ConvergenceError.
     """
-    top = float(z.max())
     term = lead.astype(np.longdouble)  # the last term of each live run
     partial = lead  # and the run's sum at z_top
     runs = [[x] for x in term[:, None]]
@@ -484,7 +492,43 @@ def _folded_sum(lead, n, A, B, C, z: np.ndarray) -> np.ndarray:
             live, A, B, C = live[keep], A[keep], B[keep], C[keep]
             term, partial = terms[keep, -1], sums[keep, -1]
             n0, size = n0 + size, 2 * size
-    runs = [np.concatenate(run) for run in runs]
+    return [np.concatenate(run) for run in runs]
+
+
+def _run_rows(A, B, C, w: np.ndarray) -> np.ndarray:
+    """Plain 2F1(A[r], B[r]; C[r]; w) for every row r on w >= 0.
+
+    Each row's coefficient run (_runs, lead 1, z_top = max w) is summed
+    in longdouble by one einsum for all rows, against one table of
+    w^0 .. w^(K - 1) (a running product, K the longest run; a shorter
+    run's missing terms are exact zeros), and each sum is rounded once
+    to float64.
+    """
+    if not (A.size and w.size):
+        return np.zeros((A.size, w.size))
+    runs = _runs(np.ones(A.size), A, B, C, float(w.max()))
+    d = np.zeros((A.size, max(map(len, runs))), dtype=np.longdouble)
+    for row, run in zip(d, runs):
+        row[:run.size] = run
+    powers = np.ones((d.shape[1], w.size), dtype=np.longdouble)
+    powers[1:] = w
+    # a C-ordered table: einsum then adds each row's terms in order
+    return np.einsum("rk,kz->rz", d, np.cumprod(powers, axis=0),
+                     optimize=False).astype(float)
+
+
+def _folded_sum(lead, n, A, B, C, z: np.ndarray) -> np.ndarray:
+    """sum_r z^n[r] sum_k t[r, k] z^k, summed as one power series in z.
+
+    t[r] is row r's coefficient run (_runs with z_top = max z).  The
+    runs, shifted by n[r] and added in longdouble in the order of n, are
+    the coefficients d_m of the sum, rounded once to float64.  Each block of _BLOCK of them is summed by one einsum
+    against one table of z^0 .. z^(_BLOCK - 1) on the grid, and the
+    blocks are joined by Horner's rule in z^_BLOCK.  Against 40-digit
+    sums, longdouble runs halve the worst error of a float64 fold (v2
+    bar7, l = 11/2).
+    """
+    runs = _runs(lead, A, B, C, float(z.max()))
     length = max(m + run.size for m, run in zip(n.tolist(), runs))
     d = np.zeros(-(-length // _BLOCK) * _BLOCK, dtype=np.longdouble)
     for m, run in zip(n.tolist(), runs):
@@ -515,12 +559,14 @@ def _tilde_f_sum(b, A0: float, B: float, C0: float,
     / ((m - n)! gamma(C0 + m)) are built from each of its rows' scalar
     coefficient run (_folded_sum), so the grid work there is one
     multiply-add per term and point in place of one per row, term and
-    point.  Above its cut a row takes the 1 - z connection of
-    _tilde_f_rows, formed once for every vector, and each vector adds its
-    rows in ascending n.  Every row stops by its own rule, so each
-    vector's sum is, bit for bit, its sum alone.  A row's run past
-    SERIES_MAX_TERMS terms raises ConvergenceError, an integer C - A - B
-    PoleError.
+    point.  Above its cut a row takes the 1 - z connection
+    (_connection_rows): each of its series is a coefficient run from the
+    same builder and stop rule (_runs), and all runs of the class are
+    summed on the points above the cut by one einsum, once for every
+    vector; each vector then adds its rows in ascending n.  Every row
+    stops by its own rule, so each vector's sum is, bit for bit, its sum
+    alone.  A run past SERIES_MAX_TERMS terms, on either side of the
+    cut, raises ConvergenceError, an integer C - A - B PoleError.
     """
     n = np.arange(b.shape[1])
     A, C = n + A0, n + C0
@@ -529,8 +575,10 @@ def _tilde_f_sum(b, A0: float, B: float, C0: float,
     total = np.zeros((len(b),) + z.shape)
     kernels = np.zeros((n.size, z.size))
     for piece, cut in _row_classes(p, q):
+        if not piece.any():
+            continue
         near = z > cut
-        if piece.any() and not near.all():
+        if not near.all():
             for sums, coeffs in zip(total, b):
                 sums[~near] += _folded_sum(coeffs[piece] / g[piece], n[piece],
                                            A[piece], Bs[piece], C[piece],

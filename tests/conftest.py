@@ -14,6 +14,13 @@ from heunspec.series_engine import (SeriesSolution, finite_order,
 from heunspec.special_functions import jacobi, tilde_F
 
 
+# the (potential, family, l) make-up of the hyper_levels benchmark workload
+HYPER_LEVELS = (("v1", "bold5", (-1.5, 0.5, 2.5, 4.5)),
+                ("v1", "bold6", (-0.5, 1.5, 3.5, 5.5)),
+                ("v2", "bar5", (-1.5, 0.5, 2.5, 4.5)),
+                ("v2", "bar7", (-0.5, 1.5, 3.5, 5.5)))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260814)

@@ -34,7 +34,8 @@ from heunspec.spectrum import (family_levels, finite_spectrum,
                                symmetry_partner)
 from heunspec.verify import EQUIV_TOL
 
-from conftest import evaluate, make_spec, relative_rows, series_solution
+from conftest import (HYPER_LEVELS, evaluate, make_spec, relative_rows,
+                      series_solution)
 
 RING5_V1_L2_E = [-9.316624790355399849115, -2.683375209644600150885]
 RING7_V2_L3_E = [-17.28232998312526813906, -3.717670016874731860935]
@@ -623,13 +624,6 @@ def test_grid_evaluation_needs_no_scalar_2f1(monkeypatch):
         assert evaluate_grid([sol], us)[0] == pytest.approx(ref, rel=1e-13)
 
 
-# the (potential, family, l) make-up of the hyper_levels benchmark workload
-HYPER_LEVELS = (("v1", "bold5", (-1.5, 0.5, 2.5, 4.5)),
-                ("v1", "bold6", (-0.5, 1.5, 3.5, 5.5)),
-                ("v2", "bar5", (-1.5, 0.5, 2.5, 4.5)),
-                ("v2", "bar7", (-0.5, 1.5, 3.5, 5.5)))
-
-
 def test_grid_evaluation_matches_mpmath():
     # every real level of the hyper_levels families at k2 = 0.2, 0.5 and
     # 0.75, on 40 points of the eigenfunction grid, against a 40-digit
@@ -637,9 +631,10 @@ def test_grid_evaluation_matches_mpmath():
     # share of max|psi|.  Measured worst where the kernel rows fold into
     # one power series (z <= Z_CONNECT): 5.0e-13 (7.4e-13 when each row
     # was summed on its own).  Above it each row takes the 1 - z
-    # connection, bit for bit as before: 1.8e-11 (v2 bar7, l = 11/2,
-    # k2 = 0.75, level 5, z = 0.98, where the terms b_n z^n F~_n reach
-    # 1.4e4 times their sum), next 2.4e-12 (the same level at k2 = 0.5)
+    # connection: 1.3e-11 (v2 bar7, l = 11/2, k2 = 0.75, level 5,
+    # z = 0.98, where the terms b_n z^n F~_n reach 1.4e4 times their
+    # sum; 1.8e-11 when the connection series were summed one term at a
+    # time), next 3.3e-12 (the same level at k2 = 0.5; 2.4e-12)
     mpmath = pytest.importorskip("mpmath")
     from heunspec.cli import PLOT_MARGIN
     from heunspec.special_functions import Z_CONNECT
@@ -693,21 +688,27 @@ def test_folded_kernel_sum_raises_at_the_term_cap(monkeypatch):
 
 
 def test_connection_rows_need_at_most_60_terms(monkeypatch):
-    # the 1 - z connection rows of an eigenfunction stop within the
-    # first four blocks of _series_rows (60 terms): capped there while
-    # _series_rows runs, and only then, since the folded sum below the
-    # cut needs hundreds, evaluate_grid gives the same samples to the
-    # bit at the lowest, middle and top level of every two-sided family
+    # the 1 - z connection rows of an eigenfunction stop within 60
+    # terms: capped there while _connection_rows runs, and only then,
+    # since the folded sum below the cut takes its runs from the same
+    # builder and needs hundreds, evaluate_grid gives the same samples
+    # to the bit at the lowest, middle and top level of every two-sided
+    # family, and the capped calls reach the run builder
     from heunspec import special_functions
     from heunspec.cli import _plot_grid
-    series_rows = special_functions._series_rows
+    connection_rows = special_functions._connection_rows
+    runs = special_functions._runs
     calls = []
 
     def capped(*args):
-        calls.append(args)
         with monkeypatch.context() as m:
             m.setattr(special_functions, "SERIES_MAX_TERMS", 60)
-            return series_rows(*args)
+            return connection_rows(*args)
+
+    def counting(*args):
+        if special_functions.SERIES_MAX_TERMS == 60:
+            calls.append(args)
+        return runs(*args)
 
     for kind, sels in (("v1", ("bold5", "bold6")), ("v2", ("bar5", "bar7"))):
         for l, k2 in ((5.5, 0.5), (20.5, 0.5), (20.0, 0.9)):
@@ -718,7 +719,9 @@ def test_connection_rows_need_at_most_60_terms(monkeypatch):
                 for sol in (sols[0], sols[len(sols) // 2], sols[-1]):
                     ref = evaluate_grid([sol], us)
                     with monkeypatch.context() as m:
-                        m.setattr(special_functions, "_series_rows", capped)
+                        m.setattr(special_functions, "_connection_rows",
+                                  capped)
+                        m.setattr(special_functions, "_runs", counting)
                         got = evaluate_grid([sol], us)
                     assert np.array_equal(got, ref), (kind, sel, l, k2, sol.E)
     assert calls

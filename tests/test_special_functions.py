@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import HYPER_LEVELS
 from heunspec import special_functions
 from heunspec.exceptions import (
     ConvergenceError,
@@ -582,6 +583,95 @@ def test_series_raises_at_the_term_cap(monkeypatch):
                 _series_rows(*row)
         monkeypatch.setattr(special_functions, "SERIES_MAX_TERMS", terms)
         assert np.array_equal(_series_rows(*row)[0], ref)
+
+
+# _run_rows against the one-term sums of _series_rows on the connection
+# series, in eps * sum_k |t_k w^k|.  Measured worst 2.0 (bold5, l = 5/2,
+# a two-piece row at w up to 0.03); 0.86 when the runs were summed in
+# float64.
+RUN_TOL = 4
+
+
+def _connection_series(A0, B, C0, N):
+    """(A, B, C, cut) of the 1 - z connection series of each row class:
+    F(A, B; 1 - s; w) of the rows with p != 0, then F(C - A, C - B;
+    1 + s; w) of those with q != 0."""
+    n = np.arange(N + 1.0)
+    A, Bs, C = n + A0, np.full(N + 1, B), n + C0
+    s, _, p, q = _kernel_factors(A, Bs, C)
+    for piece, cut in special_functions._row_classes(p, q):
+        i, j = piece & (p != 0.0), piece & (q != 0.0)
+        if piece.any():
+            yield (np.concatenate([A[i], C[j] - A[j]]),
+                   np.concatenate([Bs[i], C[j] - Bs[j]]),
+                   np.concatenate([1.0 - s[i], 1.0 + s[j]]), cut)
+
+
+def test_connection_runs_match_one_term_sums():
+    # every connection series of every row class of the hyper_levels
+    # families, and at integer l from 0 to 12 of the single-piece rows,
+    # on the points above its class's cut: the sum from its coefficient
+    # run is the one-term sum of _series_rows within RUN_TOL eps
+    # sum_k |t_k w^k|, and no run stops before that sum's last term
+    z = np.union1d(np.linspace(0.0, 1.0, 201), SINGLE_PIECE_Z)
+    cases = [(kind, sel, l) for kind, sel, ls in HYPER_LEVELS for l in ls]
+    cases += [(kind, sel, float(l))
+              for kind, sels in (("v1", ("bold5", "bold6")),
+                                 ("v2", ("bar5", "bar7")))
+              for sel in sels for l in range(13)]
+    eps = np.finfo(float).eps
+    classes, checked = set(), 0
+    for kind, sel, l in cases:
+        *args, N = _two_sided_kernels(kind, sel, l)
+        if N is None:
+            continue
+        for A, B, C, cut in _connection_series(*args, N):
+            w = 1.0 - z[z > cut]
+            got = special_functions._run_rows(A, B, C, w)
+            ref = _series_rows(A, B, C, w)
+            runs = special_functions._runs(np.ones(A.size), A, B, C,
+                                           float(w.max()))
+            for r, run in enumerate(runs):
+                k = np.arange(run.size)[:, None]
+                t = run.astype(float)[:, None] * w ** k
+                case = (sel, l, cut, A[r], B[r], C[r])
+                assert (np.abs(got[r] - ref[r])
+                        <= RUN_TOL * eps * np.abs(t).sum(axis=0)).all(), case
+                assert run.size - 1 >= _one_term_loop(A[r], B[r], C[r],
+                                                      w)[1], case
+                checked += 1
+            classes.add(cut)
+    assert classes == {0.5, special_functions.Z_CONNECT} and checked > 300
+
+
+def test_connection_rows_raise_at_the_term_cap(monkeypatch):
+    # a single-piece row (bold5, l = 12, n = 0: F(-6, 8; 1/2; w) up to
+    # w = 1/2, 7 terms) and a two-piece one (bar7, l = 11/2, n = 0: two
+    # series of 11 terms up to w = 0.025).  Every cap below the need
+    # raises, naming the first series still running, and the need
+    # itself gives the row to the bit
+    z = np.array([0.51, 0.75, 0.975, 0.99, 1.0])
+    for kind, sel, l, cut, need, named in (
+            ("v1", "bold5", 12.0, 0.5, 7, (-6.0, 8.0, 0.5)),
+            ("v2", "bar7", 5.5, 0.97, 11, (-2.25, 4.25, 0.5))):
+        A0, B, C0, _ = _two_sided_kernels(kind, sel, l)
+        row = (np.array([A0]), np.array([B]), np.array([C0]))
+        s, _, p, q = _kernel_factors(*row)
+        w = 1.0 - z[z > cut]
+        args = (*row, s, p, q, w)
+        with monkeypatch.context() as m:
+            ref = special_functions._connection_rows(*args)
+            m.setattr(special_functions, "SERIES_MAX_TERMS", need)
+            assert np.array_equal(special_functions._connection_rows(*args),
+                                  ref)
+            a, b, c = named
+            for cap in range(1, need):
+                m.setattr(special_functions, "SERIES_MAX_TERMS", cap)
+                with pytest.raises(ConvergenceError,
+                                   match=rf"within {cap} terms \(A={a}, "
+                                         rf"B={b}, C={c}, z up to "
+                                         rf"{w.max()}\)"):
+                    special_functions._connection_rows(*args)
 
 
 def test_gamma_matches_mpmath():

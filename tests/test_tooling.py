@@ -4,8 +4,9 @@ finder or integrator, every function defined in the package is used in
 it or listed with a reason, every dataclass field and module constant
 is read in it, every parameter default is overridden by some call in
 it, every subcommand option is read by the command line, the README's
-library quickstart runs and prints what its comments say, and its
-command-line examples run."""
+library quickstart runs and prints what its comments say, its
+command-line examples run, and no command sums 2F1 kernel rows one term
+at a time."""
 
 import argparse
 import ast
@@ -289,6 +290,30 @@ def test_readme_cli_examples_run():
                 if line.startswith("heunspec ")]
     assert len(commands) == 4
     for argv in commands:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        assert code == 0 and out.getvalue(), argv
+
+
+def test_cli_never_sums_kernel_rows_one_term_at_a_time(monkeypatch):
+    # _series_rows, the per-term grid loop, is a test reference: a
+    # half-odd-l bold and bar eigenfunction, an integer-l verify and a
+    # two-sided spectrum all run with it raising
+    from heunspec import special_functions
+    from heunspec.cli import main
+
+    def reference_only(*args):
+        raise AssertionError("_series_rows reached")
+    monkeypatch.setattr(special_functions, "_series_rows", reference_only)
+    for argv in (
+            ["eigenfunction", "--potential", "v1", "--l", "5.5", "--k2",
+             "0.5", "--family", "bold5", "--index", "3"],
+            ["eigenfunction", "--potential", "v2", "--l", "5.5", "--k2",
+             "0.75", "--family", "bar7", "--index", "5", "--format", "json"],
+            ["verify", "--potential", "v2", "--l", "2", "--k2", "0.5"],
+            ["spectrum", "--potential", "v1", "--l", "4.5", "--k2", "0.5",
+             "--family", "bold6"]):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = main(argv)
