@@ -32,8 +32,9 @@ from there.  This one recurrence serves every regime: one two-sided
 recursion (coefficients) gives the coefficients of a terminating
 series and the minimal solution of an infinite one, both joined where
 the residual is smallest and both held to one bound on that residual,
-FINITE_TOL; and the continuant's zeros are the levels of a finite
-section.
+FINITE_TOL; its backward and forward passes are one three-term pass
+(_pass) with one overflow rule, a shift by powers of two past 1e250;
+and the continuant's zeros are the levels of a finite section.
 
 A SeriesSolution is a family's coefficients at one energy and nothing
 more: its prefactor sn^p cn^q dn^r (family_prefactor) and whether it
@@ -238,9 +239,11 @@ def coefficients(spec: PotentialSpec, fam: ExpansionFamily, E,
     or n_max plus a buffer for an infinite family), the forward pass up
     from b_0 = 1 over rows 0..last, and the two join at the row m where
     the residual is smallest; only row m is left open.  Both kinds of
-    series follow this one rule and differ only in top.  Both passes
-    rescale past 1e250, the forward one by powers of two so that every
-    b_n that fits comes back exactly; where the join is finite but the
+    series follow this one rule and differ only in top.  Both passes are
+    one routine (_pass), down rows top..1 and up rows 0..last - 1, which
+    shrinks by powers of two past 1e250, and only on growth; one ldexp
+    then puts every backward value on the scale of its b_0, so every
+    b_n that fits comes back exactly.  Where the join is finite but the
     b_0 = 1 vector overflows float64, DomainError is raised, and so it is
     where no row joins at a finite E because a pass left float64 range
     (a value overflowed, or one of the backward pass fell to zero).
@@ -250,8 +253,8 @@ def coefficients(spec: PotentialSpec, fam: ExpansionFamily, E,
 
     One truncation_order, one recurrence and one rows(top) serve every
     energy, and the join rows of all energies are one array; each
-    energy's passes run in plain floats (_passes), so it gets, bit for
-    bit, what it gets alone.  Errors are raised for the energies in the
+    energy's passes run in plain floats, so it gets, bit for bit, what
+    it gets alone.  Errors are raised for the energies in the
     order given: the first energy that fails raises its own.
     """
     N = last = top = truncation_order(spec, fam)
@@ -276,10 +279,18 @@ def coefficients(spec: PotentialSpec, fam: ExpansionFamily, E,
         raise ArgumentError(
             f"gamma_{n} vanishes; family {fam.selector} admits no "
             "infinite minimal series here")
-    # one row per energy: back[j, 0..top+1], fwd[j, 0..last+1], shift[j]
+    # one row per energy: the backward pass down rows top..1 gives
+    # b_{top+1}..b_0, the forward pass up rows 0..last - 1 gives fwd[j,
+    # 0..last+1] = b_{-1}..b_last, each with the powers of two it is
+    # shifted by; the lists of alpha and gamma serve every energy
     al, ga = alpha.tolist(), gamma.tolist()
-    back, fwd, shift = map(np.array, zip(*(
-        _passes(al, be, ga, top, last) for be in beta.T.tolist())))
+    ga_down, al_down, al_up, ga_up = (ga[top:0:-1], al[top:0:-1],
+                                      al[:last], ga[:last])
+    back, bshift, fwd, shift = map(np.array, zip(*(
+        _pass(ga_down, be[top:0:-1], al_down) + _pass(al_up, be[:last], ga_up)
+        for be in beta.T.tolist())))
+    # back[j, 0..top+1]: every backward value on the scale of b_0, exactly
+    back = np.ldexp(back, bshift - bshift[:, -1:])[:, ::-1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         rows = np.abs(alpha[:last + 1] * back[:, 1:last + 2]
                       / back[:, :last + 1] + beta[:last + 1].T
@@ -310,38 +321,28 @@ def coefficients(spec: PotentialSpec, fam: ExpansionFamily, E,
     return b, np.array(residuals)
 
 
-def _passes(al: list, be: list, ga: list, top: int, last: int):
-    """The two passes of coefficients at one energy, with the rows'
-    alpha_n, beta_n and gamma_n as lists of floats: the backward values
-    back[0..top+1], and fwd[0..last+1] with the powers of two shift of
-    the forward ones.  Each pass carries its last two values."""
-    back = [0.0, 1.0]  # b_{top+1}, b_top, ..., b_0 until reversed
-    x2, x1 = 0.0, 1.0
-    for a, b, g in zip(al[top:0:-1], be[top:0:-1], ga[top:0:-1]):
-        x0 = -(b * x1 + a * x2) / g
-        back.append(x0)
-        if x0 > 1.0e250 or x0 < -1.0e250:  # abs(x0) > 1e250, without a call
-            scale = abs(x0)
-            back = [x / scale for x in back]
-            x0, x1 = back[-1], back[-2]
-        x2, x1 = x1, x0
-    back.reverse()
-    # fwd[n + 1] = b_n / 2^shift[n + 1], fwd[0] = b_{-1} = 0: the pass
-    # shrinks by powers of two past 1e250, so a b_n that fits comes back
-    # exactly
-    fwd = [0.0, 1.0]
+def _pass(lead: list, mid: list, trail: list) -> tuple:
+    """One pass of the three-term recursion over the rows of the lists of
+    floats lead, mid and trail: y_0 = 0, y_1 = 1 and
+
+        y_{k+1} = -(mid_k y_k + trail_k y_{k-1}) / lead_k,
+
+    carrying its last two values.  Past 1e250 it shrinks them by a power
+    of two, so the values ys and their shifts give y_k = ys[k] *
+    2^shift[k] exactly for every y_k that fits in float64."""
+    ys = [0.0, 1.0]
     y2, y1 = 0.0, 1.0
-    shift = np.zeros(last + 2, dtype=int)
-    for a, b, g in zip(al[:last], be[:last], ga[:last]):
+    shift = np.zeros(len(lead) + 2, dtype=np.intc)  # ldexp's own exponent type
+    for a, b, g in zip(lead, mid, trail):
         y0 = -(b * y1 + g * y2) / a
-        if y0 > 1.0e250 or y0 < -1.0e250:
+        if y0 > 1.0e250 or y0 < -1.0e250:  # abs(y0) > 1e250, without a call
             e = math.frexp(y0)[1]
-            y1 = fwd[-1] = math.ldexp(y1, -e)
+            y1 = ys[-1] = math.ldexp(y1, -e)
             y0 = math.ldexp(y0, -e)
-            shift[len(fwd) - 1:] += e
-        fwd.append(y0)
+            shift[len(ys) - 1:] += e
+        ys.append(y0)
         y2, y1 = y1, y0
-    return back, fwd, shift
+    return ys, shift
 
 
 def solve_coeffs_finite(spec: PotentialSpec, fam: ExpansionFamily,

@@ -1,14 +1,16 @@
 """Every check of the verify subcommand, with its pass rule and tolerances.
 
 verify_checks builds them all from one spectrum per terminating
-family: finite-difference residuals, the shooting oracle (loaded on
-first use) and the partner comparisons of heun_core.FAMILY_PARTNERS,
-each family at l against its partner family at -l - 5.  A check passes
-when its value is finite and below its tolerance (_check).  A
-family's residuals, and each side of a partner comparison, evaluate
-all their levels on one grid, and the oracle matches of all power
-families share one store of mesh step polynomials, which is dropped
-before verify_checks returns.
+family: finite-difference residuals, the shooting oracle and the
+partner comparisons of heun_core.FAMILY_PARTNERS, each family at l
+against its partner family at -l - 5.  A check passes when its value
+is finite and below its tolerance (_check).  A family's residuals, and
+each side of a partner comparison, evaluate all their levels on one
+grid.  verify_checks loads the oracle (heunspec.shooting) when it
+builds the checks of a spectrum, not on import, and runs them in one
+shooting._one_match block: the oracle matches of all power families
+share one store of mesh step polynomials, which is dropped before
+verify_checks returns.
 
 The residual check discretizes psi'' + (E - V) psi on an interior grid
 with a five-point stencil and normalizes by the solution and potential
@@ -18,7 +20,6 @@ tolerance while a detuned energy fails immediately.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from typing import Optional
 
@@ -145,23 +146,13 @@ def verify_checks(spec: PotentialSpec,
         return [check for fam in families for check in _residual_checks(
             fam, [SeriesSolution(spec, fam, energy,
                                  coefficients(spec, fam, [energy])[0][0])])]
+    from .shooting import _one_match
     checks, spectra = [], {}
-    with _one_oracle_store(families):
+    with _one_match():
         for fam in families:
             spectra[fam] = finite_spectrum(spec, fam)
             checks += _family_checks(spec, fam, spectra[fam].solutions)
     return checks + equivalence_suite(spec, spectra)
-
-
-def _one_oracle_store(families: list[ExpansionFamily]):
-    """A block in which every power-family match shares one store of mesh
-    step polynomials (shooting._one_match); the even and odd classes
-    integrate the same equation, so a mesh that both reach is formed
-    once.  Without a power family, the oracle is not loaded."""
-    if all(fam.group is not FamilyGroup.POWER for fam in families):
-        return contextlib.nullcontext()
-    from .shooting import _one_match
-    return _one_match()
 
 
 def _family_checks(spec: PotentialSpec, fam: ExpansionFamily,
@@ -225,7 +216,8 @@ def equivalence_suite(spec: PotentialSpec,
     compared, the one at l read from spectra where it is there.  When no
     family terminates, the lowest infinite-series level of the index-5
     expansion is located and the index-1 expansion is compared
-    pointwise at the same energy.
+    pointwise at the same energy; at l = -5/2 the two are one series,
+    and the comparison is skipped.
     """
     partner = symmetry_partner(spec)
     checks: list[dict] = []
@@ -263,8 +255,14 @@ def _infinite_record(spec: PotentialSpec) -> list[dict]:
         raise NoRootError(f"no level of family {fam5.selector} in the "
                           "default window")
     sol5 = levels[0]
+    name = (f"{spec.kind.value} ring1 vs ring5 infinite "
+            f"(l={spec.l:g}, E={sol5.E:.12g})")
+    if abs(spec.l + 2.5) < 1.0e-9:
+        return [{"name": name, "kind": "equivalence", "skipped": True,
+                 "note": "at l = -5/2 = -l - 5 the two families have the "
+                         "same Heun parameters with alpha and beta "
+                         "swapped, so they are one series"}]
     sol1 = SeriesSolution(spec, fam1, sol5.E, solve_coeffs_infinite(
         spec, fam1, [sol5.E], n_max=len(sol5.coeffs) - 1)[0])
-    return [_check(f"{spec.kind.value} ring1 vs ring5 infinite "
-                   f"(l={spec.l:g}, E={sol5.E:.12g})", "equivalence",
+    return [_check(name, "equivalence",
                    _eigenfunction_dev(spec, [(sol5, sol1)]), EQUIV_TOL)]

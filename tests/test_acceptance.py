@@ -273,6 +273,7 @@ CF_CASES = [
     ("v1", -2.4, 2.56434412315),
     ("v2", 0.3, -3.45132533359),
     ("v2", -2.5, 3.6527523115),
+    ("v2", -2.4, 3.64378285901),
 ]
 
 
@@ -299,7 +300,8 @@ def test_criterion_6_infinite_family_equivalence():
                           abs(E - roots[1]))
     ok = worst < TOL_EQUIV and worst_depth < TOL_DEPTH
     report(6, ok, f"one-sided vs two-endpoint expansions deviate "
-                  f"{worst:.3e} pointwise at matched E over 4 cases; "
+                  f"{worst:.3e} pointwise at matched E over "
+                  f"{len(CF_CASES)} cases; "
                   f"depth self-consistency and finite-section level vs "
                   f"depth-2400 continued fraction {worst_depth:.3e}")
     assert worst < TOL_EQUIV

@@ -360,6 +360,31 @@ def test_verify_without_a_terminating_family(capsys, kind, l):
     assert check["value"] <= 1e-12
 
 
+@pytest.mark.parametrize("kind,l,value", [
+    ("v1", "-2.5", None), ("v2", "-2.5", None),
+    ("v1", "-2.4", 1.1e-16), ("v2", "-2.4", 5.6e-16)])
+def test_verify_skips_the_self_comparison_at_l_minus_five_halves(
+        capsys, kind, l, value):
+    # at l = -5/2 = -l - 5 ring1 and ring5 are one series, with alpha and
+    # beta swapped: their comparison is skipped, with a note; next to it,
+    # at l = -2.4, it runs
+    code, out, _ = run_cli(capsys, "verify", "--potential", kind,
+                           f"--l={l}", "--k2", "0.5")
+    assert code == 0
+    payload = json.loads(out)
+    jsonschema.validate(payload, load_schema("verify"))
+    assert payload["all_passed"] is True
+    [check] = payload["checks"]
+    assert check["kind"] == "equivalence"
+    assert "ring1 vs ring5 infinite" in check["name"]
+    if value is None:
+        assert check["skipped"] is True and "one series" in check["note"]
+        assert "passed" not in check and "value" not in check
+    else:
+        assert check["passed"] is True and "skipped" not in check
+        assert 0.0 < check["value"] <= 10.0 * value
+
+
 def test_verify_non_finite_value_fails_as_null(capsys, monkeypatch):
     # a check passes only on a finite value below its tolerance, and a
     # value that is not finite is written as null, never as NaN

@@ -18,7 +18,7 @@ from heunspec.heun_core import (
 from heunspec.series_engine import (
     FINITE_TOL,
     SeriesSolution,
-    _passes,
+    _pass,
     _power_sum,
     _tail_check,
     coefficients,
@@ -210,8 +210,8 @@ def test_finite_coefficients_reject_detuned_energy():
     ("v1", "bold5", 4.5, slice(None)),   # terminating
     ("v2", "bar7", 4.0, slice(None)),    # terminating, integer l
     ("v1", "ring5", -3.0, slice(None)),  # infinite: the settled order
-    # levels 388 on pass 1e250 in the forward pass, which shifts them
-    # down by powers of two
+    # levels 388 on pass 1e250 in the forward pass and all of them in
+    # the backward one, and both shift them down by powers of two
     ("v1", "ring5", 800.0, slice(386, None)),
 ])
 def test_coefficients_of_an_array_match_one_call_per_energy(
@@ -225,10 +225,10 @@ def test_coefficients_of_an_array_match_one_call_per_energy(
     n_max = len(sols[0].coeffs) - 1
     shifted, mapped, per_recurrence = [], [], []
 
-    def passes(*args):
-        back, fwd, shift = _passes(*args)
-        shifted.append(max(shift) > 0)
-        return back, fwd, shift
+    def shifting_pass(*args):
+        ys, shift = _pass(*args)
+        shifted.append(shift[-1] > 0)
+        return ys, shift
 
     def counting_map(*args):
         mapped.append(args)
@@ -240,20 +240,70 @@ def test_coefficients_of_an_array_match_one_call_per_energy(
         per_recurrence.append(len(mapped) - before)
         return tri
 
-    monkeypatch.setattr("heunspec.series_engine._passes", passes)
+    monkeypatch.setattr("heunspec.series_engine._pass", shifting_pass)
     monkeypatch.setattr("heunspec.series_engine.transformed_params",
                         counting_map)
     monkeypatch.setattr("heunspec.series_engine.recurrence",
                         counting_recurrence)
     b, residuals = coefficients(spec, fam(sel), E, n_max)
     assert b.shape == (E.size, n_max + 1) and residuals.shape == E.shape
-    assert any(shifted) == (l == 800.0)
+    # each energy runs its backward pass, then its forward one
+    assert len(shifted) == 2 * E.size
+    assert any(shifted[0::2]) == any(shifted[1::2]) == (l == 800.0)
     assert per_recurrence == [1]
     for sol, row, residual in zip(sols, b, residuals):
         [alone], [res_alone] = coefficients(spec, fam(sel), [sol.E], n_max)
         assert np.array_equal(row, alone) and np.array_equal(row, sol.coeffs)
         assert residual == res_alone
     assert per_recurrence == [1] * (1 + len(sols))
+
+
+def test_rescaled_backward_pass_matches_an_exact_two_sided_recursion(
+        monkeypatch):
+    # at v1 ring5, l = 800, k2 = 0.5, the backward pass passes 1e250 on
+    # about a quarter of the levels (levels 0..78 and 380..400).  There
+    # each b_n of coefficients is a 40-digit two-sided recursion of the
+    # same float rows, joined at its smallest join row, to within
+    # (N + 1) eps of the largest of b_{n-1}, b_n and b_{n+1} (measured
+    # worst 0.50 (N + 1) eps; elementwise, near a sign change of b_n,
+    # 425 (N + 1) eps)
+    mpmath = pytest.importorskip("mpmath")
+    spec = make_spec("v1", 800.0, 0.5)
+    E = np.array([sol.E for sol in family_levels(spec, fam("ring5"),
+                                                 4).solutions])
+    shifted = []
+
+    def shifting_pass(*args):
+        ys, shift = _pass(*args)
+        shifted.append(shift[-1] > 0)
+        return ys, shift
+    monkeypatch.setattr("heunspec.series_engine._pass", shifting_pass)
+    b, _ = coefficients(spec, fam("ring5"), E)
+    rescaled = np.flatnonzero(shifted[0::2])
+    assert len(rescaled) == 100
+    N = b.shape[1] - 1
+    alpha, beta, gamma = recurrence(spec, fam("ring5"), E[rescaled]).rows(N)
+    worst = 0.0
+    with mpmath.workdps(40):
+        al, ga = ([mpmath.mpf(x) for x in row.tolist()]
+                  for row in (alpha, gamma))
+        for j, be in zip(rescaled, beta.T.tolist()):
+            be = [mpmath.mpf(x) for x in be]
+            fwd = [mpmath.mpf(0), mpmath.mpf(1)]  # b_{-1}, b_0, ..., b_N
+            for n in range(N):
+                fwd.append(-(be[n] * fwd[-1] + ga[n] * fwd[-2]) / al[n])
+            back = [mpmath.mpf(0), mpmath.mpf(1)]  # b_{N+1}, b_N, ..., b_0
+            for n in range(N, 0, -1):
+                back.append(-(be[n] * back[-1] + al[n] * back[-2]) / ga[n])
+            fwd, back = fwd[1:], back[::-1]
+            m = min(range(N + 1), key=lambda n: abs(
+                al[n] * back[n + 1] / back[n] + be[n]
+                + (ga[n] * fwd[n - 1] / fwd[n] if n else 0)))
+            ref = fwd[:m] + [x / back[m] * fwd[m] for x in back[m:N + 1]]
+            for n, (x, y) in enumerate(zip(b[j].tolist(), ref)):
+                near = max(abs(z) for z in ref[max(n - 1, 0):n + 2])
+                worst = max(worst, float(abs(x - y) / near))
+    assert worst <= (N + 1) * np.finfo(float).eps
 
 
 def test_first_failing_energy_raises():

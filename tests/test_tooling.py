@@ -3,10 +3,10 @@ and measures the parameter it names, the package imports no scipy root
 finder or integrator, every function defined in the package is used in
 it or listed with a reason, every dataclass field and module constant
 is read in it, every parameter default is overridden by some call in
-it, every subcommand option is read by the command line, the README's
-library quickstart runs and prints what its comments say, its
-command-line examples run, and no command sums 2F1 kernel rows one term
-at a time."""
+it, every subcommand option is read by the command line, the docs name
+only what the package defines, the README's library quickstart runs
+and prints what its comments say, its command-line examples run, and no
+command sums 2F1 kernel rows one term at a time."""
 
 import argparse
 import ast
@@ -16,7 +16,9 @@ import importlib.util
 import inspect
 import io
 import math
+import re
 import shlex
+import tokenize
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -256,6 +258,52 @@ def test_no_subcommand_accepts_an_option_it_ignores():
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _defined_in_src() -> dict[str, set[str]]:
+    """The names each module of the package defines: its functions,
+    classes and methods, and every name it assigns."""
+    defined = {}
+    for path in sorted(SRC.rglob("*.py")):
+        defined[path.stem] = {
+            node.name if hasattr(node, "name") else node.id
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    return defined
+
+
+# a private name: _ and a letter, not part of a word or of D'_n
+PRIVATE = re.compile(r"(?<![\w'])_[A-Za-z]\w*")
+
+
+def test_docs_name_only_what_src_defines():
+    # every private name in a docstring or comment of the package is
+    # defined in it, and every backticked module.name or _name of the
+    # README is defined in the package (module.name in that module)
+    defined = _defined_in_src()
+    anywhere = set().union(*defined.values())
+    stale = []
+    for path in sorted(SRC.rglob("*.py")):
+        text = path.read_text()
+        docs = [ast.get_docstring(node) for node in ast.walk(ast.parse(text))
+                if isinstance(node, (ast.Module, ast.ClassDef,
+                                     ast.FunctionDef, ast.AsyncFunctionDef))]
+        docs += [tok.string for tok in tokenize.generate_tokens(
+            io.StringIO(text).readline) if tok.type == tokenize.COMMENT]
+        stale += [f"{path.name}: {name}" for doc in docs if doc
+                  for name in PRIVATE.findall(doc) if name not in anywhere]
+    text = re.sub(r"```.*?```", "", README.read_text(), flags=re.DOTALL)
+    spans = [span.removeprefix("heunspec.")
+             for span in re.findall(r"`([^`\n]+)`", text)]
+    assert any(span.partition(".")[0] in defined for span in spans)
+    stale += [f"README: {span}" for span in spans
+              if re.fullmatch(r"_[A-Za-z]\w*", span) and span not in anywhere
+              or re.fullmatch(r"\w+\.\w+", span)
+              and span.partition(".")[0] in defined
+              and span.partition(".")[2] not in defined[span.partition(".")[0]]]
+    assert stale == []
 
 
 def test_readme_quickstart_runs_as_documented():
