@@ -385,11 +385,10 @@ def _kernel_factors(A, B, C):
     return s, g, p, q
 
 
-def _row_classes(p, q):
-    """(rows, cut): the single-piece rows with cut 1/2, then the
-    two-piece rows with cut Z_CONNECT."""
-    single = (p == 0.0) | (q == 0.0)
-    return (single, 0.5), (~single, Z_CONNECT)
+def _cut(p, q) -> float:
+    """The one cut of a kernel call: 1/2 when every row is single-piece
+    (p or q vanishes), else Z_CONNECT."""
+    return 0.5 if ((p == 0.0) | (q == 0.0)).all() else Z_CONNECT
 
 
 def _connection_rows(A, B, C, s, p, q, w: np.ndarray) -> np.ndarray:
@@ -424,27 +423,28 @@ def _tilde_f_rows(A, B, C, z: np.ndarray) -> np.ndarray:
     A row is single-piece when p_r or q_r vanishes: then C - A, C - B,
     A or B is a non-positive integer, and the kernel is a polynomial in
     w, times w^s when p_r = 0.  That form is exact and free of
-    cancellation, so such a row takes the connection at every z > 1/2,
+    cancellation, so it is taken from the connection at every z > 1/2,
     where the direct series would need hundreds of terms or cancel.  A
     two-piece row's two terms cancel like e^(n w), so it is summed directly
     up to Z_CONNECT, one term at a time by _series_rows (several hundred
-    terms at z near it), and from the connection only above it.  Above
-    its cut every row takes _connection_rows, the code _tilde_f_sum
+    terms at z near it), and from the connection only above it.  The
+    form is the family's at its l, not the row's: at integer l every
+    row of a two-sided family is single-piece, at half-odd l none is.
+    So all rows of a call share one cut (_cut): 1/2 when every row is
+    single-piece, else Z_CONNECT, the general rule, which also holds
+    for the single-piece rows of a call that mixes the forms.  Above
+    the cut every row takes _connection_rows, the code _tilde_f_sum
     runs there.  An integer s raises PoleError.  This is the row
     reference of the tests: the weighted sum of such rows that an
     eigenfunction needs is _tilde_f_sum, which takes the same pieces but
-    folds each class's direct sums into one power series.
+    folds the direct sums below the cut into one power series.
     """
     B = np.broadcast_to(B, A.shape)
     s, g, p, q = _kernel_factors(A, B, C)
+    near = z > _cut(p, q)
     out = np.empty((A.size, z.size))
-    for piece, cut in _row_classes(p, q):
-        a, b, c = A[piece], B[piece], C[piece]
-        near = z > cut
-        out[np.ix_(piece, ~near)] = (_series_rows(a, b, c, z[~near])
-                                     / g[piece, None])
-        out[np.ix_(piece, near)] = _connection_rows(
-            a, b, c, s[piece], p[piece], q[piece], 1.0 - z[near])
+    out[:, ~near] = _series_rows(A, B, C, z[~near]) / g[:, None]
+    out[:, near] = _connection_rows(A, B, C, s, p, q, 1.0 - z[near])
     return out
 
 
@@ -552,18 +552,19 @@ def _tilde_f_sum(b, A0: float, B: float, C0: float,
 
     Every vector takes every row n = 0..N of _tilde_f_rows, with their
     gamma(C), p and q computed once each for the whole stack; a zero
-    coefficient adds an exact zero.  Below its cut (1/2 for single-piece
-    rows, Z_CONNECT for two-piece ones), sum_n b[n] z^n 2F1-tilde(n) of a
-    class is, for each vector, one power series in z whose coefficients
+    coefficient adds an exact zero.  All rows share the one cut of the
+    call (_cut: 1/2 when every row is single-piece, as at integer l,
+    else Z_CONNECT).  Below it sum_n b[n] z^n 2F1-tilde(n) is, for each
+    vector, one power series in z whose coefficients
     d_m = sum_{n <= m} b[n] (A0 + n)_(m-n) (B)_(m-n)
-    / ((m - n)! gamma(C0 + m)) are built from each of its rows' scalar
+    / ((m - n)! gamma(C0 + m)) are built from each row's scalar
     coefficient run (_folded_sum), so the grid work there is one
     multiply-add per term and point in place of one per row, term and
-    point.  Above its cut a row takes the 1 - z connection
+    point.  Above it every row takes the 1 - z connection
     (_connection_rows): each of its series is a coefficient run from the
-    same builder and stop rule (_runs), and all runs of the class are
-    summed on the points above the cut by one einsum, once for every
-    vector; each vector then adds its rows in ascending n.  Every row
+    same builder and stop rule (_runs), and all runs are summed on the
+    points above the cut by one einsum, once for every vector; each
+    vector then adds its rows in ascending n.  Every row
     stops by its own rule, so each vector's sum is, bit for bit, its sum
     alone.  A run past SERIES_MAX_TERMS terms, on either side of the
     cut, raises ConvergenceError, an integer C - A - B PoleError.
@@ -572,20 +573,13 @@ def _tilde_f_sum(b, A0: float, B: float, C0: float,
     A, C = n + A0, n + C0
     Bs = np.full(n.shape, float(B))
     s, g, p, q = _kernel_factors(A, Bs, C)
+    near = z > _cut(p, q)
     total = np.zeros((len(b),) + z.shape)
+    if not near.all():
+        for sums, coeffs in zip(total, b):
+            sums[~near] += _folded_sum(coeffs / g, n, A, Bs, C, z[~near])
     kernels = np.zeros((n.size, z.size))
-    for piece, cut in _row_classes(p, q):
-        if not piece.any():
-            continue
-        near = z > cut
-        if not near.all():
-            for sums, coeffs in zip(total, b):
-                sums[~near] += _folded_sum(coeffs[piece] / g[piece], n[piece],
-                                           A[piece], Bs[piece], C[piece],
-                                           z[~near])
-        kernels[np.ix_(piece, near)] = _connection_rows(
-            A[piece], Bs[piece], C[piece], s[piece], p[piece], q[piece],
-            1.0 - z[near])
+    kernels[:, near] = _connection_rows(A, Bs, C, s, p, q, 1.0 - z[near])
     zp = np.ones_like(z)
     for bn, kernel in zip(b.T, kernels):
         total += bn[:, None] * zp * kernel

@@ -351,6 +351,72 @@ def _nonpositive_int(x):
     return x <= 0.0 and x == math.floor(x)
 
 
+def _kernel_pq(kind, sel, l):
+    """p and q of every kernel row of a terminating two-sided family."""
+    A0, B, C0, N = _two_sided_kernels(kind, sel, l)
+    n = np.arange(N + 1.0)
+    _, _, p, q = _kernel_factors(n + A0, np.full(N + 1, B), n + C0)
+    return p, q
+
+
+def test_kernel_form_is_one_per_family():
+    # every bold/bar family at each l in [-20, 60] (steps of 1/2) where
+    # it terminates, and 1e-10 above and 7e-10 below it, where it still
+    # terminates: its kernel rows are all single-piece, with p = 0 on
+    # every row or q = 0 on every row, exactly at integer l, and none is
+    # single-piece elsewhere.  _tilde_f_sum takes one cut per call on
+    # this fact
+    from heunspec.heun_core import FAMILY_PARTNERS, FamilyGroup
+    families = [(kind.value, f"{group.value}{index}")
+                for kind, groups in FAMILY_PARTNERS.items()
+                for group, indices in groups.items()
+                if group is not FamilyGroup.POWER for index in indices]
+    checked = 0
+    for kind, sel in families:
+        for l0 in np.arange(-20.0, 60.5, 0.5).tolist():
+            if _two_sided_kernels(kind, sel, l0)[3] is None:
+                continue
+            for l in (l0, l0 + 1e-10, l0 - 7e-10):
+                p, q = _kernel_pq(kind, sel, l)
+                case = (kind, sel, l)
+                if l == math.floor(l):
+                    assert (p == 0.0).all() or (q == 0.0).all(), case
+                else:
+                    assert not ((p == 0.0) | (q == 0.0)).any(), case
+                checked += 1
+    assert checked == 1860
+
+
+def test_kernel_forms_agree_where_they_meet():
+    # at integer l the kernels are single-piece (cut 1/2), 1e-10 above it
+    # two-piece (cut 0.97): the normalized eigenfunction samples of the
+    # two forms agree within EQUIV_TOL, the gap at which verify calls
+    # two eigenfunctions different.  Measured worst 3.3e-10 (v2 bar7,
+    # l = 16, level 0)
+    from heunspec.cli import _plot_grid
+    from heunspec.heun_core import (ExpansionFamily, PotentialKind,
+                                    PotentialSpec)
+    from heunspec.series_engine import evaluate_grid
+    from heunspec.spectrum import family_levels
+    from heunspec.verify import EQUIV_TOL
+    for kind, sels in (("v1", ("bold5", "bold6")), ("v2", ("bar5", "bar7"))):
+        for sel in sels:
+            fam = ExpansionFamily.from_selector(sel)
+            for l in (4.0, 12.0, 16.0):
+                samples = []
+                for at, cut in ((l, 0.5), (l + 1e-10,
+                                           special_functions.Z_CONNECT)):
+                    p, q = _kernel_pq(kind, sel, at)
+                    assert special_functions._cut(p, q) == cut, (sel, at)
+                    spec = PotentialSpec.from_k2(PotentialKind(kind), at, 0.5)
+                    sols = family_levels(spec, fam, 2).solutions[:2]
+                    vals = evaluate_grid(sols, _plot_grid(spec))
+                    peak = np.argmax(np.abs(vals), axis=1)
+                    samples.append(vals / vals[[0, 1], peak, None])
+                gap = np.abs(samples[0] - samples[1]).max()
+                assert gap <= EQUIV_TOL, (sel, l, gap)
+
+
 # both sides of the single-piece cut at 1/2 and of the two-piece cut at
 # 0.97, and z = 1
 SINGLE_PIECE_Z = (0.0, 0.3, 0.45, 0.5, 0.5001, 0.6, 0.75, 0.85, 0.95,
@@ -409,12 +475,14 @@ FOLD_TOL = 512
 def test_folded_kernel_sum_matches_row_sums(rng):
     # the coefficients of every level of every in-scope two-sided family
     # at half-odd l from -3/2 to 11/2 (two-piece rows) and integer l from
-    # 0 to 12 (single-piece rows), and random b on rows that straddle the
-    # classes: with A0 = -3, rows n <= 3 are polynomials, the rest
-    # two-piece.  z lies on both sides of both cuts.  The reference rows
-    # are summed one point at a time, so each stops on its own point's
-    # total: summed on the whole grid they stop on the largest total
-    # over it and are off by up to 580 eps at z = 0.97 (bold5, l = 11/2)
+    # 0 to 12 (single-piece rows), and random b on rows that mix the
+    # forms, which no family does: with A0 = -3, rows n <= 3 are
+    # polynomials and the rest two-piece, so every row takes the
+    # two-piece rule, cut 0.97.  z lies on both sides of both cuts.  The
+    # reference rows are summed one point at a time, so each stops on its
+    # own point's total: summed on the whole grid they stop on the
+    # largest total over it and are off by up to 580 eps at z = 0.97
+    # (bold5, l = 11/2)
     from heunspec.heun_core import (ExpansionFamily, PotentialKind,
                                     PotentialSpec)
     from heunspec.spectrum import finite_spectrum
@@ -445,10 +513,11 @@ def test_folded_kernel_sum_matches_row_sums(rng):
 
 def test_folded_kernel_sum_of_a_stack_matches_one_call_per_vector(
         rng, monkeypatch):
-    # rows n <= 3 are polynomials and the rest two-piece (A0 = -3), and
-    # the vectors have zeros on different rows: one _kernel_factors call
-    # serves the union of their rows, and each vector's sum is, bit for
-    # bit, its sum in a one-vector stack
+    # rows n <= 3 are polynomials and the rest two-piece (A0 = -3), so
+    # every row takes the two-piece rule, and the vectors have zeros on
+    # different rows: one _kernel_factors call serves the union of their
+    # rows, and each vector's sum is, bit for bit, its sum in a
+    # one-vector stack
     z = np.array(SINGLE_PIECE_Z)
     stack = rng.standard_normal((4, 8))
     stack[0, 5] = stack[1, :2] = stack[2, 4:] = stack[3, ::2] = 0.0
@@ -593,26 +662,25 @@ RUN_TOL = 4
 
 
 def _connection_series(A0, B, C0, N):
-    """(A, B, C, cut) of the 1 - z connection series of each row class:
-    F(A, B; 1 - s; w) of the rows with p != 0, then F(C - A, C - B;
-    1 + s; w) of those with q != 0."""
+    """(A, B, C, cut) of a family's 1 - z connection series and its one
+    cut: F(A, B; 1 - s; w) of the rows with p != 0, then F(C - A,
+    C - B; 1 + s; w) of those with q != 0."""
     n = np.arange(N + 1.0)
     A, Bs, C = n + A0, np.full(N + 1, B), n + C0
     s, _, p, q = _kernel_factors(A, Bs, C)
-    for piece, cut in special_functions._row_classes(p, q):
-        i, j = piece & (p != 0.0), piece & (q != 0.0)
-        if piece.any():
-            yield (np.concatenate([A[i], C[j] - A[j]]),
-                   np.concatenate([Bs[i], C[j] - Bs[j]]),
-                   np.concatenate([1.0 - s[i], 1.0 + s[j]]), cut)
+    i, j = p != 0.0, q != 0.0
+    return (np.concatenate([A[i], C[j] - A[j]]),
+            np.concatenate([Bs[i], C[j] - Bs[j]]),
+            np.concatenate([1.0 - s[i], 1.0 + s[j]]),
+            special_functions._cut(p, q))
 
 
 def test_connection_runs_match_one_term_sums():
-    # every connection series of every row class of the hyper_levels
-    # families, and at integer l from 0 to 12 of the single-piece rows,
-    # on the points above its class's cut: the sum from its coefficient
-    # run is the one-term sum of _series_rows within RUN_TOL eps
-    # sum_k |t_k w^k|, and no run stops before that sum's last term
+    # every connection series of every hyper_levels family (two-piece),
+    # and at integer l from 0 to 12 (single-piece), on the points above
+    # its family's cut: the sum from its coefficient run is the one-term
+    # sum of _series_rows within RUN_TOL eps sum_k |t_k w^k|, and no run
+    # stops before that sum's last term
     z = np.union1d(np.linspace(0.0, 1.0, 201), SINGLE_PIECE_Z)
     cases = [(kind, sel, l) for kind, sel, ls in HYPER_LEVELS for l in ls]
     cases += [(kind, sel, float(l))
@@ -620,28 +688,28 @@ def test_connection_runs_match_one_term_sums():
                                  ("v2", ("bar5", "bar7")))
               for sel in sels for l in range(13)]
     eps = np.finfo(float).eps
-    classes, checked = set(), 0
+    cuts, checked = set(), 0
     for kind, sel, l in cases:
         *args, N = _two_sided_kernels(kind, sel, l)
         if N is None:
             continue
-        for A, B, C, cut in _connection_series(*args, N):
-            w = 1.0 - z[z > cut]
-            got = special_functions._run_rows(A, B, C, w)
-            ref = _series_rows(A, B, C, w)
-            runs = special_functions._runs(np.ones(A.size), A, B, C,
-                                           float(w.max()))
-            for r, run in enumerate(runs):
-                k = np.arange(run.size)[:, None]
-                t = run.astype(float)[:, None] * w ** k
-                case = (sel, l, cut, A[r], B[r], C[r])
-                assert (np.abs(got[r] - ref[r])
-                        <= RUN_TOL * eps * np.abs(t).sum(axis=0)).all(), case
-                assert run.size - 1 >= _one_term_loop(A[r], B[r], C[r],
-                                                      w)[1], case
-                checked += 1
-            classes.add(cut)
-    assert classes == {0.5, special_functions.Z_CONNECT} and checked > 300
+        A, B, C, cut = _connection_series(*args, N)
+        w = 1.0 - z[z > cut]
+        got = special_functions._run_rows(A, B, C, w)
+        ref = _series_rows(A, B, C, w)
+        runs = special_functions._runs(np.ones(A.size), A, B, C,
+                                       float(w.max()))
+        for r, run in enumerate(runs):
+            k = np.arange(run.size)[:, None]
+            t = run.astype(float)[:, None] * w ** k
+            case = (sel, l, cut, A[r], B[r], C[r])
+            assert (np.abs(got[r] - ref[r])
+                    <= RUN_TOL * eps * np.abs(t).sum(axis=0)).all(), case
+            assert run.size - 1 >= _one_term_loop(A[r], B[r], C[r],
+                                                  w)[1], case
+            checked += 1
+        cuts.add(cut)
+    assert cuts == {0.5, special_functions.Z_CONNECT} and checked > 300
 
 
 def test_connection_rows_raise_at_the_term_cap(monkeypatch):
