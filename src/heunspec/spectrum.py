@@ -9,8 +9,9 @@ only the diagonal, affinely: one tridiagonal eigenproblem
 alpha_{n-1} gamma_n once and tests their signs once.  It is symmetrized
 when alpha_{n-1} gamma_n > 0 for every n, else solved densely and
 polished, all levels at once, by bracketed Newton steps on the
-continuant and its E-derivative; a dense section of either kind of
-family past DENSE_MAX_ORDER raises ConvergenceError before its matrix
+continuant and its E-derivative; the same function checks both order
+caps, so a section past SECTION_MAX_ORDER, or a dense one past
+DENSE_MAX_ORDER, raises ConvergenceError before anything of its size
 is built.  For a terminating family N is the
 truncation order.  A non-terminating power family's section levels
 converge to its levels (Ikebe, Asai, Miyazaki & Cai, Linear Algebra
@@ -77,9 +78,13 @@ def finite_spectrum(spec: PotentialSpec, fam: ExpansionFamily) -> SpectrumResult
     """
     N = finite_order(spec, fam)
     energies, symmetric = _section_levels(recurrence(spec, fam, 0.0), N)
-    degenerate = [(i, j) for i in range(len(energies))
-                  for j in range(i + 1, len(energies))
-                  if abs(energies[i] - energies[j]) <= 1.0e-9 * (1.0 + abs(energies[i]))]
+    degenerate = []  # the energies ascend, so E_j - E_i grows with j
+    for i, E in enumerate(energies):
+        j = i + 1
+        while (j < len(energies)
+               and energies[j] - E <= 1.0e-9 * (1.0 + abs(E))):
+            degenerate.append((i, j))
+            j += 1
     coeffs = solve_coeffs_finite(spec, fam, np.array(energies))
     solutions = [SeriesSolution(spec, fam, E, b)
                  for E, b in zip(energies, coeffs)]
@@ -94,65 +99,57 @@ def _section_levels(tri: Recurrence, N: int,
     count (all, if None), and of those only the ones inside a window;
     and whether the section meets the sign condition.
 
-    The rows and their products alpha_{n-1} gamma_n are formed once.
-    Under the sign condition the matrix is symmetrized exactly and
-    solved by a tridiagonal eigensolver (bisection to full precision for
-    a count or a window), else by _companion_real_roots.  Entries that
-    overflow float64, from a huge |l| or a tiny k2, raise DomainError.
+    An order past SECTION_MAX_ORDER raises ConvergenceError before any
+    row is built.  The rows and their products alpha_{n-1} gamma_n are
+    formed once; entries that overflow float64, from a huge |l| or a
+    tiny k2, raise DomainError.  Under the sign condition the matrix is
+    symmetrized exactly and solved by a tridiagonal eigensolver
+    (bisection to full precision for a count or a window).  Else an
+    order past DENSE_MAX_ORDER raises ConvergenceError before the dense
+    matrix is built; its real eigenvalues are the candidates, polished
+    on the continuant by _polish, all in one pass: a dense solve of a
+    non-symmetric matrix loses digits (1.7e-5, v2 bar5 l = 13.5).  Both
+    map an eigenvalue to an energy through the diagonal slope, then keep
+    the window and the count.
     """
+    if N > SECTION_MAX_ORDER:
+        raise ConvergenceError(
+            f"section of order N = {N} passes cap {SECTION_MAX_ORDER}")
     with np.errstate(over="ignore", invalid="ignore"):
         alpha, diag, gamma = tri.rows(N)
         ag = alpha[:-1] * gamma[1:]
     if not (np.isfinite(diag).all() and np.isfinite(ag).all()):
         raise DomainError(f"section entries overflow float64 at l = "
                           f"{tri.spec.l}, k2 = {tri.spec.k.k2}")
-    if _sign_violations(ag):
-        return _companion_real_roots(tri, (alpha, diag, gamma), window,
-                                     count), False
-    select = {}
-    if count is not None:  # the lowest energies, largest lambda if slope > 0
-        m = min(count, N + 1)
-        select = dict(select="i", tol=_BISECT_TOL, select_range=(
-            (N + 1 - m, N) if tri.beta_slope > 0.0 else (0, m - 1)))
-    elif window is not None:
-        select = dict(select="v", tol=_BISECT_TOL, select_range=sorted(
-            -tri.beta_slope * E for E in window))
-    lams = eigh_tridiagonal(diag, np.sqrt(ag), eigvals_only=True,
-                            **select)
+    symmetric = not _sign_violations(ag)
+    if symmetric:
+        select = {}
+        if count is not None:  # lowest E: largest lambda if slope > 0
+            m = min(count, N + 1)
+            select = dict(select="i", tol=_BISECT_TOL, select_range=(
+                (N + 1 - m, N) if tri.beta_slope > 0.0 else (0, m - 1)))
+        elif window is not None:
+            select = dict(select="v", tol=_BISECT_TOL, select_range=sorted(
+                -tri.beta_slope * E for E in window))
+        lams = eigh_tridiagonal(diag, np.sqrt(ag), eigvals_only=True,
+                                **select)
+    else:
+        if N > DENSE_MAX_ORDER:
+            raise ConvergenceError(
+                f"section of order N = {N} fails alpha_(n-1) gamma_n > 0 and "
+                f"needs a dense solve; N passes cap {DENSE_MAX_ORDER}")
+        idx = np.arange(N + 1)
+        M = np.diag(diag)
+        M[idx[:-1], idx[1:]] = alpha[:-1]
+        M[idx[1:], idx[:-1]] = gamma[1:]
+        lams = [lam.real for lam in np.linalg.eigvals(M)
+                if abs(lam.imag) <= 1.0e-8 * (1.0 + abs(lam))]
     lo, hi = window or (-math.inf, math.inf)
-    return [E for E in sorted(float(-lam / tri.beta_slope) for lam in lams)
-            if lo <= E <= hi][:count], True
-
-
-def _companion_real_roots(tri: Recurrence, rows: tuple[np.ndarray, ...],
-                          window: Optional[tuple[float, float]] = None,
-                          count: Optional[int] = None) -> list[float]:
-    """Real roots of the characteristic determinant of the section with
-    rows (alpha, beta, gamma) = tri.rows(N), ascending.
-
-    The candidates are the eigenvalues of the section, mapped back
-    through the diagonal slope; the real ones (the lowest count in the
-    window, if given) are polished on the continuant by _polish, all in
-    one pass: a dense solve of a non-symmetric matrix loses digits
-    (1.7e-5, v2 bar5 l = 13.5).  A section past DENSE_MAX_ORDER raises
-    ConvergenceError before its matrix is built.
-    """
-    alpha, beta, gamma = rows
-    N = beta.size - 1
-    if N > DENSE_MAX_ORDER:
-        raise ConvergenceError(
-            f"section of order N = {N} fails alpha_(n-1) gamma_n > 0 and "
-            f"needs a dense solve; N passes cap {DENSE_MAX_ORDER}")
-    idx = np.arange(N + 1)
-    M = np.diag(beta)
-    M[idx[:-1], idx[1:]] = alpha[:-1]
-    M[idx[1:], idx[:-1]] = gamma[1:]
-    lo, hi = window or (-math.inf, math.inf)
-    cands = sorted(E for E in (float(-lam.real / tri.beta_slope)
-                               for lam in np.linalg.eigvals(M)
-                               if abs(lam.imag) <= 1.0e-8 * (1.0 + abs(lam)))
-                   if lo <= E <= hi)
-    return sorted(_polish(tri, N, np.array(cands[:count])).tolist())
+    levels = [E for E in sorted(float(-lam / tri.beta_slope) for lam in lams)
+              if lo <= E <= hi][:count]
+    if not symmetric:
+        levels = sorted(_polish(tri, N, np.array(levels)).tolist())
+    return levels, symmetric
 
 
 def _polish(tri: Recurrence, N: int, E: np.ndarray) -> np.ndarray:
@@ -234,10 +231,11 @@ def family_levels(spec: PotentialSpec, fam: ExpansionFamily,
     SECTION_SHIFT_TOL * max(1, |E|).  Each level's solution is then
     built with coefficients b_0..b_N of the settled order, which is the
     level check: a join residual above FINITE_TOL raises
-    ConsistencyError, as for a terminating family.  An order past the
-    cap (SECTION_MAX_ORDER, or DENSE_MAX_ORDER for a section without the
-    sign condition) raises ConvergenceError.  Non-terminating two-sided
-    families raise DomainError before any recursion.
+    ConsistencyError, as for a terminating family.  A ConvergenceError
+    of a section solve, from an order cap or the polish, ends the
+    doubling and is raised again with the family, the order N and the
+    last shift.  Non-terminating two-sided families raise DomainError
+    before any recursion.
     """
     if count is not None and count < 0:
         raise DomainError(f"--max-energies must be nonnegative, got {count}")
@@ -256,20 +254,14 @@ def family_levels(spec: PotentialSpec, fam: ExpansionFamily,
     while shift >= SECTION_SHIFT_TOL:
         # the section of order 2N first, so that a cap ends the doubling
         # before the section of order N is solved
-        cap = SECTION_MAX_ORDER
-        if 2 * N <= cap:
-            try:
-                new = _section_levels(tri, 2 * N, window, count)[0]
-            except ConvergenceError:
-                if 2 * N <= DENSE_MAX_ORDER:
-                    raise  # the polish's, not the dense solver's cap
-                cap = DENSE_MAX_ORDER
-        if 2 * N > cap:
+        try:
+            new = _section_levels(tri, 2 * N, window, count)[0]
+            if levels is None:
+                levels = _section_levels(tri, N, window, count)[0]
+        except ConvergenceError as exc:
             raise ConvergenceError(
                 f"levels of family {fam.selector} not settled at order N = "
-                f"{N} (last relative shift {shift:.3g}); 2N passes cap {cap}")
-        if levels is None:
-            levels = _section_levels(tri, N, window, count)[0]
+                f"{N} (last relative shift {shift:.3g}): {exc}") from exc
         N *= 2
         shift = math.inf if len(new) != len(levels) else max(
             [abs(a - b) / max(1.0, abs(a)) for a, b in zip(new, levels)],

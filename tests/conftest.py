@@ -86,10 +86,11 @@ def characteristic_det(spec: PotentialSpec, fam, E, N=None):
 
 def brentq_real_roots(tri, N: int) -> list[float]:
     """Real roots of a section's continuant, ascending, one scalar brentq
-    per eigvals candidate: the reference for spectrum._companion_real_roots.
+    per eigvals candidate: the reference for spectrum._section_levels on
+    a section that fails the sign condition.
 
     The candidates, their filter and the bracket that doubles from
-    1e-6 (1 + |E|), up to 8 times, are those of the solver; each
+    1e-6 (1 + |E|), up to 8 times, are those of the dense solve; each
     bracketed root is refined to xtol 1e-12, rtol 8.9e-16 on a scalar
     longdouble continuant of its own, which rescales as
     Recurrence.continuant does.

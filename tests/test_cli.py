@@ -106,6 +106,26 @@ def test_spectrum_complex_pair(capsys):
     assert "complex" in payload["closed_form_match"]["note"]
 
 
+@pytest.mark.parametrize("kind,l,k2,sel,expected", [
+    # -2.5 + 3.25 k2 -+ sqrt(1 - 9 k2 + 9 k2^2): a real pair at k2 = 0.9
+    ("v2", "-0.5", "0.9", "bar5",
+     [0.425 - math.sqrt(0.19), 0.425 + math.sqrt(0.19)]),
+    ("v1", "0", "0.5", "ring5", [-1.0]),
+    ("v2", "0", "0.5", "ring5", [-2.0]),
+])
+def test_spectrum_closed_forms_of_each_kind(capsys, kind, l, k2, sel,
+                                            expected):
+    # the closed forms that test_spectrum_closed_form_block does not
+    # reach: the real two-term pair of v2 and the one-term power levels
+    code, out, _ = run_cli(capsys, "spectrum", "--potential", kind,
+                           "--l", l, "--k2", k2, "--family", sel)
+    assert code == 0
+    block = json.loads(out)["closed_form_match"]
+    assert block["expected"] == pytest.approx(expected, rel=1e-15)
+    assert block["count_matches"] is True
+    assert block["max_abs_diff"] < 1e-14
+
+
 def test_spectrum_continued_fraction_path(capsys):
     code, out, _ = run_cli(capsys, "spectrum", "--potential", "v1",
                            "--l", "-3", "--k2", "0.5", "--family", "ring5",
@@ -565,6 +585,16 @@ def test_sweep_without_values_is_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert "nonempty" in err
+
+
+@pytest.mark.parametrize("k2_range,message", [
+    ("0.2:0.5", "error: k2 range must be lo:hi:count\n"),
+    ("0.2:0.5:0", "sweep needs a nonempty set of k2 values\n"),
+])
+def test_sweep_bad_range_is_usage_error(capsys, k2_range, message):
+    code, out, err = run_cli(capsys, "sweep", "--potential", "v1", "--l",
+                             "-3", "--family", "ring5", "--k2-range", k2_range)
+    assert (code, out, err) == (2, "", message)
 
 
 def test_byte_determinism(tmp_path):

@@ -25,7 +25,6 @@ from heunspec.spectrum import (
     infinite_energy,
     symmetry_partner,
     _cf_value,
-    _companion_real_roots,
     _polish,
     _section_levels,
     _sign_violations,
@@ -241,22 +240,34 @@ POLISH_GRID = [(kind, sel, l + 0.5, k2)
 
 
 def test_polish_matches_brentq_reference():
-    # one batched Newton pass against one scalar brentq per level, on
-    # every section of the grid whatever its sign condition: the same
-    # count, and the same roots up to 2e-12 (1 + |E|); past that, a
-    # 40-digit root of the section's determinant settles which is closer
+    # on every section of the grid: one that fails the sign condition is
+    # polished by one batched Newton pass, checked against one scalar
+    # brentq per level for the same count and the same roots up to
+    # 2e-12 (1 + |E|), and past that a 40-digit root of the section's
+    # determinant settles which is closer; one that meets it is solved
+    # symmetrically, to N + 1 levels, each inside a sign change of the
+    # continuant over E -+ 2e-12 (1 + |E|)
     mp = pytest.importorskip("mpmath")
     assert len(POLISH_GRID) == 460
-    apart = []
+    apart, symmetric = [], 0
     for kind, sel, l, k2 in POLISH_GRID:
         spec, f = PotentialSpec.from_k2(PotentialKind(kind), l, k2), fam(sel)
         N = truncation_order(spec, f)
         tri = recurrence(spec, f, 0.0)
-        got = _companion_real_roots(tri, tri.rows(N))
+        got, meets = _section_levels(tri, N)
+        if meets:
+            symmetric += 1
+            E = np.array(got)
+            assert E.size == N + 1, (kind, sel, l, k2)
+            pad = 2e-12 * (1.0 + np.abs(E))
+            lo, hi = (tri.continuant(E + side * pad, N)[0] for side in (-1, 1))
+            assert np.all(np.sign(lo) * np.sign(hi) < 0), (kind, sel, l, k2)
+            continue
         ref = brentq_real_roots(tri, N)
         assert len(got) == len(ref), (kind, sel, l, k2)
         apart += [(tri, N, a, b) for a, b in zip(got, ref)
                   if abs(a - b) > 2e-12 * (1.0 + abs(b))]
+    assert symmetric == 135
     with mp.workdps(40):
         for tri, N, a, b in apart:
             det = mp_continuant(tri, N, mp)
@@ -274,7 +285,7 @@ def test_polish_converges_from_a_detuned_candidate():
     spec, f = vspec(5.5), fam("bold6")
     N = truncation_order(spec, f)
     tri = recurrence(spec, f, 0.0)
-    roots = np.array(_companion_real_roots(tri, tri.rows(N)))
+    roots = np.array(_section_levels(tri, N)[0])
     assert len(roots) == 8
     for shift in (1e-5, -1e-5):
         got = _polish(tri, N, roots + shift)
@@ -285,7 +296,7 @@ def test_polish_step_cap_raises(monkeypatch):
     spec, f = vspec(5.5), fam("bold6")
     N = truncation_order(spec, f)
     tri = recurrence(spec, f, 0.0)
-    roots = np.array(_companion_real_roots(tri, tri.rows(N)))
+    roots = np.array(_section_levels(tri, N)[0])
     monkeypatch.setattr(spectrum, "POLISH_MAX_STEPS", 1)
     with pytest.raises(ConvergenceError, match="still moving after 1 step"):
         _polish(tri, N, roots + 1e-5)
@@ -423,13 +434,43 @@ def test_section_levels_settle_from_start_order(spec):
 
 
 def test_infinite_levels_past_cap_raise():
-    # a dense section needs N = 2 * 1347 at k2 = 0.95, past the cap
-    with pytest.raises(ConvergenceError, match="N = 1347"):
+    # a dense section needs N = 2 * 1347 at k2 = 0.95, past the cap; the
+    # error names the family and the order, then the section's own cap
+    with pytest.raises(ConvergenceError, match=(
+            r"^levels of family ring5 not settled at order N = 1347 "
+            r"\(last relative shift inf\): section of order N = 2694 fails")):
         family_levels(vspec(0.5, 0.95), fam("ring5"), 4).solutions
     # the start order N = 6.9e10 at k2 = 1 - 1e-9 is past the section
     # cap itself, which is checked before an array of length 2N is built
     with pytest.raises(ConvergenceError, match="passes cap 1048576"):
         family_levels(vspec(-3.0, 0.999999999), fam("ring5"), 1).solutions
+
+
+def test_polish_failure_in_the_doubling_names_its_family(monkeypatch):
+    # the order-100 section of ring5 here is dense; its polish error is
+    # raised again with the family and the order
+    monkeypatch.setattr(spectrum, "POLISH_MAX_STEPS", 1)
+    with pytest.raises(ConvergenceError) as err:
+        family_levels(vspec(0.5), fam("ring5"), 4)
+    message = str(err.value)
+    assert message.startswith(
+        "levels of family ring5 not settled at order N = 100")
+    assert "still moving after 1 step" in message
+
+
+def test_degenerate_pairs_match_all_pairs(monkeypatch):
+    # the scan over ascending energies finds the pairs, in the order, of
+    # the test of every pair
+    levels = [0.0, 0.0, 1e-10, 1.0, 2.0, 2.0 + 1e-12]
+    monkeypatch.setattr(spectrum, "_section_levels",
+                        lambda tri, N: (levels, True))
+    monkeypatch.setattr(spectrum, "solve_coeffs_finite",
+                        lambda spec, f, E: np.zeros((E.size, 1)))
+    res = finite_spectrum(vspec(2.0), fam("ring5"))
+    assert res.degenerate_pairs == [
+        (i, j) for i in range(len(levels)) for j in range(i + 1, len(levels))
+        if abs(levels[i] - levels[j]) <= 1.0e-9 * (1.0 + abs(levels[i]))]
+    assert res.degenerate_pairs == [(0, 1), (0, 2), (1, 2), (4, 5)]
 
 
 def test_finite_dense_section_past_cap_raises(monkeypatch):

@@ -3,10 +3,10 @@ and measures the parameter it names, the package imports no scipy root
 finder or integrator, every function defined in the package is used in
 it or listed with a reason, every dataclass field and module constant
 is read in it, every parameter default is overridden by some call in
-it, every subcommand option is read by the command line, the docs name
-only what the package defines, the README's library quickstart runs
-and prints what its comments say, its command-line examples run, and no
-command sums 2F1 kernel rows one term at a time."""
+it, every subcommand option is read by the command line, the docs (the
+tests' too) name only what the package defines, the README's library
+quickstart runs and prints what its comments say, its command-line
+examples run, and no command sums 2F1 kernel rows one term at a time."""
 
 import argparse
 import ast
@@ -276,24 +276,37 @@ def _defined_in_src() -> dict[str, set[str]]:
 
 # a private name: _ and a letter, not part of a word or of D'_n
 PRIVATE = re.compile(r"(?<![\w'])_[A-Za-z]\w*")
+# module.name, or heunspec.module.name, not part of a longer dotted name
+DOTTED = re.compile(r"(?<![\w.])(?:heunspec\.)?([A-Za-z_]\w*)\.([A-Za-z_]\w*)")
+
+
+def _docs(text: str) -> list[str]:
+    """The docstrings and comments of the Python source text."""
+    docs = [ast.get_docstring(node) for node in ast.walk(ast.parse(text))
+            if isinstance(node, (ast.Module, ast.ClassDef,
+                                 ast.FunctionDef, ast.AsyncFunctionDef))]
+    docs += [tok.string for tok in tokenize.generate_tokens(
+        io.StringIO(text).readline) if tok.type == tokenize.COMMENT]
+    return [doc for doc in docs if doc]
 
 
 def test_docs_name_only_what_src_defines():
     # every private name in a docstring or comment of the package is
-    # defined in it, and every backticked module.name or _name of the
-    # README is defined in the package (module.name in that module)
+    # defined in it, every module.name in a docstring or comment of the
+    # tests names what that module of the package defines, and every
+    # backticked module.name or _name of the README is defined in the
+    # package (module.name in that module)
     defined = _defined_in_src()
     anywhere = set().union(*defined.values())
     stale = []
     for path in sorted(SRC.rglob("*.py")):
-        text = path.read_text()
-        docs = [ast.get_docstring(node) for node in ast.walk(ast.parse(text))
-                if isinstance(node, (ast.Module, ast.ClassDef,
-                                     ast.FunctionDef, ast.AsyncFunctionDef))]
-        docs += [tok.string for tok in tokenize.generate_tokens(
-            io.StringIO(text).readline) if tok.type == tokenize.COMMENT]
-        stale += [f"{path.name}: {name}" for doc in docs if doc
+        stale += [f"{path.name}: {name}" for doc in _docs(path.read_text())
                   for name in PRIVATE.findall(doc) if name not in anywhere]
+    for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
+        stale += [f"{path.name}: {module}.{name}"
+                  for doc in _docs(path.read_text())
+                  for module, name in DOTTED.findall(doc)
+                  if module in defined and name not in defined[module]]
     text = re.sub(r"```.*?```", "", README.read_text(), flags=re.DOTALL)
     spans = [span.removeprefix("heunspec.")
              for span in re.findall(r"`([^`\n]+)`", text)]
