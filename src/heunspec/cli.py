@@ -12,7 +12,9 @@ verify.verify_checks.
 Only verify runs the shooting oracle, which heunspec.verify loads on
 first use; importing this module does not.  The oracle integrates, and the
 spectra polish their roots, with numpy alone, so no subcommand loads
-scipy.integrate or scipy.optimize.
+scipy.integrate or scipy.optimize; the symmetric section solve loads
+scipy's LAPACK extension from its file, so none imports scipy or
+scipy.linalg either.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error,
 3 index out of range.

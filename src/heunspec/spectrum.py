@@ -7,32 +7,41 @@ three-term recurrence, series_engine.Recurrence, whose energy enters
 only the diagonal, affinely: one tridiagonal eigenproblem
 (_section_levels), which forms the section's rows and products
 alpha_{n-1} gamma_n once and tests their signs once.  It is symmetrized
-when alpha_{n-1} gamma_n > 0 for every n, else solved densely and
-polished, all levels at once, by bracketed Newton steps on the
-continuant and its E-derivative; the same function checks both order
-caps, so a section past SECTION_MAX_ORDER, or a dense one past
-DENSE_MAX_ORDER, raises ConvergenceError before anything of its size
-is built.  For a terminating family N is the
-truncation order.  A non-terminating power family's section levels
-converge to its levels (Ikebe, Asai, Miyazaki & Cai, Linear Algebra
-Appl. 241-243, 1996), so N doubles until they stop moving.  A
-non-terminating two-sided family has no minimal solution: rejected.
+when alpha_{n-1} gamma_n > 0 for every n and solved by LAPACK dstevd
+(all levels) or dstebz (bisection, for a count or a window), else
+solved densely and polished, all levels at once, by bracketed Newton
+steps on the continuant and its E-derivative; the same function checks
+both order caps, so a section past SECTION_MAX_ORDER, or a dense one
+past DENSE_MAX_ORDER, raises ConvergenceError before anything of its
+size is built.  For a terminating family N is the truncation order.
+A non-terminating power family's section levels converge to its
+levels (Ikebe, Asai, Miyazaki & Cai, Linear Algebra Appl. 241-243,
+1996), so N doubles until they stop moving.  A non-terminating
+two-sided family has no minimal solution: rejected.
 Both kinds of family return the series solutions at their levels:
 each is a SeriesSolution of the coefficients that solve_coeffs_finite
 or solve_coeffs_infinite give, in one call for all the levels, under
 one join-residual bound, and an infinite family's coefficients run to
 the settled section order N.  A finite spectrum's sign-condition flag
 is the section solve's own.
+
+The two LAPACK routines come from scipy's f2py extension
+scipy/linalg/_flapack, loaded from its file when this module is
+imported: scipy.linalg's package import would cost 0.3 s, most of a
+command's start-up, and neither scipy nor scipy.linalg enters
+sys.modules.  Only scipy 1.17.1 has been checked.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .exceptions import ArgumentError, ConvergenceError, DomainError, NoRootError
 from .heun_core import ExpansionFamily, FamilyGroup, PotentialSpec, default_window
@@ -92,6 +101,55 @@ def finite_spectrum(spec: PotentialSpec, fam: ExpansionFamily) -> SpectrumResult
                           degenerate_pairs=degenerate)
 
 
+def _load_flapack():
+    """scipy's LAPACK extension, from its file in scipy's directory:
+    neither finding nor loading it imports scipy.  If the file is not
+    found, the same module by the normal import."""
+    package = importlib.util.find_spec("scipy")
+    spec = package and importlib.machinery.PathFinder.find_spec(
+        "_flapack", [os.path.join(path, "linalg")
+                     for path in package.submodule_search_locations or ()])
+    if spec is None:
+        from scipy.linalg import _flapack as flapack
+        return flapack
+    flapack = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(flapack)
+    return flapack
+
+
+_flapack = _load_flapack()
+
+
+def _tridiagonal_eigvals(d: np.ndarray, e: np.ndarray,
+                         index: Optional[tuple[int, int]],
+                         window: Optional[tuple[float, float]]) -> np.ndarray:
+    """Eigenvalues, ascending, of the symmetric tridiagonal matrix with
+    diagonal d and off-diagonal e: all of them (LAPACK dstevd) if index
+    and window are None; else, by bisection to _BISECT_TOL (dstebz),
+    those of 0-based indices index[0]..index[1], or those in the window
+    (vl, vu].  These are the routines, arguments and 1x1 quick exit of
+    scipy 1.17's eigh_tridiagonal(eigvals_only=True), so the values are
+    the same bits.  A nonzero LAPACK info raises ConvergenceError.
+    """
+    if d.size == 1:
+        inside = window is None or window[0] < d[0] <= window[1]
+        return d if inside else d[:0]
+    if index is None and window is None:
+        routine = "dstevd"
+        w, _, info = _flapack.dstevd(d, e, compute_v=0)
+        m = w.size
+    else:
+        routine = "dstebz"
+        vl, vu = window or (0.0, 1.0)
+        il, iu = (index[0] + 1, index[1] + 1) if index else (1, 1)
+        m, w, _, _, info = _flapack.dstebz(d, e, 2 if index else 1, vl, vu,
+                                           il, iu, _BISECT_TOL, "E")
+    if info:
+        raise ConvergenceError(f"LAPACK {routine} failed on a section of "
+                               f"order N = {d.size - 1}: info = {info}")
+    return w[:m]
+
+
 def _section_levels(tri: Recurrence, N: int,
                     window: Optional[tuple[float, float]] = None,
                     count: Optional[int] = None) -> tuple[list[float], bool]:
@@ -103,14 +161,15 @@ def _section_levels(tri: Recurrence, N: int,
     row is built.  The rows and their products alpha_{n-1} gamma_n are
     formed once; entries that overflow float64, from a huge |l| or a
     tiny k2, raise DomainError.  Under the sign condition the matrix is
-    symmetrized exactly and solved by a tridiagonal eigensolver
-    (bisection to full precision for a count or a window).  Else an
-    order past DENSE_MAX_ORDER raises ConvergenceError before the dense
-    matrix is built; its real eigenvalues are the candidates, polished
-    on the continuant by _polish, all in one pass: a dense solve of a
-    non-symmetric matrix loses digits (1.7e-5, v2 bar5 l = 13.5).  Both
-    map an eigenvalue to an energy through the diagonal slope, then keep
-    the window and the count.
+    symmetrized exactly and solved by _tridiagonal_eigvals: LAPACK
+    dstevd for all levels, dstebz (bisection to full precision) for a
+    count or a window.  Else an order past DENSE_MAX_ORDER raises
+    ConvergenceError before the dense matrix is built; its real
+    eigenvalues are the candidates, polished on the continuant by
+    _polish, all in one pass: a dense solve of a non-symmetric matrix
+    loses digits (1.7e-5, v2 bar5 l = 13.5).  Both map an eigenvalue to
+    an energy through the diagonal slope, then keep the window and the
+    count.
     """
     if N > SECTION_MAX_ORDER:
         raise ConvergenceError(
@@ -123,16 +182,13 @@ def _section_levels(tri: Recurrence, N: int,
                           f"{tri.spec.l}, k2 = {tri.spec.k.k2}")
     symmetric = not _sign_violations(ag)
     if symmetric:
-        select = {}
+        index = lam_window = None
         if count is not None:  # lowest E: largest lambda if slope > 0
             m = min(count, N + 1)
-            select = dict(select="i", tol=_BISECT_TOL, select_range=(
-                (N + 1 - m, N) if tri.beta_slope > 0.0 else (0, m - 1)))
+            index = (N + 1 - m, N) if tri.beta_slope > 0.0 else (0, m - 1)
         elif window is not None:
-            select = dict(select="v", tol=_BISECT_TOL, select_range=sorted(
-                -tri.beta_slope * E for E in window))
-        lams = eigh_tridiagonal(diag, np.sqrt(ag), eigvals_only=True,
-                                **select)
+            lam_window = tuple(sorted(-tri.beta_slope * E for E in window))
+        lams = _tridiagonal_eigvals(diag, np.sqrt(ag), index, lam_window)
     else:
         if N > DENSE_MAX_ORDER:
             raise ConvergenceError(

@@ -13,6 +13,7 @@ import pytest
 
 import heunspec.cli
 import heunspec.shooting
+import heunspec.spectrum
 import heunspec.verify
 from heunspec.cli import main
 from heunspec.heun_core import ExpansionFamily, PotentialKind, PotentialSpec
@@ -37,7 +38,8 @@ def run_cli(capsys, *argv):
 FRESH_RUNNER = """
 import contextlib, io, json, sys
 from heunspec.cli import main
-WATCHED = ("scipy.integrate", "scipy.optimize", "heunspec.shooting")
+WATCHED = ("scipy", "scipy.linalg", "scipy.integrate", "scipy.optimize",
+           "heunspec.shooting")
 runs = [{"loaded": [m for m in WATCHED if m in sys.modules]}]
 for argv in json.loads(sys.argv[1]):
     out, err = io.StringIO(), io.StringIO()
@@ -673,6 +675,21 @@ def test_section_order_past_cap_exits_2_without_allocating(capsys):
     assert peak < 10_000_000
 
 
+def test_lapack_failure_exits_2(capsys, monkeypatch):
+    # a symmetric section solve whose LAPACK routine reports a nonzero
+    # info is a ConvergenceError: one error line and exit 2, no traceback
+    class StubLapack:
+        def dstevd(self, d, e, compute_v):
+            return d, None, 1
+
+    monkeypatch.setattr(heunspec.spectrum, "_flapack", StubLapack())
+    code, out, err = run_cli(capsys, "spectrum", "--potential", "v1", "--l",
+                             "6", "--k2", "0.5", "--family", "ring5")
+    assert (code, out) == (2, "")
+    assert err == ("error: LAPACK dstevd failed on a section of order "
+                   "N = 3: info = 1\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--potential", "v1", "--l", "1e20", "--k2", "0.5",
      "--family", "ring5"],
@@ -879,19 +896,27 @@ SPECTRUM_NONSYM = ["spectrum", "--potential", "v2", "--l", "2.5", "--k2",
                    "0.5", "--family", "bar5"]
 
 
+SWEEP_CF = ["sweep", "--potential", "v1", "--l", "-3", "--family", "ring5",
+            "--k2-list", "0.4,0.6"]
+
+
 def test_only_verify_loads_the_oracle():
-    # spectrum and eigenfunction need no oracle, and a section without
-    # the sign condition (here one with a complex pair) polishes its
-    # levels with numpy alone, so they load neither scipy.optimize nor
-    # scipy.integrate; the oracle integrates with numpy alone, so
-    # verify never loads scipy.integrate either
-    runs = run_fresh(SPECTRUM_NONSYM, SPECTRUM_CF, EIGEN_JSON, VERIFY_RING)
-    assert [r["loaded"] for r in runs[:4]] == [[], [], [], []]
-    assert [r["code"] for r in runs[1:]] == [0, 0, 0, 0]
+    # spectrum, eigenfunction and sweep need no oracle, and a section
+    # without the sign condition (here one with a complex pair) polishes
+    # its levels with numpy alone, so they load neither scipy.optimize
+    # nor scipy.integrate; the oracle integrates with numpy alone, so
+    # verify never loads scipy.integrate either; the symmetric section
+    # solve loads scipy's LAPACK extension by file, so no command loads
+    # scipy or scipy.linalg
+    runs = run_fresh(SPECTRUM_NONSYM, SPECTRUM_CF, EIGEN_JSON, SWEEP_CF,
+                     VERIFY_RING)
+    assert [r["loaded"] for r in runs[:5]] == [[], [], [], [], []]
+    assert [r["code"] for r in runs[1:]] == [0, 0, 0, 0, 0]
     assert '"expected_count": 5' in runs[1]["out"]
     assert '"real_count": 3' in runs[1]["out"]
-    assert "heunspec.shooting" in runs[4]["loaded"]
-    assert "scipy.integrate" not in runs[4]["loaded"]
+    assert runs[4]["out"].startswith("k2,l,family,index,energy\n")
+    assert runs[4]["out"].count("\n") == 9
+    assert runs[5]["loaded"] == ["heunspec.shooting"]
 
 
 def test_parser_reuse_matches_fresh_processes(capsys):

@@ -488,6 +488,107 @@ def test_finite_dense_section_past_cap_raises(monkeypatch):
     assert res.arscott_ok is True and len(res.energies) == 4
 
 
+def _eigh_tridiagonal(d, e, index, window):
+    """The reference for spectrum._tridiagonal_eigvals: scipy's
+    eigh_tridiagonal, with the same selection."""
+    from scipy.linalg import eigh_tridiagonal
+    if index is not None:
+        return eigh_tridiagonal(d, e, eigvals_only=True, select="i",
+                                select_range=index, tol=spectrum._BISECT_TOL)
+    if window is not None:
+        return eigh_tridiagonal(d, e, eigvals_only=True, select="v",
+                                select_range=window, tol=spectrum._BISECT_TOL)
+    return eigh_tridiagonal(d, e, eigvals_only=True)
+
+
+def test_tridiagonal_eigvals_match_scipy_bit_for_bit(rng):
+    # every selection kind, the 1x1 quick exit with its value inside and
+    # outside (vl, vu], and a window that holds no level
+    d, e = rng.normal(size=9), rng.uniform(0.1, 1.0, 8)
+    one, none = np.array([0.3]), np.empty(0)
+    cases = [(d, e, None, None), (d, e, (0, 0), None), (d, e, (2, 5), None),
+             (d, e, (8, 8), None), (d, e, None, (-0.5, 0.5)),
+             (d, e, None, (100.0, 101.0)),
+             (one, none, None, None), (one, none, (0, 0), None),
+             (one, none, None, (-1.0, 0.3)), (one, none, None, (0.3, 1.0)),
+             (one, none, None, (1.0, 2.0))]
+    sizes = []
+    for d, e, index, window in cases:
+        got = spectrum._tridiagonal_eigvals(d, e, index, window)
+        assert np.array_equal(got, _eigh_tridiagonal(d, e, index, window))
+        sizes.append(got.size)
+    assert sizes == [9, 1, 4, 1, sizes[4], 0, 1, 1, 1, 0, 0]
+    assert 0 < sizes[4] < 9
+
+
+def test_section_solves_of_the_workloads_match_scipy_bit_for_bit(
+        monkeypatch):
+    # the calls _section_levels makes on real sections: a count and a
+    # window of cf_lowest's ring5, and the full spectra of the sections
+    # of hyper_levels and oracle_verify that meet the sign condition
+    # (hyper_levels' only such sections are of order 0 and 1)
+    calls = []
+    solve = spectrum._tridiagonal_eigvals
+
+    def record(d, e, index, window):
+        calls.append((d, e, index, window, solve(d, e, index, window)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(spectrum, "_tridiagonal_eigvals", record)
+    family_levels(vspec(-1.0, 0.35), fam("ring5"), 1)
+    family_levels(wspec(-1.3, 0.6), fam("ring5"), 1)
+    infinite_energy(vspec(-4.0, 0.35), fam("ring5"), (-30.0, 30.0))
+    sections = [(vspec(-1.5, 0.45), "bold5"), (vspec(-0.5, 0.45), "bold6"),
+                (wspec(-1.5, 0.45), "bar5")]
+    sections += [(vspec(6.0, 0.45), sel)
+                 for sel in ("ring5", "ring6", "bold5", "bold6")]
+    sections += [(wspec(5.0, 0.45), sel)
+                 for sel in ("ring5", "ring7", "bar5", "bar7")]
+    for spec, sel in sections:
+        finite_spectrum(spec, fam(sel))
+    kinds = [("a" if index is None and window is None
+              else "i" if index is not None else "v")
+             for _, _, index, window, _ in calls]
+    assert {"a", "i", "v"} <= set(kinds)
+    assert {1, 2, 3, 4, 133} <= {d.size for d, *_ in calls}
+    for d, e, index, window, got in calls:
+        assert got.size > 0
+        assert np.array_equal(got, _eigh_tridiagonal(d, e, index, window))
+
+
+def test_flapack_by_file_or_by_the_package_import(monkeypatch):
+    # the extension is loaded from scipy's own file; where that file is
+    # not found, the same module comes from the normal import
+    import importlib.machinery
+    from scipy.linalg import _flapack
+    assert spectrum._flapack.__file__ == _flapack.__file__
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                        classmethod(lambda cls, name, path=None, target=None:
+                                    None))
+    assert spectrum._load_flapack() is _flapack
+
+
+def test_lapack_failure_raises_convergence_error(monkeypatch):
+    # a nonzero LAPACK info, from either routine, is a ConvergenceError
+    # that names the routine and the info
+    class StubLapack:
+        def dstevd(self, d, e, compute_v):
+            return d, None, 3
+
+        def dstebz(self, d, e, *args):
+            return 0, d, None, None, -4
+
+    monkeypatch.setattr(spectrum, "_flapack", StubLapack())
+    with pytest.raises(ConvergenceError,
+                       match=r"^LAPACK dstevd failed on a section of order "
+                             r"N = 3: info = 3$"):
+        finite_spectrum(vspec(6.0), fam("ring5"))
+    with pytest.raises(ConvergenceError,
+                       match=r"LAPACK dstebz failed on a section of order "
+                             r"N = \d+: info = -4$"):
+        family_levels(vspec(-1.0), fam("ring5"), 1)
+
+
 def test_two_sided_non_terminating_rejected():
     for spec, sel in ((vspec(-0.3), "bold5"), (wspec(0.7, 0.3), "bar5")):
         with pytest.raises(DomainError, match="two-sided"):
